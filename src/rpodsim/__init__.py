@@ -31,6 +31,7 @@ from .errors import (
     DegenerateOrbit,
     EpochMismatch,
     InsufficientWaypoints,
+    KeplerNonConvergence,
     RpodError,
     SingularRadius,
     SingularTransferTime,
@@ -69,6 +70,7 @@ __all__ = [
     "ImpulseRecord",
     "InertialState",
     "InsufficientWaypoints",
+    "KeplerNonConvergence",
     "MU_EARTH",
     "R_EARTH",
     "RelativeState",

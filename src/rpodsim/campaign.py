@@ -22,7 +22,8 @@ Accounting conventions (circumnavigation kinds):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,9 +51,9 @@ CIRCUMNAV_KINDS = ("nmc_unforced", "circle_forced")
 INTERCEPT_KINDS = ("intercept_unforced", "intercept_forced")
 MANEUVER_KINDS = CIRCUMNAV_KINDS + INTERCEPT_KINDS
 TRUTH_MODELS = ("two_body", "cw")
-
-_RTOL = 1e-12
-_ATOL = 1e-12
+# fewest burns each kind can fly: the circumnavigation waypoint plans need
+# three points per lap, the line-following intercept two legs
+_MIN_IMPULSES = {"nmc_unforced": 3, "circle_forced": 3, "intercept_forced": 2}
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,11 @@ class CampaignConfig:
     mu: float = MU_EARTH
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
         if self.maneuver_kind not in MANEUVER_KINDS:
             raise ValueError(f"unknown maneuver kind {self.maneuver_kind!r}")
         if self.truth_model not in TRUTH_MODELS:
@@ -85,7 +91,7 @@ class CampaignConfig:
         # for circumnavigation plans
         if self.size == 0 and self.maneuver_kind in CIRCUMNAV_KINDS:
             raise ValueError("size must be positive for circumnavigation")
-        minimum = 2 if self.maneuver_kind.endswith("_forced") else 1
+        minimum = _MIN_IMPULSES.get(self.maneuver_kind, 1)
         if self.impulse_count < minimum:
             raise ValueError(
                 f"{self.maneuver_kind} needs impulse_count >= {minimum}"
@@ -123,14 +129,22 @@ class CampaignResult:
 
 
 class _TruthState:
-    """Mutable truth-side state stepped between impulses."""
+    """Mutable truth-side state stepped between impulses.
+
+    Under two-body truth the chief state and the chaser's Hill-frame view
+    at the current time are computed once and reused until the chaser
+    moves (``advance_to``) or burns (``apply_dv``).
+    """
 
     def __init__(self, orbit: TargetOrbit, rel0: RelativeState, model: str):
         self.orbit = orbit
         self.model = model
         self.t = 0.0
         if model == "two_body":
-            self.chaser = hill_to_eci(chief_state(orbit, 0.0), rel0)
+            self._target = chief_state(orbit, 0.0)
+            self.chaser = hill_to_eci(self._target, rel0)
+            # read back through the frames like every later state, not rel0
+            self._rel = None
         else:
             self.rel_state = rel0
 
@@ -140,26 +154,33 @@ class _TruthState:
             raise ValueError("campaign time must not run backward")
         if self.model == "two_body":
             if dt > 0:
-                final = propagate_two_body(
-                    self.chaser, self.orbit.mu, dt, rtol=_RTOL, atol=_ATOL
-                )[-1]
+                final = propagate_two_body(self.chaser, self.orbit.mu, dt)[-1]
                 # re-stamp the epoch exactly to keep target/chaser in sync
                 self.chaser = InertialState(t, final.position, final.velocity)
+                self._target = self._rel = None
         else:
             if dt > 0:
                 self.rel_state = propagate_cw(self.rel_state, self.orbit.n, dt)
         self.t = t
 
+    def _chief(self) -> InertialState:
+        if self._target is None:
+            self._target = chief_state(self.orbit, self.t)
+        return self._target
+
     def rel(self) -> RelativeState:
         if self.model == "two_body":
-            return eci_to_hill(chief_state(self.orbit, self.t), self.chaser)
+            if self._rel is None:
+                self._rel = eci_to_hill(self._chief(), self.chaser)
+            return self._rel
         return self.rel_state
 
     def apply_dv(self, dv: np.ndarray) -> None:
         if self.model == "two_body":
-            basis = hill_basis(chief_state(self.orbit, self.t))
+            basis = hill_basis(self._chief())
             velocity = self.chaser.velocity + basis.rotation.T @ dv
             self.chaser = InertialState(self.t, self.chaser.position, velocity)
+            self._rel = None
         else:
             r = self.rel_state
             self.rel_state = RelativeState(
@@ -167,9 +188,11 @@ class _TruthState:
             )
 
     def sample(self) -> TrajectorySample:
-        target = chief_state(self.orbit, self.t)
         if self.model == "two_body":
-            return TrajectorySample(t=self.t, target=target, chaser=self.chaser)
+            return TrajectorySample(
+                t=self.t, target=self._chief(), chaser=self.chaser, rel=self.rel()
+            )
+        target = chief_state(self.orbit, self.t)
         chaser = hill_to_eci(target, self.rel_state)
         return TrajectorySample(t=self.t, target=target, chaser=chaser, rel=self.rel_state)
 

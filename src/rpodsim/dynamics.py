@@ -2,8 +2,10 @@
 
 Two models live here:
 
-* the restricted two-body problem (the truth model), integrated with an
-  adaptive embedded Runge-Kutta 5(4) scheme at tight tolerance, and
+* the restricted two-body problem (the truth model).  Unforced coasts are
+  solved in closed form (universal-variable Kepler equation with Lagrange
+  f and g); a constant control acceleration is integrated with an adaptive
+  embedded Runge-Kutta 5(4) scheme at tight tolerance, and
 * the Clohessy-Wiltshire (CW) linearized relative motion about a circular
   chief, in both ODE form and closed-form state-transition-matrix form.
 
@@ -13,17 +15,27 @@ by the campaign layer between propagation segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .constants import MU_EARTH, R_EARTH
-from .errors import SingularRadius, StepSizeUnderflow
+from .errors import KeplerNonConvergence, SingularRadius, StepSizeUnderflow
 from .frames import InertialState, RelativeState, eci_to_hill
 
 _MIN_RADIUS = 1.0  # km; guards the 1/r^3 blow-up
+# km; no coast may pass below the Earth's surface, checked over the whole arc
+_SURFACE_RADIUS = R_EARTH
+_KEPLER_MAX_ITER = 100
+# relative size of the last Newton step; quadratic convergence leaves the
+# root itself at rounding level
+_KEPLER_RTOL = 1e-12
+# sinh/cosh overflow a double just above 710; an arc whose hyperbolic anomaly
+# changes by more than this has left any physically meaningful range
+_MAX_HYPERBOLIC_ANOMALY = 700.0
 
 
 @dataclass(frozen=True)
@@ -103,16 +115,201 @@ def two_body_derivative(
     return state.velocity.copy(), accel
 
 
+# Taylor coefficients of C and S, (-1)^k / (2k+2)! and (-1)^k / (2k+3)!,
+# highest order first for Horner evaluation
+_C_SERIES = tuple((-1) ** k / math.factorial(2 * k + 2) for k in range(5, -1, -1))
+_S_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(5, -1, -1))
+
+
+def _stumpff(z: float) -> Tuple[float, float]:
+    """Stumpff functions C(z) = (1 - cos q) / q^2 and S(z) = (q - sin q) / q^3,
+    q = sqrt(z), continued to z < 0 through cosh and sinh.
+
+    Near z = 0 both closed forms cancel catastrophically, so a Taylor series
+    is used there; its first omitted term is about 1e-17 at |z| = 0.1.
+    """
+    if abs(z) < 0.1:
+        c = s = 0.0
+        for a, b in zip(_C_SERIES, _S_SERIES):
+            c = c * z + a
+            s = s * z + b
+        return c, s
+    if z > 0.0:
+        q = math.sqrt(z)
+        return 2.0 * math.sin(0.5 * q) ** 2 / z, (q - math.sin(q)) / (q * z)
+    q = math.sqrt(-z)
+    if q > _MAX_HYPERBOLIC_ANOMALY:
+        raise KeplerNonConvergence(
+            f"hyperbolic anomaly change {q:.3g} exceeds {_MAX_HYPERBOLIC_ANOMALY:g}"
+        )
+    return 2.0 * math.sinh(0.5 * q) ** 2 / -z, (math.sinh(q) - q) / (q * -z)
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+class _KeplerCoast:
+    """Unforced two-body motion from one state, in closed form.
+
+    Universal-variable formulation (Curtis, *Orbital Mechanics for
+    Engineering Students*, Alg. 3.3-3.4; Vallado, KEPLER): Newton's method
+    on the universal anomaly chi, then the Lagrange coefficients f, g,
+    f-dot, g-dot map (r0, v0) to any later time.  The scalar work runs on
+    Python floats, which per call is several times cheaper than numpy
+    scalars at this size.
+    """
+
+    def __init__(self, initial: InertialState, mu: float):
+        self.mu = mu
+        self.sqrt_mu = math.sqrt(mu)
+        self.r0 = initial.position.tolist()
+        self.v0 = initial.velocity.tolist()
+        self.rn0 = math.hypot(*self.r0)
+        # sigma = (r . v) / sqrt(mu); alpha = 1/a (> 0 elliptic, < 0 hyperbolic)
+        self.sigma0 = _dot(self.r0, self.v0) / self.sqrt_mu
+        self.alpha = 2.0 / self.rn0 - _dot(self.v0, self.v0) / mu
+        # e cos E0 on an ellipse, e cosh F0 on a hyperbola
+        self.ecc_cos0 = 1.0 - self.alpha * self.rn0
+        self.period = (
+            2.0 * math.pi / (self.sqrt_mu * self.alpha * math.sqrt(self.alpha))
+            if self.alpha > 0.0
+            else math.inf
+        )
+
+    def _kepler(self, chi: float, dt: float):
+        """Residual of the universal Kepler equation, and its chi-derivative r."""
+        z = self.alpha * chi * chi
+        c, s = _stumpff(z)
+        k = self.ecc_cos0
+        residual = (
+            self.sigma0 * chi * chi * c + k * chi * chi * chi * s + self.rn0 * chi
+            - self.sqrt_mu * dt
+        )
+        radius = self.sigma0 * chi * (1.0 - z * s) + k * chi * chi * c + self.rn0
+        if not (math.isfinite(residual) and math.isfinite(radius)):
+            raise KeplerNonConvergence(
+                f"coast of {dt:.6g} s leaves double-precision range"
+            )
+        return residual, radius
+
+    def _anomaly(self, dt: float) -> float:
+        """Universal anomaly chi after dt (0 <= dt < period).
+
+        Newton's method inside a bracket, falling back to bisection when a
+        step would leave the bracket or fails to halve the last step, so a
+        poor start cannot diverge.  The residual rises monotonically in chi
+        (its derivative is the radius).
+        """
+        lo = 0.0
+        if self.alpha > 0.0:
+            # dt < period, so the eccentric anomaly advances less than 2 pi
+            hi = 2.0 * math.pi / math.sqrt(self.alpha)
+        else:
+            # grow the bracket from at most one unit of hyperbolic anomaly,
+            # so the search cannot overshoot into sinh/cosh overflow
+            hi = self.sqrt_mu * dt / self.rn0
+            if self.alpha < 0.0:
+                hi = min(hi, 1.0 / math.sqrt(-self.alpha))
+            for _ in range(_KEPLER_MAX_ITER):
+                if self._kepler(hi, dt)[0] >= 0.0:
+                    break
+                hi *= 2.0
+            else:
+                raise KeplerNonConvergence(f"no bracket for a coast of {dt:.6g} s")
+        # Curtis's starting guess, kept inside the bracket
+        chi = min(self.sqrt_mu * abs(self.alpha) * dt, 0.5 * hi) or 0.5 * hi
+        last_step = hi - lo
+        for _ in range(_KEPLER_MAX_ITER):
+            residual, radius = self._kepler(chi, dt)
+            if residual == 0.0:
+                return chi
+            if residual < 0.0:
+                lo = chi
+            else:
+                hi = chi
+            step = residual / radius
+            if abs(step) <= _KEPLER_RTOL * chi:
+                return chi - step
+            if lo < chi - step < hi and abs(step) <= 0.5 * abs(last_step):
+                chi -= step
+                last_step = step
+            else:
+                last_step = 0.5 * (hi - lo)
+                chi = lo + last_step
+                if last_step <= _KEPLER_RTOL * chi:
+                    return chi
+        raise KeplerNonConvergence(
+            f"universal Kepler solve for dt={dt:.6g} s did not converge in "
+            f"{_KEPLER_MAX_ITER} iterations"
+        )
+
+    def state(self, dt: float) -> Tuple[List[float], List[float]]:
+        """Position and velocity dt seconds after the initial state."""
+        dt = math.fmod(dt, self.period)
+        if dt == 0.0:
+            return list(self.r0), list(self.v0)
+        chi = self._anomaly(dt)
+        z = self.alpha * chi * chi
+        c, s = _stumpff(z)
+        f = 1.0 - chi * chi * c / self.rn0
+        g = dt - chi * chi * chi * s / self.sqrt_mu
+        position = [f * a + g * b for a, b in zip(self.r0, self.v0)]
+        rn = math.hypot(*position)
+        fdot = self.sqrt_mu * chi * (z * s - 1.0) / (rn * self.rn0)
+        gdot = 1.0 - chi * chi * c / rn
+        velocity = [fdot * a + gdot * b for a, b in zip(self.r0, self.v0)]
+        return position, velocity
+
+    def lowest_radius(
+        self, duration: float, end_position: Sequence[float], end_velocity: Sequence[float]
+    ) -> float:
+        """Smallest radius reached over [0, duration], given the end state.
+
+        Exact: periapsis radius h^2 / (mu (1 + e)) if the arc passes
+        periapsis, else the smaller end radius (r is monotone between
+        apsides).
+        """
+        rn1 = math.hypot(*end_position)
+        if duration >= self.period:
+            passes = True
+        elif self.alpha > 0.0:
+            # time from the start to the next periapsis, from the mean
+            # anomaly M0 = E0 - e sin E0, with e sin E0 = sigma0 sqrt(alpha)
+            e_sin = self.sigma0 * math.sqrt(self.alpha)
+            mean0 = math.atan2(e_sin, self.ecc_cos0) - e_sin
+            to_periapsis = (-mean0) % (2.0 * math.pi) / (2.0 * math.pi) * self.period
+            passes = duration >= to_periapsis
+        else:
+            # r . v rises monotonically on an open orbit
+            passes = self.sigma0 < 0.0 <= _dot(end_position, end_velocity)
+        if not passes:
+            return min(self.rn0, rn1)
+        r, v = self.r0, self.v0
+        h = (
+            r[1] * v[2] - r[2] * v[1],
+            r[2] * v[0] - r[0] * v[2],
+            r[0] * v[1] - r[1] * v[0],
+        )
+        radial = _dot(v, v) - self.mu / self.rn0
+        rv = _dot(r, v)
+        ecc = [(radial * a - rv * b) / self.mu for a, b in zip(r, v)]
+        return _dot(h, h) / (self.mu * (1.0 + math.hypot(*ecc)))
+
+
 def propagate_two_body(
     initial: InertialState,
     mu: float,
     duration: float,
     control_accel: Optional[np.ndarray] = None,
     sample_times: Optional[Sequence[float]] = None,
-    rtol: float = 1e-12,
-    atol: float = 1e-12,
 ):
-    """Integrate the two-body problem for ``duration`` seconds.
+    """Propagate the two-body problem for ``duration`` seconds.
+
+    An unforced coast is solved in closed form (universal-variable Kepler
+    equation with Lagrange f and g), so its cost does not grow with the
+    duration.  A constant control acceleration is integrated with RK45 at
+    rtol = atol = 1e-12.
 
     Parameters
     ----------
@@ -126,16 +323,26 @@ def propagate_two_body(
         Constant control acceleration over the segment, km/s^2.  Piecewise
         schedules are realized by chaining segments.
     sample_times : sequence of float or None
-        Times (relative to the segment start) at which to report states.
-        Defaults to the segment end only.
+        Times (relative to the segment start, within [0, duration]) at
+        which to report states.  Defaults to the segment end only.
 
     Returns
     -------
     list of InertialState
         One state per requested sample time, epochs advanced accordingly.
+
+    Raises
+    ------
+    SingularRadius
+        If a coast passes below the Earth's surface anywhere on its arc,
+        not only at the sample times, or a controlled segment comes within
+        1 km of the centre.
+    KeplerNonConvergence
+        If a coast's Kepler solve does not converge, or the coast leaves
+        double-precision range.
     """
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and non-negative, got {duration}")
     if sample_times is None:
         sample_times = [duration]
     sample_times = [float(t) for t in sample_times]
@@ -144,22 +351,42 @@ def propagate_two_body(
             InertialState(initial.epoch, initial.position, initial.velocity)
             for _ in sample_times
         ]
+    if control_accel is not None:
+        return _integrate_two_body(
+            initial, mu, duration, np.asarray(control_accel, dtype=float),
+            sample_times,
+        )
+    if any(not 0.0 <= t <= duration for t in sample_times):
+        raise ValueError("sample times must lie within [0, duration]")
+    coast = _KeplerCoast(initial, mu)
+    end = coast.state(duration)
+    lowest = coast.lowest_radius(duration, *end)
+    if lowest < _SURFACE_RADIUS:
+        raise SingularRadius(
+            f"coast reaches radius {lowest:.6g} km, below the "
+            f"{_SURFACE_RADIUS:.6g} km floor"
+        )
+    out = []
+    for t in sample_times:
+        position, velocity = end if t == duration else coast.state(t)
+        out.append(InertialState(initial.epoch + t, position, velocity))
+    return out
 
-    u = None if control_accel is None else np.asarray(control_accel, dtype=float)
+
+def _integrate_two_body(initial, mu, duration, u, sample_times) -> List[InertialState]:
+    """RK45 integration of the two-body problem under constant control u."""
 
     def rhs(t, y):
         r = y[:3]
         rn = np.linalg.norm(r)
         if rn < _MIN_RADIUS:
             raise SingularRadius(f"radius {rn} km inside guard radius at t={t}")
-        a = -(mu / rn**3) * r
-        if u is not None:
-            a = a + u
+        a = -(mu / rn**3) * r + u
         return np.hstack((y[3:], a))
 
     y0 = np.hstack((initial.position, initial.velocity))
     sol = solve_ivp(
-        rhs, (0.0, duration), y0, method="RK45", rtol=rtol, atol=atol,
+        rhs, (0.0, duration), y0, method="RK45", rtol=1e-12, atol=1e-12,
         t_eval=sample_times, dense_output=False,
     )
     if not sol.success:

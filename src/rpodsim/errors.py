@@ -14,11 +14,19 @@ class EpochMismatch(RpodError):
 
 
 class SingularRadius(RpodError):
-    """Raised when a position falls inside the guard radius for 1/r^3 terms."""
+    """Raised when a coast passes below the Earth's surface, or a position
+    falls inside the 1 km guard radius for 1/r^3 terms."""
 
 
 class StepSizeUnderflow(RpodError):
     """Raised when the adaptive integrator fails to advance the solution."""
+
+
+class KeplerNonConvergence(RpodError):
+    """Raised when a closed-form two-body coast cannot be solved: the
+    universal Kepler iteration hits its cap, or the coast leaves the range
+    of double precision (e.g. an escape over an astronomically long
+    window)."""
 
 
 class ZeroOffset(RpodError):

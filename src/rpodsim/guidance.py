@@ -116,7 +116,8 @@ def cw_target_impulse(
         raise ValueError("transfer time must be positive")
     theta = n * ts
     det = drift_determinant(theta)
-    if abs(det) < _DET_RTOL * max(1.0, theta**2):
+    # theta * theta reaches inf on absurd windows where theta**2 would raise
+    if abs(det) < _DET_RTOL * max(1.0, theta * theta):
         raise SingularTransferTime(
             f"transfer angle n*ts = {theta:.6f} rad is a targeting singularity"
         )

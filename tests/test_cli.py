@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import pytest
 
@@ -174,3 +176,54 @@ def test_validate_suite_reports_residuals():
     assert ok
     assert len(lines) == 6
     assert all("residual=" in line for line in lines)
+
+
+def test_long_intercept_window_is_bounded(tmp_path):
+    # 1e9 minutes is ~7.9e6 chief periods; closed-form coasts make each leg
+    # O(1), where an integrator ran for minutes
+    out = tmp_path / "long.csv"
+    t0 = time.perf_counter()
+    code = main(["intercept", "--duration-min", "1e9", "--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0
+    assert code in (0, 2)
+    if code == 0:
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows
+        assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
+
+
+def test_non_finite_input_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(
+        [
+            "circumnav", "--kind", "forced", "--size-km", "10", "--impulses", "4",
+            "--altitude-km", "inf", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_too_few_circle_impulses_is_usage_error(tmp_path, capsys):
+    # the circle plan needs three waypoints; config validation says so first
+    code = main(
+        ["sweep", "--sizes-km", "10", "--impulses", "2", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 1
+    assert "impulse_count >= 3" in capsys.readouterr().err
+
+
+def test_subsurface_leg_is_physics_error(tmp_path, capsys):
+    # a 9000 km circle about a chief at 2000 km altitude dips ~1000 km below
+    # the surface; no result is written for it
+    out = tmp_path / "deep.csv"
+    code = main(
+        [
+            "circumnav", "--kind", "forced", "--size-km", "9000", "--impulses", "4",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "below the 6378.14 km floor" in capsys.readouterr().err
+    assert not out.exists()

@@ -130,6 +130,156 @@ def test_constant_control_accelerates_linearly():
 
 
 # ---------------------------------------------------------------------------
+# closed-form coasts
+
+
+def _start(position, speed_factor, direction):
+    """State at ``position`` moving along ``direction`` at sqrt(speed_factor)
+    times the local circular speed."""
+    r = np.asarray(position, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    v = np.sqrt(speed_factor * MU_EARTH / np.linalg.norm(r)) * d / np.linalg.norm(d)
+    return InertialState(0.0, r, v)
+
+
+def _time_scale(state):
+    """Period for an ellipse, 2 pi sqrt(|a|^3 / mu) for a hyperbola."""
+    r, v = state.position, state.velocity
+    inv_a = 2.0 / np.linalg.norm(r) - v @ v / MU_EARTH
+    return 2.0 * np.pi / np.sqrt(MU_EARTH * abs(inv_a) ** 3)
+
+
+COAST_STARTS = {
+    "circular": _start([8378.137, 0, 0], 1.0, [0, 1, 0]),
+    # e = 0.32, inclination 45 deg, starting off the apsides
+    "elliptic inclined": _start([5000.0, 5000.0, 2000.0], 1.3, [-0.5, 0.4, 0.6]),
+    # e = 0.5 from periapsis, inclination 143 deg
+    "elliptic retrograde": _start([7000.0, 0, 0], 1.5, [0, -0.8, 0.6]),
+    # e = 1.46
+    "hyperbolic": _start([7000.0, 0, 1000.0], 2.5, [0.3, 1, 0.2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COAST_STARTS))
+def test_kepler_coast_matches_dop853(name):
+    # oracle: DOP853 at its tightest tolerance.  Its own error drifts with
+    # arc length (~3e-7 km after 10 periods of the e = 0.5 orbit, where the
+    # closed form is within ~1e-10 km of a 40-digit solution), so the bound
+    # grows by 1e-7 km per period flown.
+    start = COAST_STARTS[name]
+    scale = _time_scale(start)
+    times = np.linspace(0.0, 10.0 * scale, 41)
+
+    def rhs(_t, y):
+        return np.hstack((y[3:], -MU_EARTH / np.linalg.norm(y[:3]) ** 3 * y[:3]))
+
+    sol = solve_ivp(
+        rhs, (0.0, times[-1]), np.hstack((start.position, start.velocity)),
+        method="DOP853", rtol=2.3e-14, atol=1e-14, t_eval=times,
+    )
+    sampled = propagate_two_body(start, MU_EARTH, times[-1], sample_times=times)
+    for i, (t, state) in enumerate(zip(times, sampled)):
+        gap = np.linalg.norm(state.position - sol.y[:3, i])
+        assert gap < 1e-7 * max(1.0, t / scale), (t / scale, gap)
+        # a sample is the same closed-form solve as a coast of that length
+        single = propagate_two_body(start, MU_EARTH, t)[-1]
+        np.testing.assert_array_equal(state.position, single.position)
+        np.testing.assert_array_equal(state.velocity, single.velocity)
+        assert state.epoch == t
+
+
+@pytest.mark.parametrize(
+    "start, window",
+    [(start, 5.0 * _time_scale(start)) for start in COAST_STARTS.values()]
+    + [
+        (_start([7000.0, 0, 0], 2.0 - 1e-12, [0, 1, 0]), 1e5),  # near-parabolic
+        (_start([7000.0, 0, 0], 2.0, [0, 1, 0]), 1e5),  # parabolic to rounding
+    ],
+)
+def test_kepler_coast_composes(start, window):
+    # oracle-free: coasting t1 then t2 lands where coasting t1 + t2 does,
+    # including near-parabolic arcs where the integrator oracle drifts
+    rng = np.random.default_rng(3)
+    for t1, t2 in rng.uniform(0.0, window, (10, 2)):
+        mid = propagate_two_body(start, MU_EARTH, t1)[-1]
+        two = propagate_two_body(mid, MU_EARTH, t2)[-1]
+        one = propagate_two_body(start, MU_EARTH, t1 + t2)[-1]
+        assert np.linalg.norm(two.position - one.position) < 1e-8
+
+
+def test_kepler_coast_returns_after_a_million_periods():
+    # an elliptic coast is reduced modulo its period before the solve, so
+    # the only error left is the rounding of the period, ~1e-12 s per lap
+    start = chief_state(ORBIT, 0.0)
+    (end,) = propagate_two_body(start, MU_EARTH, 1e6 * ORBIT.period)
+    assert np.linalg.norm(end.position - start.position) < 1e-4
+
+
+def _on_conic(r_p, ecc, nu_deg):
+    """State at true anomaly ``nu_deg`` on an equatorial conic with
+    periapsis radius ``r_p`` on the x axis."""
+    nu = np.radians(nu_deg)
+    p = r_p * (1.0 + ecc)
+    r = p / (1.0 + ecc * np.cos(nu))
+    v = np.sqrt(MU_EARTH / p)
+    return InertialState(
+        0.0,
+        [r * np.cos(nu), r * np.sin(nu), 0.0],
+        [-v * np.sin(nu), v * (ecc + np.cos(nu)), 0.0],
+    )
+
+
+# ellipse with periapsis 6000 km, inside the Earth, and apoapsis 20000 km;
+# at 60 deg either side of periapsis it is 7274 km out
+_SUB_PERI, _SUB_ECC = 6000.0, 14000.0 / 26000.0
+_SUB_PERIOD = 2 * np.pi * np.sqrt(13000.0**3 / MU_EARTH)
+
+
+def _since_periapsis(nu_deg):
+    """Time from periapsis to true anomaly ``nu_deg`` (-180, 180) on that ellipse."""
+    half = np.radians(nu_deg) / 2.0
+    ecc_anomaly = 2.0 * np.arctan(np.sqrt((1 - _SUB_ECC) / (1 + _SUB_ECC)) * np.tan(half))
+    mean = ecc_anomaly - _SUB_ECC * np.sin(ecc_anomaly)
+    return mean / (2 * np.pi) * _SUB_PERIOD
+
+
+@pytest.mark.parametrize(
+    "nu0, nu1, laps, hits",
+    [
+        (-60, 60, 0, True),  # both ends at 7274 km, periapsis between
+        (-60, -45, 0, False),  # stops at 6689 km, short of periapsis
+        (60, 120, 0, False),  # climbing away from periapsis
+        (60, -60, 1, False),  # up through apoapsis and back down to 7274 km
+        (-60, -60, 1, True),  # a whole period always passes periapsis
+        (60, 60, 3, True),  # so do several
+    ],
+)
+def test_coast_floor_is_checked_over_the_whole_arc(nu0, nu1, laps, hits):
+    start, end = _on_conic(_SUB_PERI, _SUB_ECC, nu0), _on_conic(_SUB_PERI, _SUB_ECC, nu1)
+    # the end points alone never show it
+    assert min(np.linalg.norm(start.position), np.linalg.norm(end.position)) > R_EARTH
+    duration = _since_periapsis(nu1) - _since_periapsis(nu0) + laps * _SUB_PERIOD
+    if hits:
+        with pytest.raises(SingularRadius, match="below the 6378.14 km floor"):
+            propagate_two_body(start, MU_EARTH, duration)
+    else:
+        (got,) = propagate_two_body(start, MU_EARTH, duration)
+        assert np.linalg.norm(got.position - end.position) < 1e-8
+
+
+def test_hyperbolic_flyby_floor():
+    # hyperbola with periapsis 6000 km, e = 1.46; 60 deg either side of
+    # periapsis it is 8532 km out
+    ecc = 1.0 + 6000.0 / 13000.0
+    inbound, outbound = _on_conic(6000.0, ecc, -60), _on_conic(6000.0, ecc, 60)
+    assert np.linalg.norm(inbound.position) > R_EARTH
+    propagate_two_body(inbound, MU_EARTH, 1.0)
+    with pytest.raises(SingularRadius):
+        propagate_two_body(inbound, MU_EARTH, 1e6)
+    propagate_two_body(outbound, MU_EARTH, 1e6)
+
+
+# ---------------------------------------------------------------------------
 # CW model
 
 
