@@ -14,18 +14,14 @@ from .campaign import (
 )
 from .constants import MU_EARTH, R_EARTH
 from .dynamics import (
-    CwStm,
     TargetOrbit,
-    TrajectorySample,
     chief_state,
     cw_derivative,
     cw_stm,
-    cw_system_matrix,
     propagate_cw,
     propagate_two_body,
     specific_angular_momentum,
     specific_energy,
-    two_body_derivative,
 )
 from .errors import (
     DegenerateOrbit,
@@ -35,7 +31,7 @@ from .errors import (
     RpodError,
     SingularRadius,
     SingularTransferTime,
-    StepSizeUnderflow,
+    UnphysicalBurn,
     UsageError,
     ZeroOffset,
 )
@@ -63,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CampaignConfig",
     "CampaignResult",
-    "CwStm",
     "DegenerateOrbit",
     "EpochMismatch",
     "HillBasis",
@@ -77,16 +72,14 @@ __all__ = [
     "RpodError",
     "SingularRadius",
     "SingularTransferTime",
-    "StepSizeUnderflow",
     "TargetOrbit",
-    "TrajectorySample",
+    "UnphysicalBurn",
     "UsageError",
     "Waypoint",
     "ZeroOffset",
     "chief_state",
     "cw_derivative",
     "cw_stm",
-    "cw_system_matrix",
     "cw_target_impulse",
     "drift_determinant",
     "eci_to_hill",
@@ -100,7 +93,6 @@ __all__ = [
     "specific_angular_momentum",
     "specific_energy",
     "sweep_circumnavigation",
-    "two_body_derivative",
     "waypoints_circle",
     "waypoints_line",
     "waypoints_nmc",

@@ -1,11 +1,13 @@
 """Closed-loop maneuver campaigns.
 
-A campaign flies a waypoint plan against a truth model.  Guidance is
-always the CW model: at each waypoint arrival the truth relative state is
-read out through the frame transforms and a CW targeting impulse toward
-the next waypoint is applied.  When the truth model is itself CW the
-corrections vanish identically; when the truth is the two-body problem
-the accumulated correction Δv measures the guidance-model mismatch.
+A campaign flies a waypoint plan against a truth model.  The chaser's
+state is always its Hill-frame relative state; the truth model is only
+the coast that carries it from one burn to the next.  Guidance is always
+the CW model: at each waypoint arrival a CW targeting impulse toward the
+next waypoint is computed from the truth state and added to its velocity.
+When the truth model is itself CW the corrections vanish identically; when
+the truth is the two-body problem the accumulated correction Δv measures
+the guidance-model mismatch.
 
 Accounting conventions (circumnavigation kinds):
 
@@ -24,19 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .constants import MU_EARTH
-from .dynamics import (
-    TargetOrbit,
-    TrajectorySample,
-    chief_state,
-    propagate_cw,
-    propagate_two_body,
-)
-from .frames import InertialState, RelativeState, eci_to_hill, hill_basis, hill_to_eci
+from .dynamics import TargetOrbit, chief_state, propagate_cw, propagate_two_body
+from .errors import UnphysicalBurn
+from .frames import RelativeState, eci_to_hill, hill_to_eci
+from .frames import hill_basis  # noqa: F401  wrapped by perfbench/spans.py
 from .guidance import (
     ImpulseRecord,
     Waypoint,
@@ -117,10 +115,15 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """Executed trajectory, impulse log, and Δv accounting for one run."""
+    """Executed trajectory, impulse log, and Δv accounting for one run.
+
+    ``samples`` holds ``(t, RelativeState)`` pairs: the start, then each
+    waypoint arrival before its burn.  The chaser's inertial state at a
+    sample is ``hill_to_eci(chief_state(orbit, t), rel)``.
+    """
 
     config: CampaignConfig
-    samples: Tuple[TrajectorySample, ...]
+    samples: Tuple[Tuple[float, RelativeState], ...]
     impulses: Tuple[ImpulseRecord, ...]
     total_dv: float
     insertion_dv: float
@@ -128,73 +131,41 @@ class CampaignResult:
     duration: float
 
 
-class _TruthState:
-    """Mutable truth-side state stepped between impulses.
+# the truth model's coast of the chaser's Hill-frame state from t to t1
+Coast = Callable[[RelativeState, float, float], RelativeState]
 
-    Under two-body truth the chief state and the chaser's Hill-frame view
-    at the current time are computed once and reused until the chaser
-    moves (``advance_to``) or burns (``apply_dv``).
+
+def _truth_coast(orbit: TargetOrbit, model: str) -> Coast:
+    """Coast function of the truth model: the one place the models differ."""
+    n = orbit.n
+    if model == "cw":
+        return lambda rel, t, t1: propagate_cw(rel, n, t1 - t)
+
+    def two_body(rel: RelativeState, t: float, t1: float) -> RelativeState:
+        # lifted from the chief's exact state at t, so the chaser's epoch
+        # t + (t1 - t) matches the chief's at t1
+        chaser = hill_to_eci(chief_state(orbit, t), rel)
+        end = propagate_two_body(chaser, orbit.mu, t1 - t)[-1]
+        return eci_to_hill(chief_state(orbit, t1), end)
+
+    return two_body
+
+
+def _burn(rel: RelativeState, record: ImpulseRecord, cap: float) -> RelativeState:
+    """The state just after an impulse, under either truth model.
+
+    An impulse leaves the position, and with it the frame term omega x rho,
+    unchanged, so in Hill axes it adds dv to the relative velocity exactly.
+    A burn at or above ``cap`` (the chief's circular speed) is not a
+    relative-motion maneuver and raises UnphysicalBurn.
     """
-
-    def __init__(self, orbit: TargetOrbit, rel0: RelativeState, model: str):
-        self.orbit = orbit
-        self.model = model
-        self.t = 0.0
-        if model == "two_body":
-            self._target = chief_state(orbit, 0.0)
-            self.chaser = hill_to_eci(self._target, rel0)
-            # read back through the frames like every later state, not rel0
-            self._rel = None
-        else:
-            self.rel_state = rel0
-
-    def advance_to(self, t: float) -> None:
-        dt = t - self.t
-        if dt < 0:
-            raise ValueError("campaign time must not run backward")
-        if self.model == "two_body":
-            if dt > 0:
-                final = propagate_two_body(self.chaser, self.orbit.mu, dt)[-1]
-                # re-stamp the epoch exactly to keep target/chaser in sync
-                self.chaser = InertialState(t, final.position, final.velocity)
-                self._target = self._rel = None
-        else:
-            if dt > 0:
-                self.rel_state = propagate_cw(self.rel_state, self.orbit.n, dt)
-        self.t = t
-
-    def _chief(self) -> InertialState:
-        if self._target is None:
-            self._target = chief_state(self.orbit, self.t)
-        return self._target
-
-    def rel(self) -> RelativeState:
-        if self.model == "two_body":
-            if self._rel is None:
-                self._rel = eci_to_hill(self._chief(), self.chaser)
-            return self._rel
-        return self.rel_state
-
-    def apply_dv(self, dv: np.ndarray) -> None:
-        if self.model == "two_body":
-            basis = hill_basis(self._chief())
-            velocity = self.chaser.velocity + basis.rotation.T @ dv
-            self.chaser = InertialState(self.t, self.chaser.position, velocity)
-            self._rel = None
-        else:
-            r = self.rel_state
-            self.rel_state = RelativeState(
-                r.x, r.y, r.z, r.vx + dv[0], r.vy + dv[1], r.vz + dv[2]
-            )
-
-    def sample(self) -> TrajectorySample:
-        if self.model == "two_body":
-            return TrajectorySample(
-                t=self.t, target=self._chief(), chaser=self.chaser, rel=self.rel()
-            )
-        target = chief_state(self.orbit, self.t)
-        chaser = hill_to_eci(target, self.rel_state)
-        return TrajectorySample(t=self.t, target=target, chaser=chaser, rel=self.rel_state)
+    if not record.magnitude < cap:
+        raise UnphysicalBurn(
+            f"burn of {record.magnitude:.6g} km/s at t = {record.t:.6g} s reaches "
+            f"the chief's circular speed {cap:.6g} km/s"
+        )
+    dv = record.dv
+    return RelativeState(rel.x, rel.y, rel.z, rel.vx + dv[0], rel.vy + dv[1], rel.vz + dv[2])
 
 
 def _finish(config, samples, impulses, insertion_dv, max_miss, duration) -> CampaignResult:
@@ -212,7 +183,9 @@ def _finish(config, samples, impulses, insertion_dv, max_miss, duration) -> Camp
     )
 
 
-def _run_circumnavigation(config: CampaignConfig, orbit: TargetOrbit) -> CampaignResult:
+def _run_circumnavigation(
+    config: CampaignConfig, orbit: TargetOrbit, coast: Coast
+) -> CampaignResult:
     n = orbit.n
     m = config.impulse_count
     if config.maneuver_kind == "nmc_unforced":
@@ -231,68 +204,52 @@ def _run_circumnavigation(config: CampaignConfig, orbit: TargetOrbit) -> Campaig
 
     tau = lap / m
     insertion_dv = float(np.linalg.norm(rel0.velocity))
-    truth = _TruthState(orbit, rel0, config.truth_model)
-    samples = [truth.sample()]
+    cap = orbit.circular_speed
+    rel = rel0
+    samples = [(0.0, rel)]
     impulses: List[ImpulseRecord] = []
     max_miss = 0.0
 
     for k in range(1, config.laps * m + 1):
-        t_arr = k * tau
-        truth.advance_to(t_arr)
-        rel = truth.rel()
+        t = k * tau
+        rel = coast(rel, (k - 1) * tau, t)
         arrived = plan[k % m]
         max_miss = max(max_miss, float(np.hypot(rel.x - arrived.x, rel.y - arrived.y)))
-        samples.append(truth.sample())
+        samples.append((t, rel))
         nxt = plan[(k + 1) % m]
-        record, _ = cw_target_impulse(
-            rel, Waypoint(t=t_arr + tau, x=nxt.x, y=nxt.y), tau, n
-        )
-        truth.apply_dv(record.dv)
+        record, _ = cw_target_impulse(rel, Waypoint(t=t + tau, x=nxt.x, y=nxt.y), tau, n)
+        rel = _burn(rel, record, cap)
         impulses.append(record)
 
     return _finish(config, samples, impulses, insertion_dv, max_miss, config.laps * lap)
 
 
-def _run_intercept(config: CampaignConfig, orbit: TargetOrbit) -> CampaignResult:
+def _run_intercept(config: CampaignConfig, orbit: TargetOrbit, coast: Coast) -> CampaignResult:
+    """Fly a straight-line plan from the start point to the rendezvous point.
+
+    The unforced arm is the one-leg plan: a single targeting impulse at
+    departure, then a ballistic coast over the whole window.
+    """
     n = orbit.n
     duration = float(config.duration)
     start = config.start_point
-    rendezvous = config.rendezvous_xy
-    rel0 = RelativeState(start[0], start[1], 0.0, 0.0, 0.0, 0.0)
-    truth = _TruthState(orbit, rel0, config.truth_model)
-    impulses: List[ImpulseRecord] = []
-
-    if config.maneuver_kind == "intercept_unforced":
-        # one targeting impulse at departure, then ballistic coast
-        record, _ = cw_target_impulse(
-            rel0, Waypoint(t=duration, x=rendezvous[0], y=rendezvous[1]), duration, n
-        )
-        truth.apply_dv(record.dv)
-        impulses.append(record)
-        samples = [truth.sample()]
-        truth.advance_to(duration)
-        samples.append(truth.sample())
-        rel = truth.rel()
-        miss = float(np.hypot(rel.x - rendezvous[0], rel.y - rendezvous[1]))
-        return _finish(config, samples, impulses, 0.0, miss, duration)
-
-    m = config.impulse_count
-    plan = waypoints_line(start, rendezvous, m + 1, duration)
+    m = 1 if config.maneuver_kind == "intercept_unforced" else config.impulse_count
+    plan = waypoints_line(start, config.rendezvous_xy, m + 1, duration)
     tau = duration / m
-    samples = [truth.sample()]
+    cap = orbit.circular_speed
+    rel = RelativeState(start[0], start[1], 0.0, 0.0, 0.0, 0.0)
+    samples = [(0.0, rel)]
+    impulses: List[ImpulseRecord] = []
     max_miss = 0.0
     for k in range(m):
-        rel = truth.rel()
         nxt = plan[k + 1]
         record, _ = cw_target_impulse(rel, nxt, tau, n)
-        truth.apply_dv(record.dv)
+        rel = _burn(rel, record, cap)
         impulses.append(record)
-        truth.advance_to((k + 1) * tau)
-        rel_arr = truth.rel()
-        max_miss = max(
-            max_miss, float(np.hypot(rel_arr.x - nxt.x, rel_arr.y - nxt.y))
-        )
-        samples.append(truth.sample())
+        t = (k + 1) * tau
+        rel = coast(rel, k * tau, t)
+        max_miss = max(max_miss, float(np.hypot(rel.x - nxt.x, rel.y - nxt.y)))
+        samples.append((t, rel))
     return _finish(config, samples, impulses, 0.0, max_miss, duration)
 
 
@@ -300,13 +257,15 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Execute one campaign and account its Δv.
 
     See the module docstring for the burn-scheduling and accounting
-    conventions.  Raises SingularTransferTime or propagator errors from
-    the underlying layers; everything else is deterministic arithmetic.
+    conventions.  Raises SingularTransferTime, UnphysicalBurn or
+    propagator errors from the underlying layers; everything else is
+    deterministic arithmetic.
     """
     orbit = TargetOrbit.from_altitude(config.chief_altitude, config.mu)
+    coast = _truth_coast(orbit, config.truth_model)
     if config.maneuver_kind in CIRCUMNAV_KINDS:
-        return _run_circumnavigation(config, orbit)
-    return _run_intercept(config, orbit)
+        return _run_circumnavigation(config, orbit, coast)
+    return _run_intercept(config, orbit, coast)
 
 
 def sweep_circumnavigation(

@@ -2,10 +2,9 @@
 
 Two models live here:
 
-* the restricted two-body problem (the truth model).  Unforced coasts are
+* the restricted two-body problem (the truth model), whose coasts are
   solved in closed form (universal-variable Kepler equation with Lagrange
-  f and g); a constant control acceleration is integrated with an adaptive
-  embedded Runge-Kutta 5(4) scheme at tight tolerance, and
+  f and g), and
 * the Clohessy-Wiltshire (CW) linearized relative motion about a circular
   chief, in both ODE form and closed-form state-transition-matrix form.
 
@@ -16,17 +15,17 @@ by the campaign layer between propagation segments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  wrapped by perfbench/spans.py
 
 from .constants import MU_EARTH, R_EARTH
-from .errors import KeplerNonConvergence, SingularRadius, StepSizeUnderflow
-from .frames import InertialState, RelativeState, eci_to_hill
+from .errors import KeplerNonConvergence, SingularRadius
+from .frames import InertialState, RelativeState
+from .frames import eci_to_hill  # noqa: F401  wrapped by perfbench/spans.py
 
-_MIN_RADIUS = 1.0  # km; guards the 1/r^3 blow-up
 # km; no coast may pass below the Earth's surface, checked over the whole arc
 _SURFACE_RADIUS = R_EARTH
 _KEPLER_MAX_ITER = 100
@@ -90,29 +89,6 @@ def chief_state(orbit: TargetOrbit, t: float) -> InertialState:
         position=np.array([r * c, r * s, 0.0]),
         velocity=np.array([-v * s, v * c, 0.0]),
     )
-
-
-def two_body_derivative(
-    state: InertialState, mu: float, control_accel: Optional[np.ndarray] = None
-):
-    """Right-hand side of the two-body problem with optional control.
-
-    Returns ``(velocity, acceleration)`` where
-    ``acceleration = -(mu/|r|^3) r + u``.
-
-    Raises
-    ------
-    SingularRadius
-        If the position magnitude is below the 1 km guard radius.
-    """
-    r = state.position
-    rn = np.linalg.norm(r)
-    if rn < _MIN_RADIUS:
-        raise SingularRadius(f"radius {rn} km inside guard radius")
-    accel = -(mu / rn**3) * r
-    if control_accel is not None:
-        accel = accel + np.asarray(control_accel, dtype=float)
-    return state.velocity.copy(), accel
 
 
 # Taylor coefficients of C and S, (-1)^k / (2k+2)! and (-1)^k / (2k+3)!,
@@ -301,15 +277,12 @@ def propagate_two_body(
     initial: InertialState,
     mu: float,
     duration: float,
-    control_accel: Optional[np.ndarray] = None,
     sample_times: Optional[Sequence[float]] = None,
 ):
-    """Propagate the two-body problem for ``duration`` seconds.
+    """Coast on a two-body orbit for ``duration`` seconds.
 
-    An unforced coast is solved in closed form (universal-variable Kepler
-    equation with Lagrange f and g), so its cost does not grow with the
-    duration.  A constant control acceleration is integrated with RK45 at
-    rtol = atol = 1e-12.
+    The coast is solved in closed form (universal-variable Kepler equation
+    with Lagrange f and g), so its cost does not grow with the duration.
 
     Parameters
     ----------
@@ -319,9 +292,6 @@ def propagate_two_body(
         Gravitational parameter, km^3/s^2.
     duration : float
         Segment length, s (>= 0).
-    control_accel : ndarray or None
-        Constant control acceleration over the segment, km/s^2.  Piecewise
-        schedules are realized by chaining segments.
     sample_times : sequence of float or None
         Times (relative to the segment start, within [0, duration]) at
         which to report states.  Defaults to the segment end only.
@@ -334,9 +304,8 @@ def propagate_two_body(
     Raises
     ------
     SingularRadius
-        If a coast passes below the Earth's surface anywhere on its arc,
-        not only at the sample times, or a controlled segment comes within
-        1 km of the centre.
+        If the coast passes below the Earth's surface anywhere on its arc,
+        not only at the sample times.
     KeplerNonConvergence
         If a coast's Kepler solve does not converge, or the coast leaves
         double-precision range.
@@ -351,11 +320,6 @@ def propagate_two_body(
             InertialState(initial.epoch, initial.position, initial.velocity)
             for _ in sample_times
         ]
-    if control_accel is not None:
-        return _integrate_two_body(
-            initial, mu, duration, np.asarray(control_accel, dtype=float),
-            sample_times,
-        )
     if any(not 0.0 <= t <= duration for t in sample_times):
         raise ValueError("sample times must lie within [0, duration]")
     coast = _KeplerCoast(initial, mu)
@@ -373,30 +337,6 @@ def propagate_two_body(
     return out
 
 
-def _integrate_two_body(initial, mu, duration, u, sample_times) -> List[InertialState]:
-    """RK45 integration of the two-body problem under constant control u."""
-
-    def rhs(t, y):
-        r = y[:3]
-        rn = np.linalg.norm(r)
-        if rn < _MIN_RADIUS:
-            raise SingularRadius(f"radius {rn} km inside guard radius at t={t}")
-        a = -(mu / rn**3) * r + u
-        return np.hstack((y[3:], a))
-
-    y0 = np.hstack((initial.position, initial.velocity))
-    sol = solve_ivp(
-        rhs, (0.0, duration), y0, method="RK45", rtol=1e-12, atol=1e-12,
-        t_eval=sample_times, dense_output=False,
-    )
-    if not sol.success:
-        raise StepSizeUnderflow(sol.message)
-    return [
-        InertialState(epoch=initial.epoch + t, position=sol.y[:3, i], velocity=sol.y[3:, i])
-        for i, t in enumerate(sol.t)
-    ]
-
-
 def specific_energy(state: InertialState, mu: float) -> float:
     """Specific orbital energy v^2/2 - mu/r, km^2/s^2."""
     return 0.5 * float(np.dot(state.velocity, state.velocity)) - mu / float(
@@ -411,17 +351,6 @@ def specific_angular_momentum(state: InertialState) -> float:
 
 # ---------------------------------------------------------------------------
 # Clohessy-Wiltshire model
-
-
-def cw_system_matrix(n: float) -> np.ndarray:
-    """6x6 CW system matrix A with state order (x, y, z, vx, vy, vz)."""
-    A = np.zeros((6, 6))
-    A[0:3, 3:6] = np.eye(3)
-    A[3, 0] = 3.0 * n**2
-    A[3, 4] = 2.0 * n
-    A[4, 3] = -2.0 * n
-    A[5, 2] = -(n**2)
-    return A
 
 
 def cw_derivative(
@@ -446,32 +375,7 @@ def cw_derivative(
     return np.array([rel.vx, rel.vy, rel.vz, ax, ay, az])
 
 
-@dataclass(frozen=True)
-class CwStm:
-    """Closed-form CW state-transition matrix over an interval dt."""
-
-    stm: np.ndarray
-    dt: float
-    n: float
-
-    @property
-    def pos_pos(self) -> np.ndarray:
-        return self.stm[0:3, 0:3]
-
-    @property
-    def pos_vel(self) -> np.ndarray:
-        return self.stm[0:3, 3:6]
-
-    @property
-    def vel_pos(self) -> np.ndarray:
-        return self.stm[3:6, 0:3]
-
-    @property
-    def vel_vel(self) -> np.ndarray:
-        return self.stm[3:6, 3:6]
-
-
-def cw_stm(n: float, dt: float) -> CwStm:
+def cw_stm(n: float, dt: float) -> np.ndarray:
     """Closed-form CW state-transition matrix.
 
     State order (x, y, z, vx, vy, vz).  The in-plane 4x4 couples (x, y)
@@ -503,23 +407,9 @@ def cw_stm(n: float, dt: float) -> CwStm:
     m[4, 4] = 4.0 * c - 3.0
     m[5, 2] = -n * s
     m[5, 5] = c
-    return CwStm(stm=m, dt=dt, n=n)
+    return m
 
 
 def propagate_cw(rel: RelativeState, n: float, dt: float) -> RelativeState:
     """Uncontrolled CW propagation by the closed-form transition matrix."""
-    return RelativeState.from_vector(cw_stm(n, dt).stm @ rel.vector)
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One time point of an executed trajectory (truth and relative views)."""
-
-    t: float
-    target: InertialState
-    chaser: InertialState
-    rel: RelativeState = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.rel is None:
-            object.__setattr__(self, "rel", eci_to_hill(self.target, self.chaser))
+    return RelativeState.from_vector(cw_stm(n, dt) @ rel.vector)

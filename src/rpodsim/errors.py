@@ -14,12 +14,7 @@ class EpochMismatch(RpodError):
 
 
 class SingularRadius(RpodError):
-    """Raised when a coast passes below the Earth's surface, or a position
-    falls inside the 1 km guard radius for 1/r^3 terms."""
-
-
-class StepSizeUnderflow(RpodError):
-    """Raised when the adaptive integrator fails to advance the solution."""
+    """Raised when a coast passes below the Earth's surface."""
 
 
 class KeplerNonConvergence(RpodError):
@@ -36,6 +31,12 @@ class ZeroOffset(RpodError):
 class SingularTransferTime(RpodError):
     """Raised when the targeting system is singular for the requested
     transfer time (e.g. a whole number of orbital periods)."""
+
+
+class UnphysicalBurn(RpodError):
+    """Raised when a guidance burn reaches the chief's circular speed: the
+    relative-motion targeting has left any regime it can model (e.g. legs
+    spanning millions of orbits)."""
 
 
 class InsufficientWaypoints(RpodError):

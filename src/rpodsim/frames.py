@@ -58,18 +58,16 @@ class InertialState:
 
 @dataclass(frozen=True)
 class HillBasis:
-    """Hill-frame orientation and rotation rates for one target state.
+    """Hill-frame orientation and rotation rate for one target state.
 
     ``rotation`` rows are (i_r, i_theta, i_h) expressed in ECI, so
-    ``rotation @ u`` maps an ECI vector u into Hill components.
-    ``angular_velocity`` and ``angular_acceleration`` are the frame rates
-    expressed in Hill axes; for a two-body orbit both lie on the
-    cross-track axis.
+    ``rotation @ u`` maps an ECI vector u into Hill components.  The frame's
+    angular velocity lies on the cross-track axis, so it is held as the
+    scalar ``rate`` = h / r^2, rad/s: omega = (0, 0, rate) in Hill axes.
     """
 
     rotation: np.ndarray
-    angular_velocity: np.ndarray
-    angular_acceleration: np.ndarray
+    rate: float
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ def hill_basis(target: InertialState) -> HillBasis:
     Returns
     -------
     HillBasis
-        Rotation matrix plus frame angular velocity/acceleration.
+        Rotation matrix plus the frame's rotation rate.
 
     Raises
     ------
@@ -136,13 +134,7 @@ def hill_basis(target: InertialState) -> HillBasis:
     i_h = h_vec / hn
     i_theta = np.cross(i_h, i_r)
     rotation = np.vstack((i_r, i_theta, i_h))
-
-    # omega = h / r^2 along i_h; h is constant under two-body motion so
-    # omega_dot follows from d/dt(1/r^2) alone.
-    r_rate = float(np.dot(r, v)) / rn
-    omega = np.array([0.0, 0.0, hn / rn**2])
-    omega_dot = np.array([0.0, 0.0, -2.0 * hn * r_rate / rn**3])
-    return HillBasis(rotation=rotation, angular_velocity=omega, angular_acceleration=omega_dot)
+    return HillBasis(rotation=rotation, rate=hn / rn**2)
 
 
 def eci_to_hill(target: InertialState, chaser: InertialState) -> RelativeState:
@@ -150,7 +142,7 @@ def eci_to_hill(target: InertialState, chaser: InertialState) -> RelativeState:
 
     The relative velocity uses the transport theorem,
     ``v_rel = R (v_c - v_t) - omega x rho``, where R rotates ECI vectors
-    into the Hill frame.
+    into the Hill frame and omega x rho = rate * (-rho_y, rho_x, 0).
 
     Raises
     ------
@@ -164,10 +156,12 @@ def eci_to_hill(target: InertialState, chaser: InertialState) -> RelativeState:
             f"target epoch {target.epoch} != chaser epoch {chaser.epoch}"
         )
     basis = hill_basis(target)
+    w = basis.rate
     rho = basis.rotation @ (chaser.position - target.position)
-    rho_dot = basis.rotation @ (chaser.velocity - target.velocity)
-    rho_dot -= np.cross(basis.angular_velocity, rho)
-    return RelativeState(rho[0], rho[1], rho[2], rho_dot[0], rho_dot[1], rho_dot[2])
+    v = basis.rotation @ (chaser.velocity - target.velocity)
+    return RelativeState(
+        rho[0], rho[1], rho[2], v[0] + w * rho[1], v[1] - w * rho[0], v[2]
+    )
 
 
 def hill_to_eci(target: InertialState, rel: RelativeState) -> InertialState:
@@ -176,9 +170,9 @@ def hill_to_eci(target: InertialState, rel: RelativeState) -> InertialState:
     Exact algebraic inverse of :func:`eci_to_hill` at the target's epoch.
     """
     basis = hill_basis(target)
-    rho = rel.position
-    position = target.position + basis.rotation.T @ rho
-    velocity = target.velocity + basis.rotation.T @ (
-        rel.velocity + np.cross(basis.angular_velocity, rho)
+    w = basis.rate
+    position = target.position + basis.rotation.T @ rel.position
+    velocity = target.velocity + basis.rotation.T @ np.array(
+        [rel.vx - w * rel.y, rel.vy + w * rel.x, rel.vz]
     )
     return InertialState(epoch=target.epoch, position=position, velocity=velocity)

@@ -28,7 +28,6 @@ class Waypoint:
     t: float
     x: float
     y: float
-    z: float = 0.0
 
     @property
     def position(self) -> np.ndarray:
@@ -119,10 +118,10 @@ def cw_target_impulse(
     # theta * theta reaches inf on absurd windows where theta**2 would raise
     if abs(det) < _DET_RTOL * max(1.0, theta * theta):
         raise SingularTransferTime(
-            f"transfer angle n*ts = {theta:.6f} rad is a targeting singularity"
+            f"transfer angle n*ts = {theta:.6g} rad is a targeting singularity"
         )
 
-    stm = cw_stm(n, ts).stm
+    stm = cw_stm(n, ts)
     a = stm[np.ix_([0, 1], [0, 1])]
     b = stm[np.ix_([0, 1], [3, 4])]
     p0 = np.array([rel_now.x, rel_now.y])
@@ -138,9 +137,7 @@ def _check_count(count: int, minimum: int) -> None:
         raise InsufficientWaypoints(f"need at least {minimum} waypoints, got {count}")
 
 
-def waypoints_circle(
-    radius: float, count: int, period: float, start_time: float = 0.0
-) -> Sequence[Waypoint]:
+def waypoints_circle(radius: float, count: int, period: float) -> Sequence[Waypoint]:
     """Waypoints on a target-centered circle, traversed clockwise.
 
     ``count`` points uniformly spaced in angle and in time over one
@@ -158,14 +155,12 @@ def waypoints_circle(
     for k in range(count):
         phi = -2.0 * np.pi * k / count
         points.append(
-            Waypoint(t=start_time + k * step, x=radius * np.cos(phi), y=radius * np.sin(phi))
+            Waypoint(t=k * step, x=radius * np.cos(phi), y=radius * np.sin(phi))
         )
     return points
 
 
-def waypoints_nmc(
-    x0: float, n: float, count: int, start_time: float = 0.0
-) -> Sequence[Waypoint]:
+def waypoints_nmc(x0: float, n: float, count: int) -> Sequence[Waypoint]:
     """Waypoints along one period of the closed CW NMC ellipse.
 
     ``count`` points at uniform time steps over 2 pi / n, starting from
@@ -181,14 +176,12 @@ def waypoints_nmc(
     for k in range(count):
         nt = 2.0 * np.pi * k / count
         points.append(
-            Waypoint(t=start_time + k * step, x=x0 * np.cos(nt), y=-2.0 * x0 * np.sin(nt))
+            Waypoint(t=k * step, x=x0 * np.cos(nt), y=-2.0 * x0 * np.sin(nt))
         )
     return points
 
 
-def waypoints_line(
-    start, end, count: int, duration: float, start_time: float = 0.0
-) -> Sequence[Waypoint]:
+def waypoints_line(start, end, count: int, duration: float) -> Sequence[Waypoint]:
     """Waypoints uniformly spaced along a segment, endpoints inclusive."""
     _check_count(count, 2)
     if duration <= 0:
@@ -199,5 +192,5 @@ def waypoints_line(
     for k in range(count):
         f = k / (count - 1)
         p = (1.0 - f) * p0 + f * p1
-        points.append(Waypoint(t=start_time + f * duration, x=p[0], y=p[1]))
+        points.append(Waypoint(t=f * duration, x=p[0], y=p[1]))
     return points

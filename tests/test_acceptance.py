@@ -116,7 +116,7 @@ def test_closed_form_matches_ode():
     t0 = time.perf_counter()
     orbit = TargetOrbit.from_altitude(ALTITUDE)
     n = orbit.n
-    stm = cw_stm(n, orbit.period).stm
+    stm = cw_stm(n, orbit.period)
     rng = np.random.default_rng(2468)
     worst = 0.0
     for _ in range(100):

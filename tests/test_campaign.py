@@ -4,6 +4,7 @@ import pytest
 from rpodsim import (
     CampaignConfig,
     MU_EARTH,
+    RelativeState,
     TargetOrbit,
     chief_state,
     eci_to_hill,
@@ -13,6 +14,7 @@ from rpodsim import (
     propagate_two_body,
     run_campaign,
     sweep_circumnavigation,
+    waypoints_nmc,
 )
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
@@ -126,19 +128,48 @@ def test_impulse_count_per_lap():
 
 
 def test_samples_are_self_consistent():
-    result = run_campaign(forced(20.0, 4))
-    assert len(result.samples) == 5  # insertion plus one per arrival
-    for sample in result.samples:
-        rebuilt = eci_to_hill(sample.target, sample.chaser)
-        assert np.max(np.abs(rebuilt.vector - sample.rel.vector)) < 1e-9
-        assert sample.target.epoch == pytest.approx(sample.t, abs=1e-9)
+    result = run_campaign(forced(20.0, 4, laps=2))
+    tau = ORBIT.period / 4
+    # the start plus one (t, rel) pair per arrival, at the burn times k tau
+    assert [t for t, _ in result.samples] == [k * tau for k in range(9)]
+    _, rel0 = result.samples[0]
+    assert rel0.x == 20.0 and rel0.y == 0.0
+    assert all(isinstance(rel, RelativeState) for _, rel in result.samples)
+    # the first leg's arrival is the insertion state coasted on two-body truth
+    chaser = hill_to_eci(chief_state(ORBIT, 0.0), rel0)
+    end = propagate_two_body(chaser, MU_EARTH, tau)[-1]
+    t1, rel1 = result.samples[1]
+    flown = eci_to_hill(chief_state(ORBIT, t1), end)
+    assert np.max(np.abs(flown.vector - rel1.vector)) < 1e-9
 
 
 def test_cw_truth_samples_are_self_consistent():
-    result = run_campaign(unforced(20.0, 4, truth="cw"))
-    for sample in result.samples:
-        rebuilt = eci_to_hill(sample.target, sample.chaser)
-        assert np.max(np.abs(rebuilt.vector - sample.rel.vector)) < 1e-9
+    result = run_campaign(unforced(20.0, 4, truth="cw", laps=2))
+    tau = ORBIT.period / 4
+    assert [t for t, _ in result.samples] == [k * tau for k in range(9)]
+    # CW truth flies the CW plan exactly, so every arrival sits on its waypoint
+    plan = waypoints_nmc(20.0, ORBIT.n, 4)
+    for k, (_, rel) in enumerate(result.samples):
+        assert abs(rel.x - plan[k % 4].x) < 1e-9
+        assert abs(rel.y - plan[k % 4].y) < 1e-9
+
+
+def test_cw_truth_never_builds_inertial_states(monkeypatch):
+    # under CW truth the campaign stays in the Hill frame: no chief state and
+    # no inertial chaser are built
+    import rpodsim.campaign
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("CW truth built an inertial state")
+
+    monkeypatch.setattr(rpodsim.campaign, "chief_state", refuse)
+    monkeypatch.setattr(rpodsim.campaign, "hill_to_eci", refuse)
+    assert run_campaign(forced(25.0, 8, truth="cw")).max_waypoint_miss < 1e-9
+    for kind in ("intercept_unforced", "intercept_forced"):
+        result = run_campaign(
+            CampaignConfig(kind, 2000.0, 10.0, 4, duration=3600.0, truth_model="cw")
+        )
+        assert result.max_waypoint_miss < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ def test_parse_sweep_grid():
     assert manifest.params["altitude_km"] == 2000.0
     assert manifest.output_path == "results.csv"
     assert manifest.format == "csv"
-    assert manifest.seedless is True
 
 
 def test_parse_intercept_defaults():
@@ -191,6 +190,26 @@ def test_long_intercept_window_is_bounded(tmp_path):
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert rows
         assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
+
+
+def test_burn_at_orbital_speed_is_physics_error(tmp_path, capsys):
+    # legs of ~1e6 chief periods make CW targeting ask for burns faster than
+    # the chief itself; that is no relative-motion answer, so nothing is written
+    out = tmp_path / "fling.csv"
+    code = main(["intercept", "--duration-min", "1e9", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "circular speed" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_singular_window_message_is_short(tmp_path, capsys):
+    code = main(["intercept", "--duration-min", "1e300", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "targeting singularity" in err
+    assert len(err) < 200
 
 
 def test_non_finite_input_is_usage_error(tmp_path, capsys):
