@@ -30,6 +30,7 @@ import numpy as np
 from .campaign import (
     CampaignConfig,
     CampaignResult,
+    intercept_experiment,
     run_campaign,
     sweep_circumnavigation,
 )
@@ -209,26 +210,13 @@ def _execute(manifest: RunManifest) -> List[CampaignResult]:
         )
         return [run_campaign(config)]
     if manifest.subcommand == "intercept":
-        common = dict(
-            chief_altitude=p["altitude_km"],
-            size=p["offset_km"],
-            duration=p["duration_s"],
+        return intercept_experiment(
+            p["offset_km"],
+            p["duration_s"],
+            p["impulse_counts"],
+            p["altitude_km"],
             truth_model=p["truth_model"],
         )
-        results = [
-            run_campaign(
-                CampaignConfig(maneuver_kind="intercept_unforced",
-                               impulse_count=1, **common)
-            )
-        ]
-        for count in p["impulse_counts"]:
-            results.append(
-                run_campaign(
-                    CampaignConfig(maneuver_kind="intercept_forced",
-                                   impulse_count=count, **common)
-                )
-            )
-        return results
     if manifest.subcommand == "sweep":
         return sweep_circumnavigation(
             p["sizes_km"],
@@ -360,13 +348,13 @@ def validate_suite(mu: float = MU_EARTH):
     def circular_coast():
         orbit = make_orbit()
         t = coast_periods * orbit.period
-        end = propagate_two_body(chief_state(orbit, 0.0), mu, t)[-1]
+        end = propagate_two_body(chief_state(orbit, 0.0), mu, t)
         return float(np.linalg.norm(end.position - chief_state(orbit, t).position)), 1e-6
 
     def energy_drift():
         orbit = make_orbit()
         start = chief_state(orbit, 0.0)
-        end = propagate_two_body(start, mu, coast_periods * orbit.period)[-1]
+        end = propagate_two_body(start, mu, coast_periods * orbit.period)
         e0 = specific_energy(start, mu)
         return abs((specific_energy(end, mu) - e0) / e0), 1e-10
 

@@ -273,12 +273,7 @@ class _KeplerCoast:
         return _dot(h, h) / (self.mu * (1.0 + math.hypot(*ecc)))
 
 
-def propagate_two_body(
-    initial: InertialState,
-    mu: float,
-    duration: float,
-    sample_times: Optional[Sequence[float]] = None,
-):
+def propagate_two_body(initial: InertialState, mu: float, duration: float) -> InertialState:
     """Coast on a two-body orbit for ``duration`` seconds.
 
     The coast is solved in closed form (universal-variable Kepler equation
@@ -292,49 +287,35 @@ def propagate_two_body(
         Gravitational parameter, km^3/s^2.
     duration : float
         Segment length, s (>= 0).
-    sample_times : sequence of float or None
-        Times (relative to the segment start, within [0, duration]) at
-        which to report states.  Defaults to the segment end only.
 
     Returns
     -------
-    list of InertialState
-        One state per requested sample time, epochs advanced accordingly.
+    InertialState
+        The state at the end of the segment, its epoch advanced by
+        ``duration``.
 
     Raises
     ------
     SingularRadius
         If the coast passes below the Earth's surface anywhere on its arc,
-        not only at the sample times.
+        not only at its end.
     KeplerNonConvergence
-        If a coast's Kepler solve does not converge, or the coast leaves
+        If the coast's Kepler solve does not converge, or the coast leaves
         double-precision range.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {duration}")
-    if sample_times is None:
-        sample_times = [duration]
-    sample_times = [float(t) for t in sample_times]
     if duration == 0.0:
-        return [
-            InertialState(initial.epoch, initial.position, initial.velocity)
-            for _ in sample_times
-        ]
-    if any(not 0.0 <= t <= duration for t in sample_times):
-        raise ValueError("sample times must lie within [0, duration]")
+        return InertialState(initial.epoch, initial.position, initial.velocity)
     coast = _KeplerCoast(initial, mu)
-    end = coast.state(duration)
-    lowest = coast.lowest_radius(duration, *end)
+    position, velocity = coast.state(duration)
+    lowest = coast.lowest_radius(duration, position, velocity)
     if lowest < _SURFACE_RADIUS:
         raise SingularRadius(
             f"coast reaches radius {lowest:.6g} km, below the "
             f"{_SURFACE_RADIUS:.6g} km floor"
         )
-    out = []
-    for t in sample_times:
-        position, velocity = end if t == duration else coast.state(t)
-        out.append(InertialState(initial.epoch + t, position, velocity))
-    return out
+    return InertialState(initial.epoch + float(duration), position, velocity)
 
 
 def specific_energy(state: InertialState, mu: float) -> float:

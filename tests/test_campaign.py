@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from rpodsim import (
     CampaignConfig,
+    InertialState,
     MU_EARTH,
     RelativeState,
     TargetOrbit,
@@ -16,6 +18,7 @@ from rpodsim import (
     sweep_circumnavigation,
     waypoints_nmc,
 )
+from rpodsim.campaign import MAX_LEGS, _truth_coast
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
 
@@ -57,6 +60,18 @@ def test_config_rejects_bad_values():
         CampaignConfig("intercept_forced", 2000.0, 10.0, 4)  # needs duration
     with pytest.raises(ValueError):
         unforced(10.0, 4, mu=-1.0)
+    # work per campaign is capped; the cap itself is accepted
+    unforced(10.0, MAX_LEGS // 4, laps=4)
+    with pytest.raises(ValueError):
+        unforced(10.0, MAX_LEGS // 4 + 1, laps=4)
+
+
+@pytest.mark.parametrize("count", [0, 2, 5])
+def test_unforced_intercept_flies_one_burn(count):
+    # the unforced arm is one targeting burn and a coast; any other count
+    # would be reported but not flown
+    with pytest.raises(ValueError):
+        CampaignConfig("intercept_unforced", 2000.0, 10.0, count, duration=3600.0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +143,51 @@ def test_impulse_count_per_lap():
 
 
 def test_samples_are_self_consistent():
-    result = run_campaign(forced(20.0, 4, laps=2))
-    tau = ORBIT.period / 4
+    # five legs a lap, so the epochs are no quarter turns of the chief
+    result = run_campaign(forced(20.0, 5, laps=2))
+    tau = ORBIT.period / 5
     # the start plus one (t, rel) pair per arrival, at the burn times k tau
-    assert [t for t, _ in result.samples] == [k * tau for k in range(9)]
+    assert [t for t, _ in result.samples] == [k * tau for k in range(11)]
     _, rel0 = result.samples[0]
     assert rel0.x == 20.0 and rel0.y == 0.0
     assert all(isinstance(rel, RelativeState) for _, rel in result.samples)
-    # the first leg's arrival is the insertion state coasted on two-body truth
-    chaser = hill_to_eci(chief_state(ORBIT, 0.0), rel0)
-    end = propagate_two_body(chaser, MU_EARTH, tau)[-1]
-    t1, rel1 = result.samples[1]
-    flown = eci_to_hill(chief_state(ORBIT, t1), end)
-    assert np.max(np.abs(flown.vector - rel1.vector)) < 1e-9
+    # every arrival is the previous sample, after its burn, lifted at that
+    # sample's own epoch, coasted on two-body truth and read back
+    for k in range(1, 11):
+        t0, before = result.samples[k - 1]
+        dv = result.impulses[k - 2].dv if k > 1 else np.zeros(3)
+        after = RelativeState.from_vector(before.vector + np.concatenate((np.zeros(3), dv)))
+        end = propagate_two_body(hill_to_eci(chief_state(ORBIT, t0), after), MU_EARTH, tau)
+        t1, arrived = result.samples[k]
+        flown = eci_to_hill(chief_state(ORBIT, t1), end)
+        assert np.max(np.abs(flown.vector - arrived.vector)) < 1e-9, k
+
+
+def test_two_body_leg_matches_dop853():
+    # the campaign flies every leg from the chief's state at 0; the same leg
+    # integrated by DOP853 from the chief's state at an epoch t and read at
+    # t + tau lands within 1e-7 km of it
+    rng = np.random.default_rng(11)
+
+    def rhs(_t, y):
+        return np.hstack((y[3:], -MU_EARTH / np.linalg.norm(y[:3]) ** 3 * y[:3]))
+
+    for _ in range(24):
+        t = rng.uniform(0.0, 1e7)
+        tau = rng.uniform(0.05, 3.0) * ORBIT.period
+        x, y, z = rng.uniform(-500.0, 500.0, 3)
+        vx, vy, vz = rng.uniform(-1e-3, 1e-3, 3)
+        # near the drift-free along-track rate, so no leg dips below the surface
+        rel = RelativeState(x, y, z, vx, vy - 2.0 * ORBIT.n * x, vz)
+        leg = _truth_coast(ORBIT, "two_body", tau)(rel)
+        chaser = hill_to_eci(chief_state(ORBIT, t), rel)
+        sol = solve_ivp(
+            rhs, (0.0, tau), np.hstack((chaser.position, chaser.velocity)),
+            method="DOP853", rtol=2.3e-14, atol=1e-14,
+        )
+        end = InertialState(t + tau, sol.y[:3, -1], sol.y[3:, -1])
+        truth = eci_to_hill(chief_state(ORBIT, t + tau), end)
+        assert np.linalg.norm(leg.position - truth.position) < 1e-7, (t, tau)
 
 
 def test_cw_truth_samples_are_self_consistent():
@@ -165,9 +212,9 @@ def test_cw_truth_never_builds_inertial_states(monkeypatch):
     monkeypatch.setattr(rpodsim.campaign, "chief_state", refuse)
     monkeypatch.setattr(rpodsim.campaign, "hill_to_eci", refuse)
     assert run_campaign(forced(25.0, 8, truth="cw")).max_waypoint_miss < 1e-9
-    for kind in ("intercept_unforced", "intercept_forced"):
+    for kind, count in (("intercept_unforced", 1), ("intercept_forced", 4)):
         result = run_campaign(
-            CampaignConfig(kind, 2000.0, 10.0, 4, duration=3600.0, truth_model="cw")
+            CampaignConfig(kind, 2000.0, 10.0, count, duration=3600.0, truth_model="cw")
         )
         assert result.max_waypoint_miss < 1e-9
 
@@ -196,11 +243,11 @@ def test_free_drift_divergence_small_at_small_separation():
     rel0 = nmc_initial_state(x0, ORBIT.n)
     chaser = hill_to_eci(chief_state(ORBIT, 0.0), rel0)
     times = np.linspace(0.0, ORBIT.period, 33)[1:]
-    states = propagate_two_body(chaser, MU_EARTH, ORBIT.period, sample_times=times)
     from rpodsim import propagate_cw
 
     worst = 0.0
-    for t, state in zip(times, states):
+    for t in times:
+        state = propagate_two_body(chaser, MU_EARTH, t)
         rel_truth = eci_to_hill(chief_state(ORBIT, t), state)
         rel_cw = propagate_cw(rel0, ORBIT.n, t)
         worst = max(worst, float(np.linalg.norm(rel_truth.position - rel_cw.position)))
@@ -212,9 +259,7 @@ def test_free_drift_divergence_small_at_small_separation():
 
 
 def test_intercept_null_transfer_is_free():
-    unforced_arm, forced_arm = intercept_experiment(
-        (0.0, 0.0), (0.0, 0.0), 3600.0, 4, 2000.0
-    )
+    unforced_arm, forced_arm = intercept_experiment(0.0, 3600.0, [4], 2000.0)
     assert unforced_arm.total_dv == 0.0
     # the forced arm re-reads the truth state between legs, so integrator
     # noise at the co-moving equilibrium shows up at the 1e-11 level
@@ -223,22 +268,29 @@ def test_intercept_null_transfer_is_free():
 
 def test_intercept_cw_truth_is_exact():
     unforced_arm, forced_arm = intercept_experiment(
-        (10.0, 0.0), (0.0, 0.0), 3600.0, 8, 2000.0, truth_model="cw"
+        10.0, 3600.0, [8], 2000.0, truth_model="cw"
     )
     assert unforced_arm.max_waypoint_miss < 1e-9
     assert forced_arm.max_waypoint_miss < 1e-9
 
 
 def test_intercept_two_body_defaults():
-    unforced_arm, forced_arm = intercept_experiment(
-        (10.0, 0.0), (0.0, 0.0), 3600.0, 8, 2000.0
-    )
+    unforced_arm, forced_arm = intercept_experiment(10.0, 3600.0, [8], 2000.0)
     assert unforced_arm.config.maneuver_kind == "intercept_unforced"
     assert forced_arm.config.maneuver_kind == "intercept_forced"
     assert len(unforced_arm.impulses) == 1
     assert len(forced_arm.impulses) == 8
     assert unforced_arm.total_dv < forced_arm.total_dv
     assert unforced_arm.insertion_dv == 0.0
+
+
+def test_intercept_experiment_returns_unforced_then_each_count():
+    arms = intercept_experiment(10.0, 3600.0, [3, 2, 8], 2000.0, truth_model="cw")
+    assert [a.config.maneuver_kind for a in arms] == ["intercept_unforced"] + [
+        "intercept_forced"
+    ] * 3
+    assert [a.config.impulse_count for a in arms] == [1, 3, 2, 8]
+    assert [len(a.impulses) for a in arms] == [1, 3, 2, 8]
 
 
 # ---------------------------------------------------------------------------

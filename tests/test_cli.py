@@ -246,3 +246,27 @@ def test_subsurface_leg_is_physics_error(tmp_path, capsys):
     assert code == 2
     assert "below the 6378.14 km floor" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["circumnav", "--kind", "unforced", "--size-km", "10", "--impulses", "10000000",
+         "--truth", "cw"],
+        ["sweep", "--sizes-km", "10", "--impulses", "4", "--laps", "100000000",
+         "--truth", "cw"],
+        ["intercept", "--impulses", "10000000"],
+    ],
+)
+def test_work_per_campaign_is_capped(argv, tmp_path, capsys):
+    # each probe once built waypoints or flew legs until it was killed
+    out = tmp_path / "x.csv"
+    t0 = time.perf_counter()
+    code = main(argv + ["--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    assert code == 1
+    assert elapsed < 1.0
+    err = capsys.readouterr().err
+    assert "legs a campaign may fly" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
