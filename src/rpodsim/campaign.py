@@ -9,17 +9,28 @@ When the truth model is itself CW the corrections vanish identically; when
 the truth is the two-body problem the accumulated correction Δv measures
 the guidance-model mismatch.
 
-Accounting conventions (circumnavigation kinds):
+Every kind flies one loop over ``laps x impulse_count`` legs of equal
+length tau: coast a leg, read the arrival's miss against its waypoint,
+record the sample, then target and burn toward the next waypoint.  The
+kinds differ only in their plan, lap and departure:
 
-* The chaser is inserted at the first waypoint already carrying the
-  plan's initial velocity (NMC velocity for the unforced ellipse, the
-  first-leg targeting velocity for the forced circle).  The insertion
-  Δv from a co-moving start is reported separately and excluded from
-  the total unless ``count_insertion_dv`` is set.
-* Correction burns fire at waypoint *arrivals*, one per leg including
-  the lap-closure return, so ``impulse_count`` burns fire per lap and
-  every lap runs the same schedule as the next (no special-cased first
-  burn).
+* ``nmc_unforced``: the NMC ellipse, one chief period per lap, inserted
+  already carrying the NMC velocity.
+* ``circle_forced``: the circle, ``circle_period_factor`` periods per lap,
+  inserted carrying the first leg's targeting velocity from rest.
+* intercepts: the straight line from (size, 0) to the chief over
+  ``duration`` in one lap; the chaser starts at rest and its departure
+  burn is the first correction burn.
+
+Accounting conventions:
+
+* The insertion Δv of the circumnavigation kinds, from a co-moving
+  start, is reported separately and excluded from the total unless
+  ``count_insertion_dv`` is set.
+* A closed plan burns at every waypoint *arrival*, including the
+  lap-closure return, so ``impulse_count`` burns fire per lap and every
+  lap runs the same schedule as the next.  The line burns at departure
+  and at every arrival but the last.
 """
 
 from __future__ import annotations
@@ -111,6 +122,8 @@ class CampaignConfig:
         if self.maneuver_kind in INTERCEPT_KINDS:
             if self.duration is None or self.duration <= 0:
                 raise ValueError("intercept kinds require a positive duration")
+            if self.laps != 1:
+                raise ValueError("intercept kinds fly one lap: laps must be 1")
         elif self.duration is not None:
             raise ValueError("circumnavigation duration is derived; leave it unset")
 
@@ -170,7 +183,57 @@ def _burn(rel: RelativeState, record: ImpulseRecord, cap: float) -> RelativeStat
     return RelativeState(rel.x, rel.y, rel.z, rel.vx + dv[0], rel.vy + dv[1], rel.vz + dv[2])
 
 
-def _finish(config, samples, impulses, insertion_dv, max_miss, duration) -> CampaignResult:
+def run_campaign(config: CampaignConfig) -> CampaignResult:
+    """Execute one campaign and account its Δv.
+
+    See the module docstring for the burn-scheduling and accounting
+    conventions.  Raises SingularTransferTime, UnphysicalBurn or
+    propagator errors from the underlying layers; everything else is
+    deterministic arithmetic.
+    """
+    orbit = TargetOrbit.from_altitude(config.chief_altitude, config.mu)
+    n, m, kind = orbit.n, config.impulse_count, config.maneuver_kind
+    if kind == "nmc_unforced":
+        lap = orbit.period
+        plan = waypoints_nmc(config.size, n, m)
+        rel = nmc_initial_state(config.size, n)
+    elif kind == "circle_forced":
+        lap = config.circle_period_factor * orbit.period
+        plan = waypoints_circle(config.size, m, lap)
+        at_start = RelativeState(plan[0].x, plan[0].y, 0.0, 0.0, 0.0, 0.0)
+        _, v_plus = cw_target_impulse(at_start, plan[1], plan[1].t, n)
+        rel = RelativeState(plan[0].x, plan[0].y, 0.0, v_plus[0], v_plus[1], 0.0)
+    else:
+        lap = float(config.duration)
+        plan = waypoints_line((config.size, 0.0), (0.0, 0.0), m + 1, lap)
+        rel = RelativeState(config.size, 0.0, 0.0, 0.0, 0.0, 0.0)
+    closed = kind in CIRCUMNAV_KINDS
+    insertion_dv = float(np.linalg.norm(rel.velocity)) if closed else 0.0
+    tau = lap / m
+    legs = config.laps * m
+    coast = _truth_coast(orbit, config.truth_model, tau)
+    cap = orbit.circular_speed
+    samples = [(0.0, rel)]
+    impulses: List[ImpulseRecord] = []
+    max_miss = 0.0
+
+    def steer(rel: RelativeState, k: int) -> RelativeState:
+        # burn at k tau toward the plan point due at (k + 1) tau
+        nxt = plan[(k + 1) % len(plan)]
+        record, _ = cw_target_impulse(rel, Waypoint(t=(k + 1) * tau, x=nxt.x, y=nxt.y), tau, n)
+        impulses.append(record)
+        return _burn(rel, record, cap)
+
+    if not closed:  # the line departs from rest with its first burn
+        rel = steer(rel, 0)
+    for k in range(1, legs + 1):
+        rel = coast(rel)
+        arrived = plan[k % len(plan)]
+        max_miss = max(max_miss, float(np.hypot(rel.x - arrived.x, rel.y - arrived.y)))
+        samples.append((k * tau, rel))
+        if closed or k < legs:
+            rel = steer(rel, k)
+
     total = float(sum(rec.magnitude for rec in impulses))
     if config.count_insertion_dv:
         total += insertion_dv
@@ -181,88 +244,8 @@ def _finish(config, samples, impulses, insertion_dv, max_miss, duration) -> Camp
         total_dv=total,
         insertion_dv=insertion_dv,
         max_waypoint_miss=max_miss,
-        duration=duration,
+        duration=config.laps * lap,
     )
-
-
-def _run_circumnavigation(config: CampaignConfig, orbit: TargetOrbit) -> CampaignResult:
-    n = orbit.n
-    m = config.impulse_count
-    if config.maneuver_kind == "nmc_unforced":
-        lap = orbit.period
-        plan = waypoints_nmc(config.size, n, m)
-        rel0 = nmc_initial_state(config.size, n)
-    else:
-        lap = config.circle_period_factor * orbit.period
-        plan = waypoints_circle(config.size, m, lap)
-        at_start = RelativeState(plan[0].x, plan[0].y, 0.0, 0.0, 0.0, 0.0)
-        _, v_plus = cw_target_impulse(at_start, plan[1], plan[1].t, n)
-        rel0 = RelativeState(plan[0].x, plan[0].y, 0.0, v_plus[0], v_plus[1], 0.0)
-
-    tau = lap / m
-    coast = _truth_coast(orbit, config.truth_model, tau)
-    insertion_dv = float(np.linalg.norm(rel0.velocity))
-    cap = orbit.circular_speed
-    rel = rel0
-    samples = [(0.0, rel)]
-    impulses: List[ImpulseRecord] = []
-    max_miss = 0.0
-
-    for k in range(1, config.laps * m + 1):
-        t = k * tau
-        rel = coast(rel)
-        arrived = plan[k % m]
-        max_miss = max(max_miss, float(np.hypot(rel.x - arrived.x, rel.y - arrived.y)))
-        samples.append((t, rel))
-        nxt = plan[(k + 1) % m]
-        record, _ = cw_target_impulse(rel, Waypoint(t=t + tau, x=nxt.x, y=nxt.y), tau, n)
-        rel = _burn(rel, record, cap)
-        impulses.append(record)
-
-    return _finish(config, samples, impulses, insertion_dv, max_miss, config.laps * lap)
-
-
-def _run_intercept(config: CampaignConfig, orbit: TargetOrbit) -> CampaignResult:
-    """Fly a straight-line plan from (size, 0) to the chief at the origin.
-
-    The unforced arm is the one-leg plan: a single targeting impulse at
-    departure, then a ballistic coast over the whole window.
-    """
-    n = orbit.n
-    duration = float(config.duration)
-    m = config.impulse_count
-    plan = waypoints_line((config.size, 0.0), (0.0, 0.0), m + 1, duration)
-    tau = duration / m
-    coast = _truth_coast(orbit, config.truth_model, tau)
-    cap = orbit.circular_speed
-    rel = RelativeState(config.size, 0.0, 0.0, 0.0, 0.0, 0.0)
-    samples = [(0.0, rel)]
-    impulses: List[ImpulseRecord] = []
-    max_miss = 0.0
-    for k in range(m):
-        nxt = plan[k + 1]
-        record, _ = cw_target_impulse(rel, nxt, tau, n)
-        rel = _burn(rel, record, cap)
-        impulses.append(record)
-        t = (k + 1) * tau
-        rel = coast(rel)
-        max_miss = max(max_miss, float(np.hypot(rel.x - nxt.x, rel.y - nxt.y)))
-        samples.append((t, rel))
-    return _finish(config, samples, impulses, 0.0, max_miss, duration)
-
-
-def run_campaign(config: CampaignConfig) -> CampaignResult:
-    """Execute one campaign and account its Δv.
-
-    See the module docstring for the burn-scheduling and accounting
-    conventions.  Raises SingularTransferTime, UnphysicalBurn or
-    propagator errors from the underlying layers; everything else is
-    deterministic arithmetic.
-    """
-    orbit = TargetOrbit.from_altitude(config.chief_altitude, config.mu)
-    if config.maneuver_kind in CIRCUMNAV_KINDS:
-        return _run_circumnavigation(config, orbit)
-    return _run_intercept(config, orbit)
 
 
 def sweep_circumnavigation(

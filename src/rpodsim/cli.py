@@ -22,8 +22,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -80,18 +80,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_list(text: str) -> List[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
-
-
-def _int_list(text: str) -> List[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+def _list_of(kind):
+    """argparse type: a non-empty comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            values = [kind(tok) for tok in text.split(",") if tok]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {kind.__name__} list {text!r}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty {kind.__name__} list {text!r}")
+        return values
+    return parse
 
 
 def _add_common(sub, with_out=True):
@@ -129,14 +128,14 @@ def _build_parser() -> _Parser:
                        help="radial start offset (default 10)")
     inter.add_argument("--duration-min", type=float, default=60.0,
                        help="transfer window (default 60 minutes)")
-    inter.add_argument("--impulses", type=_int_list, default=[8],
+    inter.add_argument("--impulses", type=_list_of(int), default=[8],
                        help="comma-separated forced-arm burn counts (default 8)")
     _add_common(inter)
 
     sweep = subs.add_parser("sweep", help="forced/unforced grid sweep")
-    sweep.add_argument("--sizes-km", type=_float_list, required=True,
+    sweep.add_argument("--sizes-km", type=_list_of(float), required=True,
                        help="comma-separated sizes")
-    sweep.add_argument("--impulses", type=_int_list, required=True,
+    sweep.add_argument("--impulses", type=_list_of(int), required=True,
                        help="comma-separated burn counts")
     sweep.add_argument("--laps", type=int, default=1)
     sweep.add_argument("--circle-period-factor", type=float, default=1.0)
@@ -289,25 +288,14 @@ def emit_results(results: Sequence[CampaignResult], manifest: RunManifest) -> No
     rows = _rows(results)
     float_cols = ("size_km", "altitude_km", "total_dv_km_s",
                   "insertion_dv_km_s", "max_miss_km", "duration_s")
-    if manifest.format == "csv":
-        with open(manifest.output_path, "w", newline="") as handle:
+    # one encoding for both formats; the CSV writer writes str() of each value
+    encoded = [{c: _g17(v) if c in float_cols else v for c, v in row.items()} for row in rows]
+    with open(manifest.output_path, "w", newline="") as handle:
+        if manifest.format == "csv":
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_HEADER.split(","))
-            for row in rows:
-                writer.writerow(
-                    [row["kind"]]
-                    + [
-                        _g17(row[c]) if c in float_cols else str(row[c])
-                        for c in CSV_HEADER.split(",")[1:]
-                    ]
-                )
-    else:
-        encoded = [
-            {c: (_g17(row[c]) if c in float_cols else row[c])
-             for c in CSV_HEADER.split(",")}
-            for row in rows
-        ]
-        with open(manifest.output_path, "w", newline="") as handle:
+            writer.writerows(row.values() for row in encoded)
+        else:
             json.dump(encoded, handle, indent=2)
             handle.write("\n")
     for line in _summaries(rows):

@@ -10,7 +10,7 @@ straight line (forced intercept).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -122,8 +122,8 @@ def cw_target_impulse(
         )
 
     stm = cw_stm(n, ts)
-    a = stm[np.ix_([0, 1], [0, 1])]
-    b = stm[np.ix_([0, 1], [3, 4])]
+    a = stm[:2, :2]
+    b = stm[:2, 3:5]
     p0 = np.array([rel_now.x, rel_now.y])
     pf = waypoint.position
     v_plus = np.linalg.solve(b, pf - a @ p0)

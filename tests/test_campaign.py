@@ -60,6 +60,8 @@ def test_config_rejects_bad_values():
         CampaignConfig("intercept_forced", 2000.0, 10.0, 4)  # needs duration
     with pytest.raises(ValueError):
         unforced(10.0, 4, mu=-1.0)
+    with pytest.raises(ValueError):  # an intercept is one pass down its line
+        CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0, laps=3)
     # work per campaign is capped; the cap itself is accepted
     unforced(10.0, MAX_LEGS // 4, laps=4)
     with pytest.raises(ValueError):
@@ -199,6 +201,37 @@ def test_cw_truth_samples_are_self_consistent():
     for k, (_, rel) in enumerate(result.samples):
         assert abs(rel.x - plan[k % 4].x) < 1e-9
         assert abs(rel.y - plan[k % 4].y) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        unforced(20.0, 5, truth="cw", laps=2),
+        forced(20.0, 5, truth="cw", laps=2),
+        CampaignConfig("intercept_unforced", 2000.0, 10.0, 1, duration=3600.0, truth_model="cw"),
+        CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0, truth_model="cw"),
+    ],
+    ids=lambda config: config.maneuver_kind,
+)
+def test_burn_schedule(config):
+    # every kind flies laps x m legs of tau; a closed plan burns at arrivals
+    # 1..L, the line at departures 0..m-1
+    result = run_campaign(config)
+    m = config.impulse_count
+    legs = config.laps * m
+    closed = config.maneuver_kind in ("nmc_unforced", "circle_forced")
+    tau = (ORBIT.period if closed else config.duration) / m
+    assert [t for t, _ in result.samples] == [k * tau for k in range(legs + 1)]
+    burns = range(1, legs + 1) if closed else range(m)
+    assert len(result.impulses) == len(burns)
+    for k, record in zip(burns, result.impulses):
+        assert record.t == pytest.approx(k * tau, rel=1e-9), k
+    _, start = result.samples[0]
+    if closed:
+        assert result.insertion_dv == float(np.linalg.norm(start.velocity)) > 0.0
+    else:
+        assert start == RelativeState(10.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert result.insertion_dv == 0.0
 
 
 def test_cw_truth_never_builds_inertial_states(monkeypatch):

@@ -49,9 +49,19 @@ def test_missing_out_is_usage_error():
         parse_args(["sweep", "--sizes-km", "1", "--impulses", "4"])
 
 
-def test_bad_list_is_usage_error():
-    with pytest.raises(UsageError):
-        parse_args(["sweep", "--sizes-km", "1,banana", "--impulses", "4", "--out", "x"])
+def test_bad_list_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["sweep", "--sizes-km", "1,banana", "--impulses", "4"],
+        ["sweep", "--sizes-km", "", "--impulses", "4"],
+        ["intercept", "--impulses", ""],
+        ["intercept", "--impulses", ","],
+    ):
+        with pytest.raises(UsageError):
+            parse_args(argv + ["--out", str(out)])
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_unknown_flag_is_usage_error():
@@ -124,19 +134,21 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_json_mirror(tmp_path):
-    out = tmp_path / "run.json"
-    code = main(
-        [
-            "circumnav", "--kind", "forced", "--size-km", "5", "--impulses", "4",
-            "--truth", "cw", "--out", str(out), "--format", "json",
-        ]
-    )
-    assert code == 0
+    args = [
+        "circumnav", "--kind", "forced", "--size-km", "5", "--impulses", "4",
+        "--truth", "cw", "--out",
+    ]
+    out, out_csv = tmp_path / "run.json", tmp_path / "run.csv"
+    assert main(args + [str(out), "--format", "json"]) == 0
+    assert main(args + [str(out_csv)]) == 0
     rows = json.loads(out.read_text())
     assert len(rows) == 1
     assert list(rows[0].keys()) == CSV_HEADER.split(",")
     assert rows[0]["kind"] == "circle_forced"
     assert float(rows[0]["total_dv_km_s"]) >= 0.0
+    # the JSON row holds the very values the CSV row writes
+    fields = out_csv.read_text().splitlines()[1].split(",")
+    assert [str(v) for v in rows[0].values()] == fields
 
 
 def test_intercept_summary_names_unforced(tmp_path, capsys):
