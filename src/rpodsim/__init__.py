@@ -36,7 +36,6 @@ from .errors import (
     ZeroOffset,
 )
 from .frames import (
-    HillBasis,
     InertialState,
     RelativeState,
     eci_to_hill,
@@ -61,7 +60,6 @@ __all__ = [
     "CampaignResult",
     "DegenerateOrbit",
     "EpochMismatch",
-    "HillBasis",
     "ImpulseRecord",
     "InertialState",
     "InsufficientWaypoints",

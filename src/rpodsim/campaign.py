@@ -63,9 +63,10 @@ TRUTH_MODELS = ("two_body", "cw")
 # fewest burns each kind can fly: the circumnavigation waypoint plans need
 # three points per lap, the line-following intercept two legs
 _MIN_IMPULSES = {"nmc_unforced": 3, "circle_forced": 3, "intercept_forced": 2}
-# most legs (laps x impulse_count) one campaign may fly, so no input can
-# make a run work without end: the benchmark's largest campaign flies 640,
-# and on a 2-vCPU VM 1e5 legs took 10 s under CW truth, 37 s under two-body
+# most legs (laps x impulse_count) one campaign, and one run of campaigns,
+# may fly, so no input can make a run work without end: the benchmark's
+# largest run flies 19,840, and on a 2-vCPU VM 1e5 legs took 10 s under CW
+# truth, 37 s under two-body
 MAX_LEGS = 100_000
 
 
@@ -248,72 +249,54 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     )
 
 
+def _run_all(configs: Sequence[CampaignConfig]) -> List[CampaignResult]:
+    """Fly validated campaigns in order, once their legs together fit MAX_LEGS."""
+    legs = sum(config.laps * config.impulse_count for config in configs)
+    if legs > MAX_LEGS:
+        raise ValueError(f"the run's {legs} legs exceed the {MAX_LEGS} legs a run may fly")
+    return [run_campaign(config) for config in configs]
+
+
 def sweep_circumnavigation(
-    sizes: Sequence[float],
-    impulse_counts: Sequence[int],
-    chief_altitude: float,
-    truth_model: str = "two_body",
-    laps: int = 1,
-    circle_period_factor: float = 1.0,
-    count_insertion_dv: bool = False,
-    mu: float = MU_EARTH,
+    sizes: Sequence[float], impulse_counts: Sequence[int], chief_altitude: float, **settings
 ) -> List[CampaignResult]:
     """Run forced and unforced circumnavigations over a (size, count) grid.
 
-    Rows are ordered size-major, then impulse count, with the forced run
-    preceding the unforced run in every cell; the order is deterministic
-    and independent of execution strategy.
+    ``settings`` are further ``CampaignConfig`` fields shared by every cell
+    (``truth_model``, ``laps``, ...).  Rows are ordered size-major, then
+    impulse count, with the forced run preceding the unforced run in every
+    cell.  Every cell is configured, and so validated, before any is flown.
     """
     if not sizes or not impulse_counts:
         raise ValueError("sweep grids must be non-empty")
-    results = []
-    for size in sizes:
-        for count in impulse_counts:
-            for kind in ("circle_forced", "nmc_unforced"):
-                results.append(
-                    run_campaign(
-                        CampaignConfig(
-                            maneuver_kind=kind,
-                            chief_altitude=chief_altitude,
-                            size=float(size),
-                            impulse_count=int(count),
-                            truth_model=truth_model,
-                            count_insertion_dv=count_insertion_dv,
-                            laps=laps,
-                            circle_period_factor=circle_period_factor,
-                            mu=mu,
-                        )
-                    )
-                )
-    return results
+    return _run_all([
+        CampaignConfig(maneuver_kind=kind, chief_altitude=chief_altitude, size=float(size),
+                       impulse_count=int(count), **settings)
+        for size in sizes
+        for count in impulse_counts
+        for kind in ("circle_forced", "nmc_unforced")
+    ])
 
 
 def intercept_experiment(
-    offset: float,
-    duration: float,
-    impulse_counts: Sequence[int],
-    chief_altitude: float,
-    truth_model: str = "two_body",
-    mu: float = MU_EARTH,
+    offset: float, duration: float, impulse_counts: Sequence[int], chief_altitude: float,
+    **settings,
 ) -> List[CampaignResult]:
     """Paired intercept comparison from (offset, 0) to the chief.
 
     The unforced arm fires a single CW targeting impulse at departure and
     coasts; each forced arm tracks the straight line with one of
-    ``impulse_counts`` targeting burns.  Every arm is configured, and so
-    validated, before any is flown.  Returns the unforced arm, then one
-    forced arm per count in the given order.
+    ``impulse_counts`` targeting burns.  ``settings`` are further
+    ``CampaignConfig`` fields shared by every arm (``truth_model``, ``mu``).
+    Every arm is configured, and so validated, before any is flown.
+    Returns the unforced arm, then one forced arm per count in the given
+    order.
     """
-    common = dict(
-        chief_altitude=chief_altitude,
-        size=float(offset),
-        duration=float(duration),
-        truth_model=truth_model,
-        mu=mu,
-    )
+    common = dict(chief_altitude=chief_altitude, size=float(offset), duration=float(duration),
+                  **settings)
     configs = [CampaignConfig(maneuver_kind="intercept_unforced", impulse_count=1, **common)]
     configs += [
         CampaignConfig(maneuver_kind="intercept_forced", impulse_count=count, **common)
         for count in impulse_counts
     ]
-    return [run_campaign(config) for config in configs]
+    return _run_all(configs)

@@ -22,7 +22,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -55,24 +55,17 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Validated, serializable description of one CLI invocation."""
+    """Validated description of one CLI invocation.
+
+    ``params`` are exactly the keyword arguments of the subcommand's library
+    call: ``CampaignConfig`` (circumnav), ``intercept_experiment``,
+    ``sweep_circumnavigation`` or ``validate_suite``.
+    """
 
     subcommand: str
     params: Dict
     output_path: Optional[str]
     format: str = "csv"
-
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "RunManifest":
-        return cls(
-            subcommand=data["subcommand"],
-            params=data["params"],
-            output_path=data["output_path"],
-            format=data["format"],
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,14 +86,26 @@ def _list_of(kind):
     return parse
 
 
-def _add_common(sub, with_out=True):
-    sub.add_argument("--altitude-km", type=float, default=2000.0,
+# --kind spelling -> CampaignConfig.maneuver_kind
+_KINDS = {"unforced": "nmc_unforced", "forced": "circle_forced"}
+
+
+def _add_common(sub):
+    sub.add_argument("--altitude-km", dest="chief_altitude", type=float, default=2000.0,
                      help="chief circular-orbit altitude (default 2000)")
-    sub.add_argument("--truth", choices=["two-body", "cw"], default="two-body",
-                     help="truth model flown against (default two-body)")
-    if with_out:
-        sub.add_argument("--out", required=True, help="output file path")
-        sub.add_argument("--format", choices=["csv", "json"], default="csv")
+    sub.add_argument("--truth", dest="truth_model", choices=["two-body", "cw"],
+                     default="two-body", help="truth model flown against (default two-body)")
+    sub.add_argument("--out", required=True, help="output file path")
+    sub.add_argument("--format", choices=["csv", "json"], default="csv")
+
+
+def _add_circumnav_settings(sub):
+    sub.add_argument("--laps", type=int, default=1)
+    sub.add_argument("--circle-period-factor", type=float, default=1.0,
+                     help="forced-circle traversal period as a multiple of "
+                          "the chief period (default 1.0)")
+    sub.add_argument("--count-insertion-dv", action="store_true",
+                     help="include the insertion burn in the total")
 
 
 def _build_parser() -> _Parser:
@@ -109,123 +114,61 @@ def _build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     circ = subs.add_parser("circumnav", help="run one circumnavigation campaign")
-    circ.add_argument("--kind", choices=["unforced", "forced"], required=True,
+    circ.add_argument("--kind", dest="maneuver_kind", choices=_KINDS, required=True,
                       help="unforced NMC ellipse or forced circle")
-    circ.add_argument("--size-km", type=float, required=True,
+    circ.add_argument("--size-km", dest="size", type=float, required=True,
                       help="NMC semi-minor axis / circle radius")
-    circ.add_argument("--impulses", type=int, required=True,
+    circ.add_argument("--impulses", dest="impulse_count", type=int, required=True,
                       help="correction burns per lap")
-    circ.add_argument("--laps", type=int, default=1)
-    circ.add_argument("--circle-period-factor", type=float, default=1.0,
-                      help="forced-circle traversal period as a multiple of "
-                           "the chief period (default 1.0)")
-    circ.add_argument("--count-insertion-dv", action="store_true",
-                      help="include the insertion burn in the total")
+    _add_circumnav_settings(circ)
     _add_common(circ)
 
     inter = subs.add_parser("intercept", help="paired intercept comparison")
-    inter.add_argument("--offset-km", type=float, default=10.0,
+    inter.add_argument("--offset-km", dest="offset", type=float, default=10.0,
                        help="radial start offset (default 10)")
-    inter.add_argument("--duration-min", type=float, default=60.0,
+    inter.add_argument("--duration-min", dest="duration", type=float, default=60.0,
                        help="transfer window (default 60 minutes)")
-    inter.add_argument("--impulses", type=_list_of(int), default=[8],
+    inter.add_argument("--impulses", dest="impulse_counts", type=_list_of(int), default=[8],
                        help="comma-separated forced-arm burn counts (default 8)")
     _add_common(inter)
 
     sweep = subs.add_parser("sweep", help="forced/unforced grid sweep")
-    sweep.add_argument("--sizes-km", type=_list_of(float), required=True,
+    sweep.add_argument("--sizes-km", dest="sizes", type=_list_of(float), required=True,
                        help="comma-separated sizes")
-    sweep.add_argument("--impulses", type=_list_of(int), required=True,
+    sweep.add_argument("--impulses", dest="impulse_counts", type=_list_of(int), required=True,
                        help="comma-separated burn counts")
-    sweep.add_argument("--laps", type=int, default=1)
-    sweep.add_argument("--circle-period-factor", type=float, default=1.0)
-    sweep.add_argument("--count-insertion-dv", action="store_true")
+    _add_circumnav_settings(sweep)
     _add_common(sweep)
 
     val = subs.add_parser("validate", help="run built-in self-checks")
-    val.add_argument("--mu-km3-s2", type=float, default=MU_EARTH,
+    val.add_argument("--mu-km3-s2", dest="mu", type=float, default=MU_EARTH,
                      help="gravitational parameter override (self-test knob)")
     return parser
 
 
 def parse_args(argv: Sequence[str]) -> RunManifest:
-    """Parse CLI arguments into a validated RunManifest."""
-    ns = _build_parser().parse_args(argv)
-    truth = getattr(ns, "truth", "two-body").replace("-", "_")
-    if ns.subcommand == "circumnav":
-        kind = "nmc_unforced" if ns.kind == "unforced" else "circle_forced"
-        params = {
-            "kind": kind,
-            "size_km": ns.size_km,
-            "impulse_count": ns.impulses,
-            "altitude_km": ns.altitude_km,
-            "truth_model": truth,
-            "laps": ns.laps,
-            "circle_period_factor": ns.circle_period_factor,
-            "count_insertion_dv": ns.count_insertion_dv,
-        }
-    elif ns.subcommand == "intercept":
-        if min(ns.impulses) < 2:
-            raise UsageError("forced intercept arm needs at least 2 impulses")
-        params = {
-            "offset_km": ns.offset_km,
-            "duration_s": ns.duration_min * 60.0,
-            "impulse_counts": ns.impulses,
-            "altitude_km": ns.altitude_km,
-            "truth_model": truth,
-        }
-    elif ns.subcommand == "sweep":
-        params = {
-            "sizes_km": ns.sizes_km,
-            "impulse_counts": ns.impulses,
-            "altitude_km": ns.altitude_km,
-            "truth_model": truth,
-            "laps": ns.laps,
-            "circle_period_factor": ns.circle_period_factor,
-            "count_insertion_dv": ns.count_insertion_dv,
-        }
-    else:
-        params = {"mu_km3_s2": ns.mu_km3_s2}
-    return RunManifest(
-        subcommand=ns.subcommand,
-        params=params,
-        output_path=getattr(ns, "out", None),
-        format=getattr(ns, "format", "csv"),
-    )
+    """Parse CLI arguments into a RunManifest whose params are the keyword
+    arguments of the subcommand's library call."""
+    params = vars(_build_parser().parse_args(argv))
+    subcommand = params.pop("subcommand")
+    output_path = params.pop("out", None)
+    fmt = params.pop("format", "csv")
+    if "truth_model" in params:
+        params["truth_model"] = params["truth_model"].replace("-", "_")
+    if "maneuver_kind" in params:
+        params["maneuver_kind"] = _KINDS[params["maneuver_kind"]]
+    if "duration" in params:  # minutes on the command line, seconds in the library
+        params["duration"] = params["duration"] * 60.0
+    return RunManifest(subcommand, params, output_path, fmt)
 
 
 def _execute(manifest: RunManifest) -> List[CampaignResult]:
-    p = manifest.params
     if manifest.subcommand == "circumnav":
-        config = CampaignConfig(
-            maneuver_kind=p["kind"],
-            chief_altitude=p["altitude_km"],
-            size=p["size_km"],
-            impulse_count=p["impulse_count"],
-            truth_model=p["truth_model"],
-            count_insertion_dv=p["count_insertion_dv"],
-            laps=p["laps"],
-            circle_period_factor=p["circle_period_factor"],
-        )
-        return [run_campaign(config)]
+        return [run_campaign(CampaignConfig(**manifest.params))]
     if manifest.subcommand == "intercept":
-        return intercept_experiment(
-            p["offset_km"],
-            p["duration_s"],
-            p["impulse_counts"],
-            p["altitude_km"],
-            truth_model=p["truth_model"],
-        )
+        return intercept_experiment(**manifest.params)
     if manifest.subcommand == "sweep":
-        return sweep_circumnavigation(
-            p["sizes_km"],
-            p["impulse_counts"],
-            p["altitude_km"],
-            truth_model=p["truth_model"],
-            laps=p["laps"],
-            circle_period_factor=p["circle_period_factor"],
-            count_insertion_dv=p["count_insertion_dv"],
-        )
+        return sweep_circumnavigation(**manifest.params)
     raise UsageError(f"unknown subcommand {manifest.subcommand!r}")
 
 
@@ -394,7 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         if manifest.subcommand == "validate":
-            lines, ok = validate_suite(mu=manifest.params["mu_km3_s2"])
+            lines, ok = validate_suite(**manifest.params)
             for line in lines:
                 print(line)
             return 0 if ok else 3

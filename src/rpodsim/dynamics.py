@@ -35,6 +35,8 @@ _KEPLER_RTOL = 1e-12
 # sinh/cosh overflow a double just above 710; an arc whose hyperbolic anomaly
 # changes by more than this has left any physically meaningful range
 _MAX_HYPERBOLIC_ANOMALY = 700.0
+# km; the mean motion needs radius**3, which leaves double range above this
+_MAX_RADIUS = float(np.finfo(float).max) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,9 @@ class TargetOrbit:
             raise ValueError(f"gravitational parameter must be positive, got {self.mu}")
         if self.radius <= R_EARTH:
             raise ValueError(f"orbit radius {self.radius} km is below the Earth surface")
+        if self.radius > _MAX_RADIUS:
+            raise ValueError(f"orbit radius {self.radius} km is too large: its cube leaves "
+                             f"double range above {_MAX_RADIUS:.3g} km")
 
     @classmethod
     def from_altitude(cls, altitude: float, mu: float = MU_EARTH) -> "TargetOrbit":

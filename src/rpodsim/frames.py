@@ -14,6 +14,7 @@ km/s, rad/s throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -57,20 +58,6 @@ class InertialState:
 
 
 @dataclass(frozen=True)
-class HillBasis:
-    """Hill-frame orientation and rotation rate for one target state.
-
-    ``rotation`` rows are (i_r, i_theta, i_h) expressed in ECI, so
-    ``rotation @ u`` maps an ECI vector u into Hill components.  The frame's
-    angular velocity lies on the cross-track axis, so it is held as the
-    scalar ``rate`` = h / r^2, rad/s: omega = (0, 0, rate) in Hill axes.
-    """
-
-    rotation: np.ndarray
-    rate: float
-
-
-@dataclass(frozen=True)
 class RelativeState:
     """Chaser state relative to the target, in Hill axes.
 
@@ -104,7 +91,7 @@ class RelativeState:
         return cls(*s.tolist())
 
 
-def hill_basis(target: InertialState) -> HillBasis:
+def hill_basis(target: InertialState) -> Tuple[np.ndarray, float]:
     """Construct the Hill frame from the target's inertial state.
 
     Parameters
@@ -114,8 +101,12 @@ def hill_basis(target: InertialState) -> HillBasis:
 
     Returns
     -------
-    HillBasis
-        Rotation matrix plus the frame's rotation rate.
+    rotation : ndarray, shape (3, 3)
+        Rows (i_r, i_theta, i_h) expressed in ECI, so ``rotation @ u`` maps
+        an ECI vector u into Hill components.
+    rate : float
+        The frame's rotation rate h / r^2, rad/s.  Its angular velocity lies
+        on the cross-track axis: omega = (0, 0, rate) in Hill axes.
 
     Raises
     ------
@@ -134,7 +125,7 @@ def hill_basis(target: InertialState) -> HillBasis:
     i_h = h_vec / hn
     i_theta = np.cross(i_h, i_r)
     rotation = np.vstack((i_r, i_theta, i_h))
-    return HillBasis(rotation=rotation, rate=hn / rn**2)
+    return rotation, hn / rn**2
 
 
 def eci_to_hill(target: InertialState, chaser: InertialState) -> RelativeState:
@@ -155,10 +146,9 @@ def eci_to_hill(target: InertialState, chaser: InertialState) -> RelativeState:
         raise EpochMismatch(
             f"target epoch {target.epoch} != chaser epoch {chaser.epoch}"
         )
-    basis = hill_basis(target)
-    w = basis.rate
-    rho = basis.rotation @ (chaser.position - target.position)
-    v = basis.rotation @ (chaser.velocity - target.velocity)
+    rotation, w = hill_basis(target)
+    rho = rotation @ (chaser.position - target.position)
+    v = rotation @ (chaser.velocity - target.velocity)
     return RelativeState(
         rho[0], rho[1], rho[2], v[0] + w * rho[1], v[1] - w * rho[0], v[2]
     )
@@ -169,10 +159,9 @@ def hill_to_eci(target: InertialState, rel: RelativeState) -> InertialState:
 
     Exact algebraic inverse of :func:`eci_to_hill` at the target's epoch.
     """
-    basis = hill_basis(target)
-    w = basis.rate
-    position = target.position + basis.rotation.T @ rel.position
-    velocity = target.velocity + basis.rotation.T @ np.array(
+    rotation, w = hill_basis(target)
+    position = target.position + rotation.T @ rel.position
+    velocity = target.velocity + rotation.T @ np.array(
         [rel.vx - w * rel.y, rel.vy + w * rel.x, rel.vz]
     )
     return InertialState(epoch=target.epoch, position=position, velocity=velocity)

@@ -1,10 +1,11 @@
 import json
 import math
 import time
+from dataclasses import asdict
 
 import pytest
 
-from rpodsim import UsageError
+from rpodsim import CampaignConfig, UsageError
 from rpodsim.cli import CSV_HEADER, RunManifest, main, parse_args, validate_suite
 
 
@@ -17,18 +18,18 @@ def test_parse_sweep_grid():
         ]
     )
     assert manifest.subcommand == "sweep"
-    assert manifest.params["sizes_km"] == [1, 10, 100, 500, 1000]
+    assert manifest.params["sizes"] == [1, 10, 100, 500, 1000]
     assert manifest.params["impulse_counts"] == [4, 8, 16, 32, 64]
-    assert manifest.params["altitude_km"] == 2000.0
+    assert manifest.params["chief_altitude"] == 2000.0
     assert manifest.output_path == "results.csv"
     assert manifest.format == "csv"
 
 
 def test_parse_intercept_defaults():
     manifest = parse_args(["intercept", "--altitude-km", "2000", "--out", "x.csv"])
-    assert manifest.params["duration_s"] == 3600.0
+    assert manifest.params["duration"] == 3600.0
     assert manifest.params["impulse_counts"] == [8]
-    assert manifest.params["offset_km"] == 10.0
+    assert manifest.params["offset"] == 10.0
     assert manifest.params["truth_model"] == "two_body"
 
 
@@ -39,9 +40,11 @@ def test_parse_circumnav():
             "--impulses", "8", "--truth", "cw", "--out", "run.csv",
         ]
     )
-    assert manifest.params["kind"] == "circle_forced"
-    assert manifest.params["truth_model"] == "cw"
-    assert manifest.params["circle_period_factor"] == 1.0
+    # the params are CampaignConfig's keyword arguments, nothing more
+    assert CampaignConfig(**manifest.params) == CampaignConfig(
+        maneuver_kind="circle_forced", chief_altitude=2000.0, size=25.0,
+        impulse_count=8, truth_model="cw",
+    )
 
 
 def test_missing_out_is_usage_error():
@@ -73,7 +76,7 @@ def test_manifest_round_trip():
     manifest = parse_args(
         ["sweep", "--sizes-km", "1,10", "--impulses", "4,8", "--out", "r.csv"]
     )
-    rebuilt = RunManifest.from_dict(json.loads(json.dumps(manifest.to_dict())))
+    rebuilt = RunManifest(**json.loads(json.dumps(asdict(manifest))))
     assert rebuilt == manifest
 
 
@@ -99,7 +102,7 @@ def test_csv_output_schema(tmp_path):
 
 
 def test_csv_floats_parse_back_exactly(tmp_path):
-    from rpodsim import CampaignConfig, run_campaign
+    from rpodsim import run_campaign
 
     out = tmp_path / "run.csv"
     main(
@@ -164,9 +167,13 @@ def test_intercept_summary_names_unforced(tmp_path, capsys):
     assert "unforced arm uses less dv" in stdout
 
 
-def test_intercept_count_guard():
-    with pytest.raises(UsageError):
-        parse_args(["intercept", "--impulses", "1", "--out", "x.csv"])
+def test_intercept_count_guard(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["intercept", "--impulses", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "impulse_count >= 2" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_validate_passes(capsys):
@@ -225,15 +232,20 @@ def test_singular_window_message_is_short(tmp_path, capsys):
 
 
 def test_non_finite_input_is_usage_error(tmp_path, capsys):
+    # an altitude above ~5.6e102 km is finite, but its orbit radius cubed is not
     out = tmp_path / "x.csv"
-    code = main(
-        [
-            "circumnav", "--kind", "forced", "--size-km", "10", "--impulses", "4",
-            "--altitude-km", "inf", "--out", str(out),
-        ]
-    )
-    assert code == 1
-    assert "finite" in capsys.readouterr().err
+    circle = ["circumnav", "--kind", "forced", "--size-km", "10", "--impulses", "4"]
+    sweep = ["sweep", "--sizes-km", "10", "--impulses", "4"]
+    for argv, message in (
+        (circle + ["--altitude-km", "inf"], "finite"),
+        (circle + ["--altitude-km", "1e300"], "its cube leaves double range"),
+        (sweep + ["--altitude-km", "1e154"], "its cube leaves double range"),
+    ):
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_too_few_circle_impulses_is_usage_error(tmp_path, capsys):
@@ -260,17 +272,24 @@ def test_subsurface_leg_is_physics_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["circumnav", "--kind", "unforced", "--size-km", "10", "--impulses", "10000000",
-         "--truth", "cw"],
-        ["sweep", "--sizes-km", "10", "--impulses", "4", "--laps", "100000000",
-         "--truth", "cw"],
-        ["intercept", "--impulses", "10000000"],
-    ],
-)
-def test_work_per_campaign_is_capped(argv, tmp_path, capsys):
+# forty burn counts just under 1e5: no campaign exceeds the cap, the run does
+_NEAR_CAP_COUNTS = ",".join(str(99999 - i) for i in range(40))
+_CAPPED = [
+    (["circumnav", "--kind", "unforced", "--size-km", "10", "--impulses", "10000000",
+      "--truth", "cw"], "legs a campaign may fly"),
+    (["sweep", "--sizes-km", "10", "--impulses", "4", "--laps", "100000000",
+      "--truth", "cw"], "legs a campaign may fly"),
+    (["intercept", "--impulses", "10000000"], "legs a campaign may fly"),
+    (["sweep", "--sizes-km", "10", "--impulses", _NEAR_CAP_COUNTS, "--truth", "cw"],
+     "7998360 legs exceed the 100000 legs a run may fly"),
+    (["intercept", "--impulses", _NEAR_CAP_COUNTS],
+     "3999181 legs exceed the 100000 legs a run may fly"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _CAPPED,
+                         ids=[f"argv{i}" for i in range(len(_CAPPED))])
+def test_work_per_campaign_is_capped(argv, message, tmp_path, capsys):
     # each probe once built waypoints or flew legs until it was killed
     out = tmp_path / "x.csv"
     t0 = time.perf_counter()
@@ -279,6 +298,6 @@ def test_work_per_campaign_is_capped(argv, tmp_path, capsys):
     assert code == 1
     assert elapsed < 1.0
     err = capsys.readouterr().err
-    assert "legs a campaign may fly" in err
+    assert message in err
     assert err.count("\n") == 1
     assert not out.exists()
