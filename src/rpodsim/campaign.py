@@ -42,10 +42,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .constants import MU_EARTH
-from .dynamics import TargetOrbit, chief_state, propagate_cw, propagate_two_body
+from .dynamics import TargetOrbit, propagate_cw, propagate_two_body
 from .errors import UnphysicalBurn
-from .frames import RelativeState, eci_to_hill, hill_to_eci
-from .frames import hill_basis  # noqa: F401  wrapped by perfbench/spans.py
+from .frames import InertialState, RelativeState
+# bound here only because perfbench/spans.py wraps them here
+from .dynamics import chief_state  # noqa: F401
+from .frames import eci_to_hill, hill_basis, hill_to_eci  # noqa: F401
 from .guidance import (
     ImpulseRecord,
     Waypoint,
@@ -155,16 +157,29 @@ def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
     """Coast of the truth model over a leg of length tau: the one place the
     models differ.
 
-    Two-body motion is invariant under rotation and the chief is circular,
-    so a leg flown from any epoch is the leg flown from 0, turned with the
-    chief's frame: one pair of chief states serves every leg.
+    The chief is circular and equatorial, so its Hill frame at t is R_z(n t),
+    and two-body motion is invariant under rotation: a leg flown from any
+    epoch is the leg flown from 0, where the Hill axes are the ECI axes.  So
+    the state is lifted there by hand, coasted, and read back: less the
+    chief's state at tau, turned through R_z(-n tau), less omega x rho.  No
+    chief state and no Hill basis is built.
     """
+    n = orbit.n
     if model == "cw":
-        n = orbit.n
         return lambda rel: propagate_cw(rel, n, tau)
-    depart, arrive = chief_state(orbit, 0.0), chief_state(orbit, tau)
-    mu = orbit.mu
-    return lambda rel: eci_to_hill(arrive, propagate_two_body(hill_to_eci(depart, rel), mu, tau))
+    mu, radius, speed = orbit.mu, orbit.radius, orbit.circular_speed
+    c, s = math.cos(n * tau), math.sin(n * tau)
+
+    def coast(rel: RelativeState) -> RelativeState:
+        lifted = InertialState(0.0, (radius + rel.x, rel.y, rel.z),
+                               (rel.vx - n * rel.y, speed + (rel.vy + n * rel.x), rel.vz))
+        end = propagate_two_body(lifted, mu, tau)
+        (px, py, pz), (qx, qy, qz) = end.position.tolist(), end.velocity.tolist()
+        px, py, qx, qy = px - radius * c, py - radius * s, qx + speed * s, qy - speed * c
+        x, y = c * px + s * py, -s * px + c * py
+        return RelativeState(x, y, pz, c * qx + s * qy + n * y, -s * qx + c * qy - n * x, qz)
+
+    return coast
 
 
 def _burn(rel: RelativeState, record: ImpulseRecord, cap: float) -> RelativeState:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  wrapped by perfbench/spans.py
@@ -339,14 +339,12 @@ def specific_angular_momentum(state: InertialState) -> float:
 # Clohessy-Wiltshire model
 
 
-def cw_derivative(
-    rel: RelativeState, n: float, control_accel: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """CW equations of relative motion.
+def cw_derivative(rel: RelativeState, n: float) -> np.ndarray:
+    """Uncontrolled CW equations of relative motion.
 
-        x'' - 3 n^2 x - 2 n y' = ux
-        y'' + 2 n x'           = uy
-        z'' + n^2 z            = uz
+        x'' - 3 n^2 x - 2 n y' = 0
+        y'' + 2 n x'           = 0
+        z'' + n^2 z            = 0
 
     Returns the 6-vector state derivative.
     """
@@ -355,9 +353,6 @@ def cw_derivative(
     ax = 3.0 * n**2 * rel.x + 2.0 * n * rel.vy
     ay = -2.0 * n * rel.vx
     az = -(n**2) * rel.z
-    if control_accel is not None:
-        u = np.asarray(control_accel, dtype=float)
-        ax, ay, az = ax + u[0], ay + u[1], az + u[2]
     return np.array([rel.vx, rel.vy, rel.vz, ax, ay, az])
 
 

@@ -252,6 +252,24 @@ def test_cw_truth_never_builds_inertial_states(monkeypatch):
         assert result.max_waypoint_miss < 1e-9
 
 
+def test_two_body_truth_builds_no_hill_frame(monkeypatch):
+    # a two-body leg is lifted and read back in the chief's frame at 0 by
+    # hand: no chief state, no ECI transform and no Hill basis is built
+    import rpodsim.campaign
+    import rpodsim.frames
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("two-body truth built a Hill frame")
+
+    monkeypatch.setattr(rpodsim.frames, "hill_basis", refuse)
+    for name in ("chief_state", "hill_to_eci", "eci_to_hill"):
+        monkeypatch.setattr(rpodsim.campaign, name, refuse)
+    assert run_campaign(forced(25.0, 8)).max_waypoint_miss > 0.0
+    assert run_campaign(unforced(25.0, 8, laps=2)).total_dv > 0.0
+    result = run_campaign(CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0))
+    assert len(result.impulses) == 4
+
+
 # ---------------------------------------------------------------------------
 # model-mismatch behavior under the two-body truth
 
