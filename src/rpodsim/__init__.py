@@ -44,8 +44,8 @@ from .frames import (
 )
 from .guidance import (
     ImpulseRecord,
-    Waypoint,
     cw_target_impulse,
+    cw_targeting,
     drift_determinant,
     nmc_initial_state,
     waypoints_circle,
@@ -73,12 +73,12 @@ __all__ = [
     "TargetOrbit",
     "UnphysicalBurn",
     "UsageError",
-    "Waypoint",
     "ZeroOffset",
     "chief_state",
     "cw_derivative",
     "cw_stm",
     "cw_target_impulse",
+    "cw_targeting",
     "drift_determinant",
     "eci_to_hill",
     "hill_basis",

@@ -12,7 +12,9 @@ the guidance-model mismatch.
 Every kind flies one loop over ``laps x impulse_count`` legs of equal
 length tau: coast a leg, read the arrival's miss against its waypoint,
 record the sample, then target and burn toward the next waypoint.  The
-kinds differ only in their plan, lap and departure:
+loop alone knows time: burn k is stamped k tau, and the CW targeting law
+for tau is built once per campaign.  The kinds differ only in their plan,
+lap and departure:
 
 * ``nmc_unforced``: the NMC ellipse, one chief period per lap, inserted
   already carrying the NMC velocity.
@@ -50,8 +52,8 @@ from .dynamics import chief_state  # noqa: F401
 from .frames import eci_to_hill, hill_basis, hill_to_eci  # noqa: F401
 from .guidance import (
     ImpulseRecord,
-    Waypoint,
     cw_target_impulse,
+    cw_targeting,
     nmc_initial_state,
     waypoints_circle,
     waypoints_line,
@@ -204,28 +206,34 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
     See the module docstring for the burn-scheduling and accounting
     conventions.  Raises SingularTransferTime, UnphysicalBurn or
-    propagator errors from the underlying layers; everything else is
-    deterministic arithmetic.
+    propagator errors from the underlying layers, and ValueError for a
+    size two-body truth cannot resolve; everything else is deterministic
+    arithmetic.
     """
     orbit = TargetOrbit.from_altitude(config.chief_altitude, config.mu)
     n, m, kind = orbit.n, config.impulse_count, config.maneuver_kind
+    if config.truth_model == "two_body" and 0 < config.size < 1e7 * math.ulp(orbit.radius):
+        # the leg lifts the chaser to R + x: an offset this small is rounding
+        raise ValueError(
+            f"size {config.size:.6g} km is below 1e7 ulps of the {orbit.radius:.6g} km "
+            f"chief radius, which two-body truth cannot resolve"
+        )
     if kind == "nmc_unforced":
-        lap = orbit.period
-        plan = waypoints_nmc(config.size, n, m)
-        rel = nmc_initial_state(config.size, n)
+        lap, plan = orbit.period, waypoints_nmc(config.size, m)
     elif kind == "circle_forced":
-        lap = config.circle_period_factor * orbit.period
-        plan = waypoints_circle(config.size, m, lap)
-        at_start = RelativeState(plan[0].x, plan[0].y, 0.0, 0.0, 0.0, 0.0)
-        _, v_plus = cw_target_impulse(at_start, plan[1], plan[1].t, n)
-        rel = RelativeState(plan[0].x, plan[0].y, 0.0, v_plus[0], v_plus[1], 0.0)
+        lap, plan = config.circle_period_factor * orbit.period, waypoints_circle(config.size, m)
     else:
-        lap = float(config.duration)
-        plan = waypoints_line((config.size, 0.0), (0.0, 0.0), m + 1, lap)
-        rel = RelativeState(config.size, 0.0, 0.0, 0.0, 0.0, 0.0)
+        lap, plan = float(config.duration), waypoints_line((config.size, 0.0), (0.0, 0.0), m + 1)
+    tau = lap / m
+    law = cw_targeting(n, tau)
+    rel = RelativeState(*plan[0], 0.0, 0.0, 0.0, 0.0)  # at rest at the plan's start
+    if kind == "nmc_unforced":
+        rel = nmc_initial_state(config.size, n)
+    elif kind == "circle_forced":  # inserted carrying the first leg's velocity from rest
+        _, (vx, vy) = cw_target_impulse(rel, plan[1], 0.0, law)
+        rel = RelativeState(rel.x, rel.y, 0.0, vx, vy, 0.0)
     closed = kind in CIRCUMNAV_KINDS
     insertion_dv = float(np.linalg.norm(rel.velocity)) if closed else 0.0
-    tau = lap / m
     legs = config.laps * m
     coast = _truth_coast(orbit, config.truth_model, tau)
     cap = orbit.circular_speed
@@ -235,8 +243,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
     def steer(rel: RelativeState, k: int) -> RelativeState:
         # burn at k tau toward the plan point due at (k + 1) tau
-        nxt = plan[(k + 1) % len(plan)]
-        record, _ = cw_target_impulse(rel, Waypoint(t=(k + 1) * tau, x=nxt.x, y=nxt.y), tau, n)
+        record, _ = cw_target_impulse(rel, plan[(k + 1) % len(plan)], k * tau, law)
         impulses.append(record)
         return _burn(rel, record, cap)
 
@@ -244,8 +251,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         rel = steer(rel, 0)
     for k in range(1, legs + 1):
         rel = coast(rel)
-        arrived = plan[k % len(plan)]
-        max_miss = max(max_miss, float(np.hypot(rel.x - arrived.x, rel.y - arrived.y)))
+        x, y = plan[k % len(plan)]
+        max_miss = max(max_miss, float(np.hypot(rel.x - x, rel.y - y)))
         samples.append((k * tau, rel))
         if closed or k < legs:
             rel = steer(rel, k)

@@ -1,16 +1,18 @@
 """Impulsive guidance from the CW model.
 
 Provides the natural-motion circumnavigation (NMC) insertion condition,
-the in-plane two-point boundary-value impulse solve, and waypoint-plan
-generators for the trajectory shapes the simulator compares: the closed
-2:1 relative ellipse (unforced), a centered circle (forced), and a
-straight line (forced intercept).
+the CW targeting law for a transfer time and the in-plane two-point
+boundary-value impulse solve under it, and waypoint-plan generators for
+the trajectory shapes the simulator compares: the closed 2:1 relative
+ellipse (unforced), a centered circle (forced), and a straight line
+(forced intercept).  Plans are positions only; the campaign's leg loop
+decides when each point is due.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,19 +21,6 @@ from .errors import InsufficientWaypoints, SingularTransferTime, ZeroOffset
 from .frames import RelativeState
 
 _DET_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Waypoint:
-    """A targeted in-plane position at an absolute campaign time."""
-
-    t: float
-    x: float
-    y: float
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 @dataclass(frozen=True)
@@ -80,31 +69,12 @@ def drift_determinant(theta: float) -> float:
     return 8.0 * (1.0 - np.cos(theta)) - 3.0 * theta * np.sin(theta)
 
 
-def cw_target_impulse(
-    rel_now: RelativeState, waypoint: Waypoint, ts: float, n: float
-) -> Tuple[ImpulseRecord, Tuple[float, float]]:
-    """Single-impulse transfer to an in-plane waypoint in time ts.
+def cw_targeting(n: float, ts: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The CW targeting law for transfers of length ts: the blocks (A, B).
 
-    Solves the 2x2 linear system  B v0+ = p_f - A p0  for the departure
-    velocity v0+, where A and B are the in-plane position blocks of the
-    CW transition matrix over ts.  The impulse is the in-plane velocity
-    change v0+ - v0-; the cross-track channel is left untouched.
-
-    Parameters
-    ----------
-    rel_now : RelativeState
-        Current relative state (the impulse is applied here).
-    waypoint : Waypoint
-        Desired arrival position; ``waypoint.t - ts`` stamps the impulse.
-    ts : float
-        Transfer time, s.
-    n : float
-        Chief mean motion, rad/s.
-
-    Returns
-    -------
-    (ImpulseRecord, (vx_plus, vy_plus))
-        The impulse and the post-impulse in-plane velocity.
+    A and B are the in-plane position/position and position/velocity
+    blocks of the CW transition matrix over ts, so a departure from p0
+    with in-plane velocity v0 arrives at A p0 + B v0.
 
     Raises
     ------
@@ -120,16 +90,31 @@ def cw_target_impulse(
         raise SingularTransferTime(
             f"transfer angle n*ts = {theta:.6g} rad is a targeting singularity"
         )
-
     stm = cw_stm(n, ts)
-    a = stm[:2, :2]
-    b = stm[:2, 3:5]
+    return stm[:2, :2], stm[:2, 3:5]
+
+
+def cw_target_impulse(
+    rel_now: RelativeState, target: Sequence[float], t: float,
+    law: Tuple[np.ndarray, np.ndarray],
+) -> Tuple[ImpulseRecord, Tuple[float, float]]:
+    """Single-impulse transfer to an in-plane target under a targeting law.
+
+    Solves the 2x2 linear system  B v0+ = p_f - A p0  for the departure
+    velocity v0+, where ``law = (A, B)`` comes from :func:`cw_targeting`.
+    The impulse, stamped ``t``, is the in-plane velocity change v0+ - v0-;
+    the cross-track channel is left untouched.
+
+    Returns
+    -------
+    (ImpulseRecord, (vx_plus, vy_plus))
+        The impulse and the post-impulse in-plane velocity.
+    """
+    a, b = law
     p0 = np.array([rel_now.x, rel_now.y])
-    pf = waypoint.position
-    v_plus = np.linalg.solve(b, pf - a @ p0)
+    v_plus = np.linalg.solve(b, np.array(target) - a @ p0)
     dv = np.array([v_plus[0] - rel_now.vx, v_plus[1] - rel_now.vy, 0.0])
-    record = ImpulseRecord(t=waypoint.t - ts, dv=dv)
-    return record, (float(v_plus[0]), float(v_plus[1]))
+    return ImpulseRecord(t=t, dv=dv), (float(v_plus[0]), float(v_plus[1]))
 
 
 def _check_count(count: int, minimum: int) -> None:
@@ -137,60 +122,42 @@ def _check_count(count: int, minimum: int) -> None:
         raise InsufficientWaypoints(f"need at least {minimum} waypoints, got {count}")
 
 
-def waypoints_circle(radius: float, count: int, period: float) -> Sequence[Waypoint]:
-    """Waypoints on a target-centered circle, traversed clockwise.
+Point = Tuple[float, float]
 
-    ``count`` points uniformly spaced in angle and in time over one
-    traversal ``period``.  The clockwise (x toward -y) direction matches
-    the rotation sense of an NMC with positive radial offset, keeping the
-    forced and unforced shapes kinematically comparable.
+
+def waypoints_circle(radius: float, count: int) -> List[Point]:
+    """``count`` points on a target-centered circle, uniformly spaced in
+    angle and traversed clockwise.
+
+    The clockwise (x toward -y) direction matches the rotation sense of an
+    NMC with positive radial offset, keeping the forced and unforced shapes
+    kinematically comparable.
     """
     _check_count(count, 3)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if period <= 0:
-        raise ValueError("period must be positive")
-    step = period / count
-    points = []
-    for k in range(count):
-        phi = -2.0 * np.pi * k / count
-        points.append(
-            Waypoint(t=k * step, x=radius * np.cos(phi), y=radius * np.sin(phi))
-        )
-    return points
+    phis = [-2.0 * np.pi * k / count for k in range(count)]
+    return [(radius * np.cos(phi), radius * np.sin(phi)) for phi in phis]
 
 
-def waypoints_nmc(x0: float, n: float, count: int) -> Sequence[Waypoint]:
-    """Waypoints along one period of the closed CW NMC ellipse.
+def waypoints_nmc(x0: float, count: int) -> List[Point]:
+    """``count`` points at uniform phase steps around the closed CW NMC
+    ellipse, starting from (x0, 0).
 
-    ``count`` points at uniform time steps over 2 pi / n, starting from
-    (x0, 0).  Positions follow the closed-form CW solution seeded by
+    Positions follow the closed-form CW solution seeded by
     :func:`nmc_initial_state`: x = x0 cos(nt), y = -2 x0 sin(nt).
     """
     _check_count(count, 3)
     if x0 == 0.0:
         raise ZeroOffset("NMC offset x0 must be nonzero")
-    period = 2.0 * np.pi / n
-    step = period / count
-    points = []
-    for k in range(count):
-        nt = 2.0 * np.pi * k / count
-        points.append(
-            Waypoint(t=k * step, x=x0 * np.cos(nt), y=-2.0 * x0 * np.sin(nt))
-        )
-    return points
+    nts = [2.0 * np.pi * k / count for k in range(count)]
+    return [(x0 * np.cos(nt), -2.0 * x0 * np.sin(nt)) for nt in nts]
 
 
-def waypoints_line(start, end, count: int, duration: float) -> Sequence[Waypoint]:
-    """Waypoints uniformly spaced along a segment, endpoints inclusive."""
+def waypoints_line(start, end, count: int) -> List[Point]:
+    """``count`` points uniformly spaced along a segment, endpoints inclusive."""
     _check_count(count, 2)
-    if duration <= 0:
-        raise ValueError("duration must be positive")
     p0 = np.asarray(start, dtype=float)
     p1 = np.asarray(end, dtype=float)
-    points = []
-    for k in range(count):
-        f = k / (count - 1)
-        p = (1.0 - f) * p0 + f * p1
-        points.append(Waypoint(t=f * duration, x=p[0], y=p[1]))
-    return points
+    fs = [k / (count - 1) for k in range(count)]
+    return [tuple((1.0 - f) * p0 + f * p1) for f in fs]

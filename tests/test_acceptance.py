@@ -28,11 +28,11 @@ from rpodsim import (
     CampaignConfig,
     RelativeState,
     TargetOrbit,
-    Waypoint,
     chief_state,
     cw_derivative,
     cw_stm,
     cw_target_impulse,
+    cw_targeting,
     eci_to_hill,
     hill_to_eci,
     intercept_experiment,
@@ -111,6 +111,32 @@ def test_two_body_propagator_fidelity():
     )
 
 
+def test_two_body_propagator_fidelity_fractional_period():
+    # the gate above coasts whole periods, which reduce to zero-length
+    # coasts; this one coasts 2.37 and 10.37 periods against the chief's
+    # closed-form circular motion, with the same bounds
+    t0 = time.perf_counter()
+    orbit = TargetOrbit(radius=8378.137)
+    start = chief_state(orbit, 0.0)
+    t = 2.37 * orbit.period
+    miss = float(np.linalg.norm(
+        propagate_two_body(start, orbit.mu, t).position - chief_state(orbit, t).position
+    ))
+    ten = propagate_two_body(start, orbit.mu, 10.37 * orbit.period)
+    e0 = specific_energy(start, orbit.mu)
+    h0 = specific_angular_momentum(start)
+    e_drift = abs((specific_energy(ten, orbit.mu) - e0) / e0)
+    h_drift = abs((specific_angular_momentum(ten) - h0) / h0)
+    elapsed = time.perf_counter() - t0
+    ok = miss < 1e-6 and e_drift < 1e-10 and h_drift < 1e-10 and elapsed < 5.0
+    _gate(
+        "two-body propagator fidelity, fractional periods",
+        ok,
+        f"2.37-period miss {miss:.3e} km (tol 1e-6), 10.37-period energy drift "
+        f"{e_drift:.3e}, momentum drift {h_drift:.3e} (tol 1e-10), {elapsed:.2f} s",
+    )
+
+
 def test_closed_form_matches_ode():
     # the closed-form transition matrix against adaptive integration of the
     # same linear ODEs, for 100 random states over one period
@@ -155,15 +181,14 @@ def test_targeting_round_trip():
             *rng.uniform(-100.0, 100.0, 2), 0.0, *rng.uniform(-0.1, 0.1, 2), 0.0
         )
         ts = rng.uniform(0.05, 0.9) * orbit.period
-        waypoint = Waypoint(ts, *rng.uniform(-100.0, 100.0, 2))
-        _record, v_plus = cw_target_impulse(rel, waypoint, ts, n)
+        x, y = rng.uniform(-100.0, 100.0, 2)
+        law = cw_targeting(n, ts)
+        _record, v_plus = cw_target_impulse(rel, (x, y), 0.0, law)
         after = RelativeState(rel.x, rel.y, 0.0, v_plus[0], v_plus[1], 0.0)
         arrived = propagate_cw(after, n, ts)
-        worst_miss = max(
-            worst_miss, float(np.hypot(arrived.x - waypoint.x, arrived.y - waypoint.y))
-        )
+        worst_miss = max(worst_miss, float(np.hypot(arrived.x - x, arrived.y - y)))
         drift = propagate_cw(rel, n, ts)
-        record, _ = cw_target_impulse(rel, Waypoint(ts, drift.x, drift.y), ts, n)
+        record, _ = cw_target_impulse(rel, (drift.x, drift.y), 0.0, law)
         worst_dv = max(worst_dv, record.magnitude)
     ok = worst_miss < 1e-9 and worst_dv < 1e-12
     _gate(

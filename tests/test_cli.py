@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 from dataclasses import asdict
 
 import pytest
@@ -232,7 +233,9 @@ def test_singular_window_message_is_short(tmp_path, capsys):
 
 
 def test_non_finite_input_is_usage_error(tmp_path, capsys):
-    # an altitude above ~5.6e102 km is finite, but its orbit radius cubed is not
+    # an altitude above ~5.6e102 km is finite, but its orbit radius cubed is
+    # not; well below that, a 10 km offset added to the orbit radius is lost
+    # to rounding, and two-body truth once flew it to a 3.96e84 km miss
     out = tmp_path / "x.csv"
     circle = ["circumnav", "--kind", "forced", "--size-km", "10", "--impulses", "4"]
     sweep = ["sweep", "--sizes-km", "10", "--impulses", "4"]
@@ -240,12 +243,37 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys):
         (circle + ["--altitude-km", "inf"], "finite"),
         (circle + ["--altitude-km", "1e300"], "its cube leaves double range"),
         (sweep + ["--altitude-km", "1e154"], "its cube leaves double range"),
+        (circle + ["--altitude-km", "1e25"], "below 1e7 ulps"),
+        (sweep + ["--altitude-km", "1e100"], "below 1e7 ulps"),
     ):
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert message in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+_OVERFLOWS = [
+    ["intercept", "--offset-km", "1e300"],
+    ["intercept", "--offset-km", "1e300", "--truth", "cw"],
+    ["circumnav", "--kind", "unforced", "--size-km", "1e300", "--impulses", "4"],
+    ["sweep", "--sizes-km", "1e200", "--impulses", "4", "--truth", "cw"],
+]
+
+
+@pytest.mark.parametrize("argv", _OVERFLOWS, ids=[f"argv{i}" for i in range(len(_OVERFLOWS))])
+def test_overflow_is_one_stderr_line(argv, tmp_path, capsys):
+    # each run overflows inside numpy before a burn or coast check stops it;
+    # numpy's RuntimeWarnings once added two lines to the one-line error
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_too_few_circle_impulses_is_usage_error(tmp_path, capsys):

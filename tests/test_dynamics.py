@@ -85,6 +85,53 @@ def test_energy_and_momentum_drift_ten_periods():
     assert abs((specific_angular_momentum(end) - h0) / h0) < 1e-10
 
 
+# A whole number of periods reduces to a zero-length coast, so the gates
+# above close almost by construction; these coast a fractional number of
+# periods and compare against closed forms with the same bounds.
+FRACTION = 2.37
+
+
+def _kepler_position(r_p, v_p, t):
+    """Position at t on the orbit through periapsis (r_p, 0) with speed v_p
+    along +y, from the Kepler equation M = E - e sin E solved by Newton."""
+    a = MU_EARTH / (2.0 * MU_EARTH / r_p - v_p**2)
+    e = 1.0 - r_p / a
+    mean = np.sqrt(MU_EARTH / a**3) * t
+    ecc_anomaly = mean
+    for _ in range(50):
+        step = (ecc_anomaly - e * np.sin(ecc_anomaly) - mean) / (1.0 - e * np.cos(ecc_anomaly))
+        ecc_anomaly -= step
+        if abs(step) < 1e-15:
+            break
+    return np.array([a * (np.cos(ecc_anomaly) - e),
+                     a * np.sqrt(1.0 - e * e) * np.sin(ecc_anomaly), 0.0])
+
+
+def test_circular_orbit_fractional_period():
+    t = FRACTION * ORBIT.period
+    end = propagate_two_body(chief_state(ORBIT, 0.0), MU_EARTH, t)
+    assert np.linalg.norm(end.position - chief_state(ORBIT, t).position) < 1e-6
+
+
+def test_eccentric_orbit_fractional_period():
+    # the orbit of test_eccentric_orbit_closure: e = 1.05^2 - 1 = 0.1025
+    r_p = 8378.0
+    v_p = 1.05 * np.sqrt(MU_EARTH / r_p)
+    t = FRACTION * 8975.7310046844232
+    start = InertialState(0.0, [r_p, 0, 0], [0, v_p, 0])
+    end = propagate_two_body(start, MU_EARTH, t)
+    assert np.linalg.norm(end.position - _kepler_position(r_p, v_p, t)) < 1e-5
+
+
+def test_energy_and_momentum_drift_fractional_periods():
+    start = chief_state(ORBIT, 0.0)
+    end = propagate_two_body(start, MU_EARTH, 10.37 * ORBIT.period)
+    e0 = specific_energy(start, MU_EARTH)
+    h0 = specific_angular_momentum(start)
+    assert abs((specific_energy(end, MU_EARTH) - e0) / e0) < 1e-10
+    assert abs((specific_angular_momentum(end) - h0) / h0) < 1e-10
+
+
 def test_sample_times_and_epochs():
     # a coast advances the epoch it starts from by its duration
     for t0 in (0.0, 1234.5):

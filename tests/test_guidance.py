@@ -8,9 +8,9 @@ from rpodsim import (
     RelativeState,
     SingularTransferTime,
     TargetOrbit,
-    Waypoint,
     ZeroOffset,
     cw_target_impulse,
+    cw_targeting,
     drift_determinant,
     nmc_initial_state,
     propagate_cw,
@@ -70,21 +70,21 @@ def test_zero_dv_when_already_on_course():
     rel = RelativeState(4.0, -2.0, 0.0, 1e-3, -2e-3, 0.0)
     ts = PERIOD / 5
     drift = propagate_cw(rel, N, ts)
-    record, v_plus = cw_target_impulse(rel, Waypoint(ts, drift.x, drift.y), ts, N)
+    record, v_plus = cw_target_impulse(rel, (drift.x, drift.y), 42.0, cw_targeting(N, ts))
+    assert record.t == 42.0
     assert record.magnitude < 1e-12
     assert v_plus == pytest.approx((rel.vx, rel.vy), abs=1e-12)
 
 
 def test_zero_dv_at_equilibrium():
     rel = RelativeState(0, 0, 0, 0, 0, 0)
-    record, _ = cw_target_impulse(rel, Waypoint(100.0, 0.0, 0.0), 100.0, N)
+    record, _ = cw_target_impulse(rel, (0.0, 0.0), 0.0, cw_targeting(N, 100.0))
     assert record.magnitude < 1e-15
 
 
 def test_singular_at_full_revolution():
-    rel = RelativeState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(SingularTransferTime):
-        cw_target_impulse(rel, Waypoint(PERIOD, 0.0, 0.0), PERIOD, N)
+        cw_targeting(N, PERIOD)
 
 
 def test_determinant_scan_finds_revolution_zero():
@@ -107,11 +107,11 @@ def test_targeting_round_trip_property():
         )
         # stay away from the 2 pi singularity
         ts = rng.uniform(0.05, 0.9) * PERIOD
-        waypoint = Waypoint(ts, *rng.uniform(-100, 100, 2))
-        record, v_plus = cw_target_impulse(rel, waypoint, ts, N)
+        x, y = rng.uniform(-100, 100, 2)
+        record, v_plus = cw_target_impulse(rel, (x, y), 0.0, cw_targeting(N, ts))
         after = RelativeState(rel.x, rel.y, 0.0, v_plus[0], v_plus[1], 0.0)
         arrived = propagate_cw(after, N, ts)
-        assert np.hypot(arrived.x - waypoint.x, arrived.y - waypoint.y) < 1e-9
+        assert np.hypot(arrived.x - x, arrived.y - y) < 1e-9
         # dv must be exactly the velocity change that was applied
         assert_allclose(record.dv[:2], [v_plus[0] - rel.vx, v_plus[1] - rel.vy])
         assert record.dv[2] == 0.0
@@ -122,15 +122,15 @@ def test_targeting_is_linear_in_state_and_target():
     ts = PERIOD / 6
     rel1 = RelativeState(5.0, -3.0, 0.0, 0.0, 0.0, 0.0)
     rel2 = RelativeState(10.0, -6.0, 0.0, 0.0, 0.0, 0.0)
-    rec1, _ = cw_target_impulse(rel1, Waypoint(ts, 2.0, 7.0), ts, N)
-    rec2, _ = cw_target_impulse(rel2, Waypoint(ts, 4.0, 14.0), ts, N)
+    law = cw_targeting(N, ts)
+    rec1, _ = cw_target_impulse(rel1, (2.0, 7.0), 0.0, law)
+    rec2, _ = cw_target_impulse(rel2, (4.0, 14.0), 0.0, law)
     assert_allclose(rec2.dv, 2.0 * rec1.dv, rtol=1e-12)
 
 
 def test_rejects_non_positive_transfer_time():
-    rel = RelativeState(1, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
-        cw_target_impulse(rel, Waypoint(0.0, 0.0, 0.0), 0.0, N)
+        cw_targeting(N, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,45 +138,44 @@ def test_rejects_non_positive_transfer_time():
 
 
 def test_circle_quadrants():
-    points = waypoints_circle(1.0, 4, PERIOD)
+    points = waypoints_circle(1.0, 4)
     expected = [(1, 0), (0, -1), (-1, 0), (0, 1)]
-    for k, (point, (ex, ey)) in enumerate(zip(points, expected)):
-        assert point.t == pytest.approx(k * PERIOD / 4)
-        assert point.x == pytest.approx(ex, abs=1e-12)
-        assert point.y == pytest.approx(ey, abs=1e-12)
+    for (x, y), (ex, ey) in zip(points, expected):
+        assert x == pytest.approx(ex, abs=1e-12)
+        assert y == pytest.approx(ey, abs=1e-12)
 
 
 def test_circle_radius_membership():
-    for point in waypoints_circle(250.0, 17, PERIOD):
-        assert np.hypot(point.x, point.y) == pytest.approx(250.0, abs=1e-12)
+    for x, y in waypoints_circle(250.0, 17):
+        assert np.hypot(x, y) == pytest.approx(250.0, abs=1e-12)
 
 
 def test_circle_chord_length():
     # chord oracle: 2 r sin(pi / count)
-    points = waypoints_circle(500.0, 64, PERIOD)
-    chord = np.hypot(points[1].x - points[0].x, points[1].y - points[0].y)
+    (x0, y0), (x1, y1) = waypoints_circle(500.0, 64)[:2]
+    chord = np.hypot(x1 - x0, y1 - y0)
     assert chord == pytest.approx(49.067674327418018, rel=1e-12)
 
 
 def test_circle_count_guard():
     with pytest.raises(InsufficientWaypoints):
-        waypoints_circle(1.0, 2, PERIOD)
+        waypoints_circle(1.0, 2)
 
 
 def test_nmc_waypoints_start_and_antipode():
     x0 = 12.0
-    points = waypoints_nmc(x0, N, 8)
-    assert (points[0].x, points[0].y) == (x0, 0.0)
+    points = waypoints_nmc(x0, 8)
+    assert points[0] == (x0, 0.0)
     # half period: the 2:1 ellipse antipode
-    antipode = points[4]
-    assert antipode.x == pytest.approx(-x0, rel=1e-12)
-    assert antipode.y == pytest.approx(0.0, abs=1e-9)
+    x, y = points[4]
+    assert x == pytest.approx(-x0, rel=1e-12)
+    assert y == pytest.approx(0.0, abs=1e-9)
 
 
 def test_nmc_waypoints_on_ellipse():
     x0 = 12.0
-    for point in waypoints_nmc(x0, N, 64):
-        assert (point.x / x0) ** 2 + (point.y / (2 * x0)) ** 2 == pytest.approx(
+    for x, y in waypoints_nmc(x0, 64):
+        assert (x / x0) ** 2 + (y / (2 * x0)) ** 2 == pytest.approx(
             1.0, abs=1e-9
         )
 
@@ -185,37 +184,25 @@ def test_nmc_waypoints_match_propagation():
     # the plan must lie on the CW free-drift path of the insertion state
     x0 = 5.0
     rel = nmc_initial_state(x0, N)
-    for point in waypoints_nmc(x0, N, 16):
-        drift = propagate_cw(rel, N, point.t)
-        assert np.hypot(drift.x - point.x, drift.y - point.y) < 1e-9
-
-
-def test_waypoint_times_strictly_increasing():
-    for plan in (
-        waypoints_circle(1.0, 7, PERIOD),
-        waypoints_nmc(1.0, N, 7),
-        waypoints_line((0, 0), (10, 5), 7, 600.0),
-    ):
-        times = [p.t for p in plan]
-        assert all(b > a for a, b in zip(times, times[1:]))
+    for k, (x, y) in enumerate(waypoints_nmc(x0, 16)):
+        drift = propagate_cw(rel, N, k * PERIOD / 16)
+        assert np.hypot(drift.x - x, drift.y - y) < 1e-9
 
 
 def test_line_endpoints_and_midpoint():
-    points = waypoints_line((0.0, 0.0), (10.0, 0.0), 2, 100.0)
-    assert [(p.x, p.y, p.t) for p in points] == [(0, 0, 0), (10, 0, 100.0)]
-    points = waypoints_line((0.0, 0.0), (10.0, 0.0), 3, 100.0)
-    assert (points[1].x, points[1].y, points[1].t) == (5.0, 0.0, 50.0)
+    assert waypoints_line((0.0, 0.0), (10.0, 0.0), 2) == [(0, 0), (10, 0)]
+    assert waypoints_line((0.0, 0.0), (10.0, 0.0), 3)[1] == (5.0, 0.0)
 
 
 def test_line_collinearity():
     start, end = np.array([1.0, -2.0]), np.array([-7.0, 4.0])
     span = end - start
-    for point in waypoints_line(start, end, 9, 600.0):
-        offset = np.array([point.x, point.y]) - start
+    for point in waypoints_line(start, end, 9):
+        offset = np.array(point) - start
         cross = offset[0] * span[1] - offset[1] * span[0]
         assert abs(cross) < 1e-12
 
 
 def test_line_count_guard():
     with pytest.raises(InsufficientWaypoints):
-        waypoints_line((0, 0), (1, 1), 1, 10.0)
+        waypoints_line((0, 0), (1, 1), 1)
