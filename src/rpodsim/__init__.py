@@ -24,8 +24,6 @@ from .dynamics import (
     specific_energy,
 )
 from .errors import (
-    DegenerateOrbit,
-    EpochMismatch,
     InsufficientWaypoints,
     KeplerNonConvergence,
     RpodError,
@@ -58,8 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CampaignConfig",
     "CampaignResult",
-    "DegenerateOrbit",
-    "EpochMismatch",
     "ImpulseRecord",
     "InertialState",
     "InsufficientWaypoints",

@@ -26,9 +26,10 @@ lap and departure:
 
 Accounting conventions:
 
-* The insertion Δv of the circumnavigation kinds, from a co-moving
-  start, is reported separately and excluded from the total unless
-  ``count_insertion_dv`` is set.
+* The insertion of the circumnavigation kinds, from a co-moving start,
+  is a burn at 0 checked like every other, but its Δv is reported
+  separately and excluded from the total unless ``count_insertion_dv``
+  is set.
 * A closed plan burns at every waypoint *arrival*, including the
   lap-closure return, so ``impulse_count`` burns fire per lap and every
   lap runs the same schedule as the next.  The line burns at departure
@@ -46,10 +47,10 @@ import numpy as np
 from .constants import MU_EARTH
 from .dynamics import TargetOrbit, propagate_cw, propagate_two_body
 from .errors import UnphysicalBurn
-from .frames import InertialState, RelativeState
+from .frames import RelativeState, eci_to_hill, hill_to_eci
 # bound here only because perfbench/spans.py wraps them here
 from .dynamics import chief_state  # noqa: F401
-from .frames import eci_to_hill, hill_basis, hill_to_eci  # noqa: F401
+from .frames import hill_basis  # noqa: F401
 from .guidance import (
     ImpulseRecord,
     cw_target_impulse,
@@ -131,6 +132,13 @@ class CampaignConfig:
                 raise ValueError("intercept kinds fly one lap: laps must be 1")
         elif self.duration is not None:
             raise ValueError("circumnavigation duration is derived; leave it unset")
+        radius = TargetOrbit.from_altitude(self.chief_altitude, self.mu).radius
+        if self.truth_model == "two_body" and 0 < self.size < 1e7 * math.ulp(radius):
+            # the leg lifts the chaser to R + x: an offset this small is rounding
+            raise ValueError(
+                f"size {self.size:.6g} km is below 1e7 ulps of the {radius:.6g} km "
+                f"chief radius, which two-body truth cannot resolve"
+            )
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,7 @@ class CampaignResult:
 
     ``samples`` holds ``(t, RelativeState)`` pairs: the start, then each
     waypoint arrival before its burn.  The chaser's inertial state at a
-    sample is ``hill_to_eci(chief_state(orbit, t), rel)``.
+    sample is ``hill_to_eci(orbit, t, rel)``.
     """
 
     config: CampaignConfig
@@ -159,29 +167,16 @@ def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
     """Coast of the truth model over a leg of length tau: the one place the
     models differ.
 
-    The chief is circular and equatorial, so its Hill frame at t is R_z(n t),
-    and two-body motion is invariant under rotation: a leg flown from any
-    epoch is the leg flown from 0, where the Hill axes are the ECI axes.  So
-    the state is lifted there by hand, coasted, and read back: less the
-    chief's state at tau, turned through R_z(-n tau), less omega x rho.  No
-    chief state and no Hill basis is built.
+    The chief is circular and equatorial, and two-body motion is invariant
+    under rotation about the pole, so a leg flown from any epoch is the leg
+    flown from 0 turned with the chief's frame: the two-body leg lifts the
+    chaser at epoch 0, coasts it, and reads it back at tau.
     """
-    n = orbit.n
+    n, mu = orbit.n, orbit.mu
     if model == "cw":
         return lambda rel: propagate_cw(rel, n, tau)
-    mu, radius, speed = orbit.mu, orbit.radius, orbit.circular_speed
-    c, s = math.cos(n * tau), math.sin(n * tau)
-
-    def coast(rel: RelativeState) -> RelativeState:
-        lifted = InertialState(0.0, (radius + rel.x, rel.y, rel.z),
-                               (rel.vx - n * rel.y, speed + (rel.vy + n * rel.x), rel.vz))
-        end = propagate_two_body(lifted, mu, tau)
-        (px, py, pz), (qx, qy, qz) = end.position.tolist(), end.velocity.tolist()
-        px, py, qx, qy = px - radius * c, py - radius * s, qx + speed * s, qy - speed * c
-        x, y = c * px + s * py, -s * px + c * py
-        return RelativeState(x, y, pz, c * qx + s * qy + n * y, -s * qx + c * qy - n * x, qz)
-
-    return coast
+    return lambda rel: eci_to_hill(orbit, propagate_two_body(hill_to_eci(orbit, 0.0, rel),
+                                                             mu, tau))
 
 
 def _burn(rel: RelativeState, record: ImpulseRecord, cap: float) -> RelativeState:
@@ -206,18 +201,11 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
     See the module docstring for the burn-scheduling and accounting
     conventions.  Raises SingularTransferTime, UnphysicalBurn or
-    propagator errors from the underlying layers, and ValueError for a
-    size two-body truth cannot resolve; everything else is deterministic
-    arithmetic.
+    propagator errors from the underlying layers; everything else is
+    deterministic arithmetic.
     """
     orbit = TargetOrbit.from_altitude(config.chief_altitude, config.mu)
     n, m, kind = orbit.n, config.impulse_count, config.maneuver_kind
-    if config.truth_model == "two_body" and 0 < config.size < 1e7 * math.ulp(orbit.radius):
-        # the leg lifts the chaser to R + x: an offset this small is rounding
-        raise ValueError(
-            f"size {config.size:.6g} km is below 1e7 ulps of the {orbit.radius:.6g} km "
-            f"chief radius, which two-body truth cannot resolve"
-        )
     if kind == "nmc_unforced":
         lap, plan = orbit.period, waypoints_nmc(config.size, m)
     elif kind == "circle_forced":
@@ -227,16 +215,18 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     tau = lap / m
     law = cw_targeting(n, tau)
     rel = RelativeState(*plan[0], 0.0, 0.0, 0.0, 0.0)  # at rest at the plan's start
-    if kind == "nmc_unforced":
-        rel = nmc_initial_state(config.size, n)
-    elif kind == "circle_forced":  # inserted carrying the first leg's velocity from rest
-        _, (vx, vy) = cw_target_impulse(rel, plan[1], 0.0, law)
-        rel = RelativeState(rel.x, rel.y, 0.0, vx, vy, 0.0)
     closed = kind in CIRCUMNAV_KINDS
-    insertion_dv = float(np.linalg.norm(rel.velocity)) if closed else 0.0
+    cap = orbit.circular_speed
+    insertion_dv = 0.0
+    if closed:  # inserted by a burn at 0: onto the NMC, or along the first leg from rest
+        if kind == "nmc_unforced":
+            insertion = ImpulseRecord(0.0, nmc_initial_state(config.size, n).velocity)
+        else:
+            insertion, _ = cw_target_impulse(rel, plan[1], 0.0, law)
+        rel = _burn(rel, insertion, cap)
+        insertion_dv = insertion.magnitude
     legs = config.laps * m
     coast = _truth_coast(orbit, config.truth_model, tau)
-    cap = orbit.circular_speed
     samples = [(0.0, rel)]
     impulses: List[ImpulseRecord] = []
     max_miss = 0.0

@@ -30,6 +30,7 @@ import numpy as np
 from .campaign import (
     CampaignConfig,
     CampaignResult,
+    _truth_coast,
     intercept_experiment,
     run_campaign,
     sweep_circumnavigation,
@@ -263,9 +264,8 @@ def validate_suite(mu: float = MU_EARTH):
 
     def frame_round_trip():
         orbit = make_orbit()
-        target = chief_state(orbit, 1234.5)
         rel = RelativeState(5.0, -3.0, 2.0, 1e-3, -2e-3, 5e-4)
-        back = eci_to_hill(target, hill_to_eci(target, rel))
+        back = eci_to_hill(orbit, hill_to_eci(orbit, 1234.5, rel))
         return float(np.max(np.abs(back.vector - rel.vector))), 1e-9
 
     def stm_identity():
@@ -295,6 +295,18 @@ def validate_suite(mu: float = MU_EARTH):
         after = propagate_cw(rel, orbit.n, orbit.period)
         return float(np.max(np.abs(after.vector - rel.vector))), 1e-9
 
+    def leg_departs_as_rho_squared():
+        # the flown two-body leg departs from CW as rho^2 / R over P/8: the
+        # ratio agrees at 1 km and 10 m, a fault of another order does not
+        orbit = make_orbit()
+        two_body, cw = (_truth_coast(orbit, m, orbit.period / 8) for m in ("two_body", "cw"))
+        ratios = []
+        for rho in (1.0, 0.01):
+            rel = nmc_initial_state(rho, orbit.n)
+            gap = float(np.max(np.abs(two_body(rel).position - cw(rel).position)))
+            ratios.append(gap / (rho**2 / orbit.radius))
+        return abs(ratios[1] / ratios[0] - 1.0), 1e-3
+
     def zero_mismatch_campaign():
         result = run_campaign(
             CampaignConfig(
@@ -311,6 +323,7 @@ def validate_suite(mu: float = MU_EARTH):
         ("two-body energy drift", energy_drift),
         ("closed relative orbit", closed_relative_orbit),
         ("zero-mismatch campaign", zero_mismatch_campaign),
+        ("two-body leg departs from CW as ρ²", leg_departs_as_rho_squared),
     ]
     lines = []
     all_ok = True

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -43,8 +44,9 @@ _MAX_RADIUS = float(np.finfo(float).max) ** (1.0 / 3.0)
 class TargetOrbit:
     """Circular chief orbit.
 
-    The mean motion is always derived from (mu, radius), never stored, so
-    the three quantities cannot drift out of consistency.
+    The mean motion and circular speed are derived from (mu, radius) on
+    first use and cached; the orbit is frozen, so they cannot drift out of
+    consistency with it.
     """
 
     mu: float = MU_EARTH
@@ -63,17 +65,17 @@ class TargetOrbit:
     def from_altitude(cls, altitude: float, mu: float = MU_EARTH) -> "TargetOrbit":
         return cls(mu=mu, radius=R_EARTH + altitude)
 
-    @property
+    @cached_property
     def n(self) -> float:
         """Mean motion sqrt(mu / radius^3), rad/s."""
-        return float(np.sqrt(self.mu / self.radius**3))
+        return math.sqrt(self.mu / self.radius**3)
 
     @property
     def period(self) -> float:
         """Orbital period 2*pi/n, s."""
         return 2.0 * np.pi / self.n
 
-    @property
+    @cached_property
     def circular_speed(self) -> float:
         return self.n * self.radius
 

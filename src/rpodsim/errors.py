@@ -5,14 +5,6 @@ class RpodError(Exception):
     """Base class for all simulator errors."""
 
 
-class DegenerateOrbit(RpodError):
-    """Raised when a state has no well-defined orbital frame (r x v ~ 0)."""
-
-
-class EpochMismatch(RpodError):
-    """Raised when two states expected at a common epoch disagree."""
-
-
 class SingularRadius(RpodError):
     """Raised when a coast passes below the Earth's surface."""
 

@@ -1,4 +1,4 @@
-"""Hill (LVLH) frame construction and ECI <-> Hill state transforms.
+"""State types and the Hill (LVLH) frame of the circular equatorial chief.
 
 The rotating relative frame is centered on the target satellite with axes
 
@@ -6,21 +6,23 @@ The rotating relative frame is centered on the target satellite with axes
     i_theta along-track (completes the right-handed triad)
     i_h     cross-track (target angular-momentum direction)
 
-Relative velocity is mapped with the transport theorem, so the transforms
-are exact for any target state, not just circular orbits.  Units are km,
+The chief flies a circular equatorial orbit (``dynamics.TargetOrbit``), so
+its Hill frame at t is the ECI frame turned about the pole through its
+phase theta = n t.  The transforms are exact for that chief; relative
+velocity carries the frame term omega x rho = n (-y, x, 0).  Units are km,
 km/s, rad/s throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .errors import DegenerateOrbit, EpochMismatch
-
-_EPOCH_TOL = 1e-9  # seconds
+if TYPE_CHECKING:
+    from .dynamics import TargetOrbit
 
 
 def _vec3(value) -> np.ndarray:
@@ -91,77 +93,41 @@ class RelativeState:
         return cls(*s.tolist())
 
 
-def hill_basis(target: InertialState) -> Tuple[np.ndarray, float]:
-    """Construct the Hill frame from the target's inertial state.
+def hill_basis(orbit: TargetOrbit, t: float) -> Tuple[float, float]:
+    """(cos theta, sin theta) of the chief's phase theta = n t.
 
-    Parameters
-    ----------
-    target : InertialState
-        Target (chief) state; must not be on a radial trajectory.
-
-    Returns
-    -------
-    rotation : ndarray, shape (3, 3)
-        Rows (i_r, i_theta, i_h) expressed in ECI, so ``rotation @ u`` maps
-        an ECI vector u into Hill components.
-    rate : float
-        The frame's rotation rate h / r^2, rad/s.  Its angular velocity lies
-        on the cross-track axis: omega = (0, 0, rate) in Hill axes.
-
-    Raises
-    ------
-    DegenerateOrbit
-        If ``r x v`` vanishes and the frame is undefined.
+    The chief's Hill axes at t are i_r = (c, s, 0), i_theta = (-s, c, 0)
+    and i_h = (0, 0, 1) in ECI: R_z(theta) applied to the ECI axes.
     """
-    r = target.position
-    v = target.velocity
-    rn = np.linalg.norm(r)
-    h_vec = np.cross(r, v)
-    hn = np.linalg.norm(h_vec)
-    if hn <= 1e-12 * rn * max(np.linalg.norm(v), 1.0):
-        raise DegenerateOrbit("r x v is zero: Hill frame undefined")
-
-    i_r = r / rn
-    i_h = h_vec / hn
-    i_theta = np.cross(i_h, i_r)
-    rotation = np.vstack((i_r, i_theta, i_h))
-    return rotation, hn / rn**2
+    theta = orbit.n * t
+    return math.cos(theta), math.sin(theta)
 
 
-def eci_to_hill(target: InertialState, chaser: InertialState) -> RelativeState:
-    """Express the chaser state relative to the target in Hill axes.
+def hill_to_eci(orbit: TargetOrbit, t: float, rel: RelativeState) -> InertialState:
+    """The chaser's inertial state at epoch t from its Hill-frame state.
 
-    The relative velocity uses the transport theorem,
-    ``v_rel = R (v_c - v_t) - omega x rho``, where R rotates ECI vectors
-    into the Hill frame and omega x rho = rate * (-rho_y, rho_x, 0).
-
-    Raises
-    ------
-    EpochMismatch
-        If the two states are not at the same epoch.
-    DegenerateOrbit
-        Propagated from :func:`hill_basis`.
+    In the chief's frame at theta = 0 the chaser sits at (R + x, y, z) and
+    moves at (vx - n y, V + vy + n x, vz), with R the chief's radius and V
+    its circular speed; that state is turned through theta.
     """
-    if abs(target.epoch - chaser.epoch) > _EPOCH_TOL:
-        raise EpochMismatch(
-            f"target epoch {target.epoch} != chaser epoch {chaser.epoch}"
-        )
-    rotation, w = hill_basis(target)
-    rho = rotation @ (chaser.position - target.position)
-    v = rotation @ (chaser.velocity - target.velocity)
-    return RelativeState(
-        rho[0], rho[1], rho[2], v[0] + w * rho[1], v[1] - w * rho[0], v[2]
-    )
+    c, s = hill_basis(orbit, t)
+    n = orbit.n
+    px, py = orbit.radius + rel.x, rel.y
+    qx, qy = rel.vx - n * rel.y, orbit.circular_speed + (rel.vy + n * rel.x)
+    return InertialState(t, (c * px - s * py, s * px + c * py, rel.z),
+                         (c * qx - s * qy, s * qx + c * qy, rel.vz))
 
 
-def hill_to_eci(target: InertialState, rel: RelativeState) -> InertialState:
-    """Reconstruct the chaser's inertial state from a Hill-frame state.
+def eci_to_hill(orbit: TargetOrbit, chaser: InertialState) -> RelativeState:
+    """The chaser's Hill-frame state at its own epoch.
 
-    Exact algebraic inverse of :func:`eci_to_hill` at the target's epoch.
+    Exact inverse of :func:`hill_to_eci`: the chief's state at the chaser's
+    epoch is taken off, the rest is turned back through -theta, and the
+    frame term omega x rho is taken off the velocity.
     """
-    rotation, w = hill_basis(target)
-    position = target.position + rotation.T @ rel.position
-    velocity = target.velocity + rotation.T @ np.array(
-        [rel.vx - w * rel.y, rel.vy + w * rel.x, rel.vz]
-    )
-    return InertialState(epoch=target.epoch, position=position, velocity=velocity)
+    c, s = hill_basis(orbit, chaser.epoch)
+    n, radius, speed = orbit.n, orbit.radius, orbit.circular_speed
+    (px, py, pz), (qx, qy, qz) = chaser.position.tolist(), chaser.velocity.tolist()
+    px, py, qx, qy = px - radius * c, py - radius * s, qx + speed * s, qy - speed * c
+    x, y = c * px + s * py, -s * px + c * py
+    return RelativeState(x, y, pz, c * qx + s * qy + n * y, -s * qx + c * qy - n * x, qz)

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import reference
 from rpodsim import (
     CampaignConfig,
     RelativeState,
@@ -33,8 +34,6 @@ from rpodsim import (
     cw_stm,
     cw_target_impulse,
     cw_targeting,
-    eci_to_hill,
-    hill_to_eci,
     intercept_experiment,
     nmc_initial_state,
     propagate_cw,
@@ -363,9 +362,9 @@ def test_free_drift_divergence_grows_with_separation():
     normalized = []
     for x0 in (1.0, 10.0, 100.0, 500.0):
         rel0 = nmc_initial_state(x0, orbit.n)
-        chaser = hill_to_eci(chief_state(orbit, 0.0), rel0)
+        chaser = reference.hill_to_eci(chief_state(orbit, 0.0), rel0)
         end = propagate_two_body(chaser, orbit.mu, orbit.period)
-        truth = eci_to_hill(chief_state(orbit, orbit.period), end)
+        truth = reference.eci_to_hill(chief_state(orbit, orbit.period), end)
         predicted = propagate_cw(rel0, orbit.n, orbit.period)
         gap = float(np.linalg.norm(truth.position - predicted.position))
         normalized.append(gap / x0)

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import reference as ref
 from rpodsim import (
     CampaignConfig,
     InertialState,
@@ -9,8 +12,6 @@ from rpodsim import (
     RelativeState,
     TargetOrbit,
     chief_state,
-    eci_to_hill,
-    hill_to_eci,
     intercept_experiment,
     nmc_initial_state,
     propagate_two_body,
@@ -153,22 +154,23 @@ def test_samples_are_self_consistent():
     _, rel0 = result.samples[0]
     assert rel0.x == 20.0 and rel0.y == 0.0
     assert all(isinstance(rel, RelativeState) for _, rel in result.samples)
-    # every arrival is the previous sample, after its burn, lifted at that
-    # sample's own epoch, coasted on two-body truth and read back
+    # every arrival is the previous sample, after its burn, lifted by the
+    # reference transform at that sample's own epoch, coasted on two-body
+    # truth and read back
     for k in range(1, 11):
         t0, before = result.samples[k - 1]
         dv = result.impulses[k - 2].dv if k > 1 else np.zeros(3)
         after = RelativeState.from_vector(before.vector + np.concatenate((np.zeros(3), dv)))
-        end = propagate_two_body(hill_to_eci(chief_state(ORBIT, t0), after), MU_EARTH, tau)
+        end = propagate_two_body(ref.hill_to_eci(chief_state(ORBIT, t0), after), MU_EARTH, tau)
         t1, arrived = result.samples[k]
-        flown = eci_to_hill(chief_state(ORBIT, t1), end)
+        flown = ref.eci_to_hill(chief_state(ORBIT, t1), end)
         assert np.max(np.abs(flown.vector - arrived.vector)) < 1e-9, k
 
 
 def test_two_body_leg_matches_dop853():
     # the campaign flies every leg from the chief's state at 0; the same leg
-    # integrated by DOP853 from the chief's state at an epoch t and read at
-    # t + tau lands within 1e-7 km of it
+    # lifted by the reference transform at an epoch t, integrated by DOP853
+    # and read at t + tau lands within 1e-7 km of it
     rng = np.random.default_rng(11)
 
     def rhs(_t, y):
@@ -182,13 +184,13 @@ def test_two_body_leg_matches_dop853():
         # near the drift-free along-track rate, so no leg dips below the surface
         rel = RelativeState(x, y, z, vx, vy - 2.0 * ORBIT.n * x, vz)
         leg = _truth_coast(ORBIT, "two_body", tau)(rel)
-        chaser = hill_to_eci(chief_state(ORBIT, t), rel)
+        chaser = ref.hill_to_eci(chief_state(ORBIT, t), rel)
         sol = solve_ivp(
             rhs, (0.0, tau), np.hstack((chaser.position, chaser.velocity)),
             method="DOP853", rtol=2.3e-14, atol=1e-14,
         )
         end = InertialState(t + tau, sol.y[:3, -1], sol.y[3:, -1])
-        truth = eci_to_hill(chief_state(ORBIT, t + tau), end)
+        truth = ref.eci_to_hill(chief_state(ORBIT, t + tau), end)
         assert np.linalg.norm(leg.position - truth.position) < 1e-7, (t, tau)
 
 
@@ -268,22 +270,38 @@ def test_cw_truth_never_builds_inertial_states(monkeypatch):
         assert result.max_waypoint_miss < 1e-9
 
 
-def test_two_body_truth_builds_no_hill_frame(monkeypatch):
-    # a two-body leg is lifted and read back in the chief's frame at 0 by
-    # hand: no chief state, no ECI transform and no Hill basis is built
+def test_two_body_leg_flies_one_transform_each_way(monkeypatch):
+    # a two-body leg is lifted at epoch 0 by hill_to_eci, coasted, and read
+    # back by eci_to_hill: one call of each per leg, and no chief state
     import rpodsim.campaign
-    import rpodsim.frames
+    import rpodsim.dynamics
+
+    calls, lift_epochs = Counter(), set()
+
+    def counted(name):
+        original = getattr(rpodsim.campaign, name)
+
+        def call(*args):
+            calls[name] += 1
+            if name == "hill_to_eci":
+                lift_epochs.add(args[1])
+            return original(*args)
+        return call
 
     def refuse(*args, **kwargs):
-        raise AssertionError("two-body truth built a Hill frame")
+        raise AssertionError("two-body truth built a chief state")
 
-    monkeypatch.setattr(rpodsim.frames, "hill_basis", refuse)
-    for name in ("chief_state", "hill_to_eci", "eci_to_hill"):
-        monkeypatch.setattr(rpodsim.campaign, name, refuse)
+    for name in ("hill_to_eci", "propagate_two_body", "eci_to_hill"):
+        monkeypatch.setattr(rpodsim.campaign, name, counted(name))
+    for module in (rpodsim.campaign, rpodsim.dynamics):
+        monkeypatch.setattr(module, "chief_state", refuse)
     assert run_campaign(forced(25.0, 8)).max_waypoint_miss > 0.0
     assert run_campaign(unforced(25.0, 8, laps=2)).total_dv > 0.0
     result = run_campaign(CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0))
     assert len(result.impulses) == 4
+    legs = 8 + 16 + 4
+    assert calls == {"hill_to_eci": legs, "propagate_two_body": legs, "eci_to_hill": legs}
+    assert lift_epochs == {0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +326,14 @@ def test_free_drift_divergence_small_at_small_separation():
     # trajectory scale (twice the offset) over one period
     x0 = 1.0
     rel0 = nmc_initial_state(x0, ORBIT.n)
-    chaser = hill_to_eci(chief_state(ORBIT, 0.0), rel0)
+    chaser = ref.hill_to_eci(chief_state(ORBIT, 0.0), rel0)
     times = np.linspace(0.0, ORBIT.period, 33)[1:]
     from rpodsim import propagate_cw
 
     worst = 0.0
     for t in times:
         state = propagate_two_body(chaser, MU_EARTH, t)
-        rel_truth = eci_to_hill(chief_state(ORBIT, t), state)
+        rel_truth = ref.eci_to_hill(chief_state(ORBIT, t), state)
         rel_cw = propagate_cw(rel0, ORBIT.n, t)
         worst = max(worst, float(np.linalg.norm(rel_truth.position - rel_cw.position)))
     assert worst < 1e-3 * (2 * x0)

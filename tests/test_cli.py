@@ -181,8 +181,53 @@ def test_validate_passes(capsys):
     assert main(["validate"]) == 0
     stdout = capsys.readouterr().out
     assert "FAIL" not in stdout
-    assert stdout.count("PASS") == 6
+    assert stdout.count("PASS") == 7
     assert "residual=" in stdout
+
+
+def test_validate_detects_scaled_stumpff_c(monkeypatch, capsys):
+    # a 1e-9 relative error in the two-body coast's Stumpff C moves a leg by
+    # ~1e-5 km, which swamps the rho^2 departure at 10 m
+    import rpodsim.dynamics
+
+    stumpff = rpodsim.dynamics._stumpff
+
+    def scaled(z):
+        c, s = stumpff(z)
+        return c * (1.0 + 1e-9), s
+
+    monkeypatch.setattr(rpodsim.dynamics, "_stumpff", scaled)
+    assert main(["validate"]) == 3
+    assert "FAIL  two-body leg departs from CW as ρ²" in capsys.readouterr().out
+
+
+def test_validate_detects_flipped_frame_term(monkeypatch, capsys):
+    # omega x rho added where it is taken off, in both transforms: the round
+    # trip cannot see it, the leg's departure from CW can (it grows as rho)
+    import rpodsim.campaign
+    import rpodsim.cli
+    import rpodsim.frames
+    from rpodsim import RelativeState
+
+    lift, read = rpodsim.frames.hill_to_eci, rpodsim.frames.eci_to_hill
+
+    def flipped_lift(orbit, t, rel):
+        n = orbit.n
+        return lift(orbit, t, RelativeState(rel.x, rel.y, rel.z, rel.vx + 2 * n * rel.y,
+                                            rel.vy - 2 * n * rel.x, rel.vz))
+
+    def flipped_read(orbit, chaser):
+        rel, n = read(orbit, chaser), orbit.n
+        return RelativeState(rel.x, rel.y, rel.z, rel.vx - 2 * n * rel.y,
+                             rel.vy + 2 * n * rel.x, rel.vz)
+
+    for module in (rpodsim.campaign, rpodsim.cli):
+        monkeypatch.setattr(module, "hill_to_eci", flipped_lift)
+        monkeypatch.setattr(module, "eci_to_hill", flipped_read)
+    assert main(["validate"]) == 3
+    stdout = capsys.readouterr().out
+    assert "PASS  frame round trip" in stdout
+    assert "FAIL  two-body leg departs from CW as ρ²" in stdout
 
 
 def test_validate_detects_tampered_mu(capsys):
@@ -193,7 +238,7 @@ def test_validate_detects_tampered_mu(capsys):
 def test_validate_suite_reports_residuals():
     lines, ok = validate_suite()
     assert ok
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert all("residual=" in line for line in lines)
 
 
@@ -286,17 +331,54 @@ def test_too_few_circle_impulses_is_usage_error(tmp_path, capsys):
 
 
 def test_subsurface_leg_is_physics_error(tmp_path, capsys):
-    # a 9000 km circle about a chief at 2000 km altitude dips ~1000 km below
-    # the surface; no result is written for it
+    # a 3000 km circle flown in three legs about a chief at 2000 km altitude
+    # dips ~600 km below the surface; no result is written for it
     out = tmp_path / "deep.csv"
     code = main(
         [
-            "circumnav", "--kind", "forced", "--size-km", "9000", "--impulses", "4",
+            "circumnav", "--kind", "forced", "--size-km", "3000", "--impulses", "3",
             "--out", str(out),
         ]
     )
     assert code == 2
     assert "below the 6378.14 km floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, truth", [("forced", "two-body"), ("unforced", "cw")])
+def test_insertion_at_orbital_speed_is_physics_error(kind, truth, tmp_path, capsys):
+    # a 9000 km circle or ellipse about a chief at 2000 km altitude needs an
+    # insertion faster than the chief itself (13.3 and 14.8 km/s); the
+    # insertion is checked like every burn, under either truth
+    out = tmp_path / "deep.csv"
+    code = main(
+        [
+            "circumnav", "--kind", kind, "--size-km", "9000", "--impulses", "4",
+            "--truth", truth, "--out", str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "at t = 0 s reaches the chief's circular speed" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unresolvable_size_stops_the_run_before_any_campaign(monkeypatch, tmp_path, capsys):
+    # every cell is validated before any flies: the 10 km cells of this
+    # sweep are never flown
+    import rpodsim.campaign
+
+    flown = []
+    original = rpodsim.campaign.run_campaign
+    monkeypatch.setattr(rpodsim.campaign, "run_campaign",
+                        lambda config: flown.append(config) or original(config))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--sizes-km", "10,1e-6", "--impulses", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "size 1e-06 km is below 1e7 ulps" in err
+    assert err.count("\n") == 1
+    assert flown == []
     assert not out.exists()
 
 
