@@ -16,11 +16,9 @@ from .constants import MU_EARTH, R_EARTH
 from .dynamics import (
     TargetOrbit,
     chief_state,
-    cw_derivative,
     cw_stm,
     propagate_cw,
     propagate_two_body,
-    specific_angular_momentum,
     specific_energy,
 )
 from .errors import (
@@ -71,7 +69,6 @@ __all__ = [
     "UsageError",
     "ZeroOffset",
     "chief_state",
-    "cw_derivative",
     "cw_stm",
     "cw_target_impulse",
     "cw_targeting",
@@ -84,7 +81,6 @@ __all__ = [
     "propagate_cw",
     "propagate_two_body",
     "run_campaign",
-    "specific_angular_momentum",
     "specific_energy",
     "sweep_circumnavigation",
     "waypoints_circle",

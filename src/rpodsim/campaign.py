@@ -44,7 +44,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import MU_EARTH
 from .dynamics import TargetOrbit, propagate_cw, propagate_two_body
 from .errors import UnphysicalBurn
 from .frames import RelativeState, eci_to_hill, hill_to_eci
@@ -88,7 +87,6 @@ class CampaignConfig:
     count_insertion_dv: bool = False
     laps: int = 1
     circle_period_factor: float = 1.0
-    mu: float = MU_EARTH
 
     def __post_init__(self):
         for f in fields(self):
@@ -123,8 +121,6 @@ class CampaignConfig:
             )
         if self.circle_period_factor <= 0:
             raise ValueError("circle period factor must be positive")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
         if self.maneuver_kind in INTERCEPT_KINDS:
             if self.duration is None or self.duration <= 0:
                 raise ValueError("intercept kinds require a positive duration")
@@ -132,7 +128,7 @@ class CampaignConfig:
                 raise ValueError("intercept kinds fly one lap: laps must be 1")
         elif self.duration is not None:
             raise ValueError("circumnavigation duration is derived; leave it unset")
-        radius = TargetOrbit.from_altitude(self.chief_altitude, self.mu).radius
+        radius = TargetOrbit.from_altitude(self.chief_altitude).radius
         if self.truth_model == "two_body" and 0 < self.size < 1e7 * math.ulp(radius):
             # the leg lifts the chaser to R + x: an offset this small is rounding
             raise ValueError(
@@ -204,7 +200,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     propagator errors from the underlying layers; everything else is
     deterministic arithmetic.
     """
-    orbit = TargetOrbit.from_altitude(config.chief_altitude, config.mu)
+    orbit = TargetOrbit.from_altitude(config.chief_altitude)
     n, m, kind = orbit.n, config.impulse_count, config.maneuver_kind
     if kind == "nmc_unforced":
         lap, plan = orbit.period, waypoints_nmc(config.size, m)
@@ -299,7 +295,7 @@ def intercept_experiment(
     The unforced arm fires a single CW targeting impulse at departure and
     coasts; each forced arm tracks the straight line with one of
     ``impulse_counts`` targeting burns.  ``settings`` are further
-    ``CampaignConfig`` fields shared by every arm (``truth_model``, ``mu``).
+    ``CampaignConfig`` fields shared by every arm (``truth_model``).
     Every arm is configured, and so validated, before any is flown.
     Returns the unforced arm, then one forced arm per count in the given
     order.

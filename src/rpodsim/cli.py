@@ -35,7 +35,6 @@ from .campaign import (
     run_campaign,
     sweep_circumnavigation,
 )
-from .constants import MU_EARTH
 from .dynamics import (
     TargetOrbit,
     chief_state,
@@ -141,9 +140,7 @@ def _build_parser() -> _Parser:
     _add_circumnav_settings(sweep)
     _add_common(sweep)
 
-    val = subs.add_parser("validate", help="run built-in self-checks")
-    val.add_argument("--mu-km3-s2", dest="mu", type=float, default=MU_EARTH,
-                     help="gravitational parameter override (self-test knob)")
+    subs.add_parser("validate", help="run built-in self-checks")
     return parser
 
 
@@ -250,26 +247,21 @@ def emit_results(results: Sequence[CampaignResult], manifest: RunManifest) -> No
 # self-test suite
 
 
-def validate_suite(mu: float = MU_EARTH):
+def validate_suite():
     """Run the built-in invariant checks and report residuals.
 
     Returns (report_lines, all_passed).  Checks are independent; an
     exception inside one check marks that check failed and the suite
     continues.
     """
-    def make_orbit() -> TargetOrbit:
-        # built inside each check so an unusable configuration (e.g. a
-        # nonsensical mu) shows up as failed checks, not an aborted suite
-        return TargetOrbit.from_altitude(2000.0, mu=mu)
+    orbit = TargetOrbit.from_altitude(2000.0)
 
     def frame_round_trip():
-        orbit = make_orbit()
         rel = RelativeState(5.0, -3.0, 2.0, 1e-3, -2e-3, 5e-4)
         back = eci_to_hill(orbit, hill_to_eci(orbit, 1234.5, rel))
         return float(np.max(np.abs(back.vector - rel.vector))), 1e-9
 
     def stm_identity():
-        orbit = make_orbit()
         return float(np.max(np.abs(cw_stm(orbit.n, 0.0) - np.eye(6)))), 1e-12
 
     # a whole number of periods would reduce to a zero-length coast, so the
@@ -277,20 +269,17 @@ def validate_suite(mu: float = MU_EARTH):
     coast_periods = 2.37
 
     def circular_coast():
-        orbit = make_orbit()
         t = coast_periods * orbit.period
-        end = propagate_two_body(chief_state(orbit, 0.0), mu, t)
+        end = propagate_two_body(chief_state(orbit, 0.0), orbit.mu, t)
         return float(np.linalg.norm(end.position - chief_state(orbit, t).position)), 1e-6
 
     def energy_drift():
-        orbit = make_orbit()
         start = chief_state(orbit, 0.0)
-        end = propagate_two_body(start, mu, coast_periods * orbit.period)
-        e0 = specific_energy(start, mu)
-        return abs((specific_energy(end, mu) - e0) / e0), 1e-10
+        end = propagate_two_body(start, orbit.mu, coast_periods * orbit.period)
+        e0 = specific_energy(start, orbit.mu)
+        return abs((specific_energy(end, orbit.mu) - e0) / e0), 1e-10
 
     def closed_relative_orbit():
-        orbit = make_orbit()
         rel = nmc_initial_state(1.0, orbit.n)
         after = propagate_cw(rel, orbit.n, orbit.period)
         return float(np.max(np.abs(after.vector - rel.vector))), 1e-9
@@ -298,7 +287,6 @@ def validate_suite(mu: float = MU_EARTH):
     def leg_departs_as_rho_squared():
         # the flown two-body leg departs from CW as rho^2 / R over P/8: the
         # ratio agrees at 1 km and 10 m, a fault of another order does not
-        orbit = make_orbit()
         two_body, cw = (_truth_coast(orbit, m, orbit.period / 8) for m in ("two_body", "cw"))
         ratios = []
         for rho in (1.0, 0.01):
@@ -308,13 +296,9 @@ def validate_suite(mu: float = MU_EARTH):
         return abs(ratios[1] / ratios[0] - 1.0), 1e-3
 
     def zero_mismatch_campaign():
-        result = run_campaign(
-            CampaignConfig(
-                maneuver_kind="nmc_unforced", chief_altitude=2000.0, size=10.0,
-                impulse_count=8, truth_model="cw", mu=mu,
-            )
-        )
-        return result.total_dv, 1e-9
+        config = CampaignConfig(maneuver_kind="nmc_unforced", chief_altitude=2000.0, size=10.0,
+                                impulse_count=8, truth_model="cw")
+        return run_campaign(config).total_dv, 1e-9
 
     checks = [
         ("frame round trip", frame_round_trip),

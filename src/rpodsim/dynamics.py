@@ -6,7 +6,7 @@ Two models live here:
   solved in closed form (universal-variable Kepler equation with Lagrange
   f and g), and
 * the Clohessy-Wiltshire (CW) linearized relative motion about a circular
-  chief, in both ODE form and closed-form state-transition-matrix form.
+  chief, in closed-form state-transition-matrix form.
 
 Impulses are never integrated: they are velocity discontinuities applied
 by the campaign layer between propagation segments.
@@ -53,17 +53,17 @@ class TargetOrbit:
     radius: float = R_EARTH + 500.0
 
     def __post_init__(self):
-        if self.mu <= 0.0:
+        if not 0.0 < self.mu < math.inf:
             raise ValueError(f"gravitational parameter must be positive, got {self.mu}")
-        if self.radius <= R_EARTH:
+        if not self.radius > R_EARTH:
             raise ValueError(f"orbit radius {self.radius} km is below the Earth surface")
         if self.radius > _MAX_RADIUS:
             raise ValueError(f"orbit radius {self.radius} km is too large: its cube leaves "
                              f"double range above {_MAX_RADIUS:.3g} km")
 
     @classmethod
-    def from_altitude(cls, altitude: float, mu: float = MU_EARTH) -> "TargetOrbit":
-        return cls(mu=mu, radius=R_EARTH + altitude)
+    def from_altitude(cls, altitude: float) -> "TargetOrbit":
+        return cls(radius=R_EARTH + altitude)
 
     @cached_property
     def n(self) -> float:
@@ -332,30 +332,8 @@ def specific_energy(state: InertialState, mu: float) -> float:
     )
 
 
-def specific_angular_momentum(state: InertialState) -> float:
-    """Magnitude of r x v, km^2/s."""
-    return float(np.linalg.norm(np.cross(state.position, state.velocity)))
-
-
 # ---------------------------------------------------------------------------
 # Clohessy-Wiltshire model
-
-
-def cw_derivative(rel: RelativeState, n: float) -> np.ndarray:
-    """Uncontrolled CW equations of relative motion.
-
-        x'' - 3 n^2 x - 2 n y' = 0
-        y'' + 2 n x'           = 0
-        z'' + n^2 z            = 0
-
-    Returns the 6-vector state derivative.
-    """
-    if n <= 0:
-        raise ValueError("mean motion must be positive")
-    ax = 3.0 * n**2 * rel.x + 2.0 * n * rel.vy
-    ay = -2.0 * n * rel.vx
-    az = -(n**2) * rel.z
-    return np.array([rel.vx, rel.vy, rel.vz, ax, ay, az])
 
 
 def cw_stm(n: float, dt: float) -> np.ndarray:
@@ -365,7 +343,7 @@ def cw_stm(n: float, dt: float) -> np.ndarray:
     radial/along-track motion; the cross-track pair (z, vz) is an
     independent harmonic oscillator at the mean motion.
     """
-    if n <= 0:
+    if not 0.0 < n < math.inf:
         raise ValueError("mean motion must be positive")
     nt = n * dt
     c, s = np.cos(nt), np.sin(nt)

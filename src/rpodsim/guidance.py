@@ -11,6 +11,7 @@ decides when each point is due.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -52,7 +53,7 @@ def nmc_initial_state(x0: float, n: float) -> RelativeState:
     """
     if x0 == 0.0:
         raise ZeroOffset("NMC offset x0 must be nonzero")
-    if n <= 0:
+    if not 0.0 < n < math.inf:
         raise ValueError("mean motion must be positive")
     return RelativeState(x0, 0.0, 0.0, 0.0, -2.0 * n * x0, 0.0)
 
@@ -81,12 +82,13 @@ def cw_targeting(n: float, ts: float) -> Tuple[np.ndarray, np.ndarray]:
     SingularTransferTime
         When n*ts sits on a zero of the targeting determinant.
     """
-    if ts <= 0:
+    if not 0.0 < ts < math.inf:
         raise ValueError("transfer time must be positive")
     theta = n * ts
     det = drift_determinant(theta)
-    # theta * theta reaches inf on absurd windows where theta**2 would raise
-    if abs(det) < _DET_RTOL * max(1.0, theta * theta):
+    # theta * theta reaches inf on absurd windows where theta**2 would raise;
+    # a non-finite n gives a NaN det, which fails the >= and is rejected
+    if not abs(det) >=_DET_RTOL * max(1.0, theta * theta):
         raise SingularTransferTime(
             f"transfer angle n*ts = {theta:.6g} rad is a targeting singularity"
         )
@@ -134,7 +136,7 @@ def waypoints_circle(radius: float, count: int) -> List[Point]:
     kinematically comparable.
     """
     _check_count(count, 3)
-    if radius <= 0:
+    if not 0.0 < radius < math.inf:
         raise ValueError("radius must be positive")
     phis = [-2.0 * np.pi * k / count for k in range(count)]
     return [(radius * np.cos(phi), radius * np.sin(phi)) for phi in phis]

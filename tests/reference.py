@@ -1,11 +1,14 @@
-"""General ECI <-> Hill transforms: the tests' independent reference.
+"""The tests' independent references: general ECI <-> Hill transforms,
+the CW equations in ODE form, and the specific angular momentum.
 
 The program's transforms (``rpodsim.frames``) hold only for its circular
 equatorial chief, whose Hill frame is a rotation about the pole.  These
 build the Hill frame of any target state from r and v, and map relative
 velocity with the transport theorem, so they share no arithmetic with the
 program beyond the state types.  Tests apply them to
-``chief_state(orbit, t)`` to check what the program flies.
+``chief_state(orbit, t)`` to check what the program flies.  Integrating
+:func:`cw_derivative` checks the closed-form ``cw_stm``, and
+:func:`specific_angular_momentum` checks that two-body coasts conserve h.
 """
 
 from __future__ import annotations
@@ -96,3 +99,23 @@ def hill_to_eci(target: InertialState, rel: RelativeState) -> InertialState:
         [rel.vx - w * rel.y, rel.vy + w * rel.x, rel.vz]
     )
     return InertialState(epoch=target.epoch, position=position, velocity=velocity)
+
+
+def specific_angular_momentum(state: InertialState) -> float:
+    """Magnitude of r x v, km^2/s."""
+    return float(np.linalg.norm(np.cross(state.position, state.velocity)))
+
+
+def cw_derivative(rel: RelativeState, n: float) -> np.ndarray:
+    """Uncontrolled CW equations of relative motion.
+
+        x'' - 3 n^2 x - 2 n y' = 0
+        y'' + 2 n x'           = 0
+        z'' + n^2 z            = 0
+
+    Returns the 6-vector state derivative.
+    """
+    ax = 3.0 * n**2 * rel.x + 2.0 * n * rel.vy
+    ay = -2.0 * n * rel.vx
+    az = -(n**2) * rel.z
+    return np.array([rel.vx, rel.vy, rel.vz, ax, ay, az])

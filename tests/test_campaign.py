@@ -59,8 +59,6 @@ def test_config_rejects_bad_values():
         unforced(10.0, 4, duration=100.0)  # derived for circumnavigation
     with pytest.raises(ValueError):
         CampaignConfig("intercept_forced", 2000.0, 10.0, 4)  # needs duration
-    with pytest.raises(ValueError):
-        unforced(10.0, 4, mu=-1.0)
     with pytest.raises(ValueError):  # an intercept is one pass down its line
         CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0, laps=3)
     # work per campaign is capped; the cap itself is accepted

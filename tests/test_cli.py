@@ -7,7 +7,7 @@ from dataclasses import asdict
 import pytest
 
 from rpodsim import CampaignConfig, UsageError
-from rpodsim.cli import CSV_HEADER, RunManifest, main, parse_args, validate_suite
+from rpodsim.cli import CSV_HEADER, RunManifest, emit_results, main, parse_args, validate_suite
 
 
 def test_parse_sweep_grid():
@@ -177,6 +177,13 @@ def test_intercept_count_guard(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_result_set_is_usage_error(tmp_path):
+    out = tmp_path / "x.csv"
+    with pytest.raises(UsageError, match="empty result set"):
+        emit_results([], RunManifest("sweep", {}, str(out)))
+    assert not out.exists()
+
+
 def test_validate_passes(capsys):
     assert main(["validate"]) == 0
     stdout = capsys.readouterr().out
@@ -230,9 +237,20 @@ def test_validate_detects_flipped_frame_term(monkeypatch, capsys):
     assert "FAIL  two-body leg departs from CW as ρ²" in stdout
 
 
-def test_validate_detects_tampered_mu(capsys):
-    assert main(["validate", "--mu-km3-s2", "-398600.4418"]) == 3
-    assert "FAIL" in capsys.readouterr().out
+def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
+    import rpodsim.cli
+    from rpodsim import KeplerNonConvergence
+
+    def raising(*args):
+        raise KeplerNonConvergence("injected")
+
+    monkeypatch.setattr(rpodsim.cli, "propagate_two_body", raising)
+    assert main(["validate"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    coast = next(line for line in lines if line.startswith("FAIL  two-body circular coast"))
+    assert coast.endswith("[injected]")
+    assert any(line.startswith("PASS  zero-mismatch campaign") for line in lines)
 
 
 def test_validate_suite_reports_residuals():

@@ -3,18 +3,18 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+from reference import cw_derivative, specific_angular_momentum
 from rpodsim import (
     InertialState,
+    KeplerNonConvergence,
     RelativeState,
     SingularRadius,
     TargetOrbit,
     chief_state,
-    cw_derivative,
     cw_stm,
     nmc_initial_state,
     propagate_cw,
     propagate_two_body,
-    specific_angular_momentum,
     specific_energy,
 )
 from rpodsim.constants import MU_EARTH, R_EARTH
@@ -286,6 +286,20 @@ def test_hyperbolic_flyby_floor():
     with pytest.raises(SingularRadius):
         propagate_two_body(inbound, MU_EARTH, 1e6)
     propagate_two_body(outbound, MU_EARTH, 1e6)
+
+
+@pytest.mark.parametrize("duration", [-1.0, np.nan, np.inf])
+def test_rejects_negative_or_non_finite_duration(duration):
+    with pytest.raises(ValueError, match="duration must be finite and non-negative"):
+        propagate_two_body(chief_state(ORBIT, 0.0), MU_EARTH, duration)
+
+
+def test_escape_over_an_absurd_window_stops_at_the_anomaly_cap():
+    # 15 km/s at 8378 km escapes; after 1e300 s its hyperbolic anomaly would
+    # have changed by ~1e3, past where sinh and cosh overflow
+    start = InertialState(0.0, np.array([8378.0, 0.0, 0.0]), np.array([0.0, 15.0, 0.0]))
+    with pytest.raises(KeplerNonConvergence, match="hyperbolic anomaly change 1.02e"):
+        propagate_two_body(start, MU_EARTH, 1e300)
 
 
 # ---------------------------------------------------------------------------

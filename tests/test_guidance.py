@@ -9,6 +9,7 @@ from rpodsim import (
     SingularTransferTime,
     TargetOrbit,
     ZeroOffset,
+    cw_stm,
     cw_target_impulse,
     cw_targeting,
     drift_determinant,
@@ -131,6 +132,49 @@ def test_targeting_is_linear_in_state_and_target():
 def test_rejects_non_positive_transfer_time():
     with pytest.raises(ValueError):
         cw_targeting(N, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: TargetOrbit(mu=np.nan), ValueError),
+        (lambda: TargetOrbit(mu=np.inf), ValueError),
+        (lambda: TargetOrbit(radius=np.nan), ValueError),
+        (lambda: cw_stm(np.nan, 1.0), ValueError),
+        (lambda: cw_targeting(N, np.nan), ValueError),
+        (lambda: cw_targeting(np.nan, 100.0), SingularTransferTime),
+        (lambda: cw_targeting(N, np.inf), ValueError),
+        (lambda: nmc_initial_state(1.0, np.nan), ValueError),
+        (lambda: waypoints_circle(np.nan, 4), ValueError),
+    ],
+    ids=["orbit-mu-nan", "orbit-mu-inf", "orbit-radius-nan", "stm-n-nan", "targeting-ts-nan",
+         "targeting-n-nan", "targeting-ts-inf", "nmc-n-nan", "circle-radius-nan"],
+)
+def test_non_finite_inputs_are_rejected(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TargetOrbit(mu=-1.0), ValueError,
+         "gravitational parameter must be positive, got -1.0"),
+        (lambda: TargetOrbit(radius=6000.0), ValueError,
+         "orbit radius 6000.0 km is below the Earth surface"),
+        (lambda: cw_stm(0.0, 1.0), ValueError, "mean motion must be positive"),
+        (lambda: cw_targeting(N, -1.0), ValueError, "transfer time must be positive"),
+        (lambda: nmc_initial_state(1.0, 0.0), ValueError, "mean motion must be positive"),
+        (lambda: waypoints_circle(-1.0, 4), ValueError, "radius must be positive"),
+        (lambda: waypoints_nmc(0.0, 4), ZeroOffset, "NMC offset x0 must be nonzero"),
+    ],
+    ids=["orbit-mu", "orbit-radius", "stm-n", "targeting-ts", "nmc-n", "circle-radius",
+         "nmc-plan-offset"],
+)
+def test_bad_finite_inputs_keep_their_messages(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
