@@ -22,14 +22,12 @@ from .dynamics import (
     specific_energy,
 )
 from .errors import (
-    InsufficientWaypoints,
     KeplerNonConvergence,
     RpodError,
     SingularRadius,
     SingularTransferTime,
     UnphysicalBurn,
     UsageError,
-    ZeroOffset,
 )
 from .frames import (
     InertialState,
@@ -56,7 +54,6 @@ __all__ = [
     "CampaignResult",
     "ImpulseRecord",
     "InertialState",
-    "InsufficientWaypoints",
     "KeplerNonConvergence",
     "MU_EARTH",
     "R_EARTH",
@@ -67,7 +64,6 @@ __all__ = [
     "TargetOrbit",
     "UnphysicalBurn",
     "UsageError",
-    "ZeroOffset",
     "chief_state",
     "cw_stm",
     "cw_target_impulse",

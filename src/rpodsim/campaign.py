@@ -28,8 +28,7 @@ Accounting conventions:
 
 * The insertion of the circumnavigation kinds, from a co-moving start,
   is a burn at 0 checked like every other, but its Δv is reported
-  separately and excluded from the total unless ``count_insertion_dv``
-  is set.
+  separately as ``insertion_dv`` and excluded from the total.
 * A closed plan burns at every waypoint *arrival*, including the
   lap-closure return, so ``impulse_count`` burns fire per lap and every
   lap runs the same schedule as the next.  The line burns at departure
@@ -84,7 +83,6 @@ class CampaignConfig:
     impulse_count: int
     duration: Optional[float] = None
     truth_model: str = "two_body"
-    count_insertion_dv: bool = False
     laps: int = 1
     circle_period_factor: float = 1.0
 
@@ -128,13 +126,17 @@ class CampaignConfig:
                 raise ValueError("intercept kinds fly one lap: laps must be 1")
         elif self.duration is not None:
             raise ValueError("circumnavigation duration is derived; leave it unset")
-        radius = TargetOrbit.from_altitude(self.chief_altitude).radius
-        if self.truth_model == "two_body" and 0 < self.size < 1e7 * math.ulp(radius):
+        orbit = TargetOrbit.from_altitude(self.chief_altitude)
+        if self.truth_model == "two_body" and 0 < self.size < 1e7 * math.ulp(orbit.radius):
             # the leg lifts the chaser to R + x: an offset this small is rounding
             raise ValueError(
-                f"size {self.size:.6g} km is below 1e7 ulps of the {radius:.6g} km "
+                f"size {self.size:.6g} km is below 1e7 ulps of the {orbit.radius:.6g} km "
                 f"chief radius, which two-body truth cannot resolve"
             )
+        lap = self.circle_period_factor * orbit.period
+        if self.maneuver_kind == "circle_forced" and not math.isfinite(lap):
+            raise ValueError(f"circle_period_factor {self.circle_period_factor:g} times "
+                             f"the {orbit.period:.6g} s chief period overflows")
 
 
 @dataclass(frozen=True)
@@ -243,14 +245,11 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         if closed or k < legs:
             rel = steer(rel, k)
 
-    total = float(sum(rec.magnitude for rec in impulses))
-    if config.count_insertion_dv:
-        total += insertion_dv
     return CampaignResult(
         config=config,
         samples=tuple(samples),
         impulses=tuple(impulses),
-        total_dv=total,
+        total_dv=float(sum(rec.magnitude for rec in impulses)),
         insertion_dv=insertion_dv,
         max_waypoint_miss=max_miss,
         duration=config.laps * lap,
@@ -271,9 +270,10 @@ def sweep_circumnavigation(
     """Run forced and unforced circumnavigations over a (size, count) grid.
 
     ``settings`` are further ``CampaignConfig`` fields shared by every cell
-    (``truth_model``, ``laps``, ...).  Rows are ordered size-major, then
-    impulse count, with the forced run preceding the unforced run in every
-    cell.  Every cell is configured, and so validated, before any is flown.
+    (``truth_model``, ``laps``, ``circle_period_factor``).  Rows are ordered
+    size-major, then impulse count, with the forced run preceding the
+    unforced run in every cell.  Every cell is configured, and so
+    validated, before any is flown.
     """
     if not sizes or not impulse_counts:
         raise ValueError("sweep grids must be non-empty")

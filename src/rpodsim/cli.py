@@ -8,8 +8,8 @@ sweep       forced/unforced grid over sizes and impulse counts
 validate    run the built-in self-checks and report residuals
 
 All physical flags carry unit suffixes (``--size-km``, ``--duration-min``).
-Output is CSV (or a JSON mirror of the same rows); the pipeline is fully
-deterministic, so identical invocations produce byte-identical files.
+Output is one CSV row per campaign; the pipeline is fully deterministic, so
+identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/physics error,
 3 validation failure.
@@ -18,8 +18,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime/physics error,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -65,7 +63,6 @@ class RunManifest:
     subcommand: str
     params: Dict
     output_path: Optional[str]
-    format: str = "csv"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,7 +93,6 @@ def _add_common(sub):
     sub.add_argument("--truth", dest="truth_model", choices=["two-body", "cw"],
                      default="two-body", help="truth model flown against (default two-body)")
     sub.add_argument("--out", required=True, help="output file path")
-    sub.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def _add_circumnav_settings(sub):
@@ -104,8 +100,6 @@ def _add_circumnav_settings(sub):
     sub.add_argument("--circle-period-factor", type=float, default=1.0,
                      help="forced-circle traversal period as a multiple of "
                           "the chief period (default 1.0)")
-    sub.add_argument("--count-insertion-dv", action="store_true",
-                     help="include the insertion burn in the total")
 
 
 def _build_parser() -> _Parser:
@@ -150,14 +144,13 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
     params = vars(_build_parser().parse_args(argv))
     subcommand = params.pop("subcommand")
     output_path = params.pop("out", None)
-    fmt = params.pop("format", "csv")
     if "truth_model" in params:
         params["truth_model"] = params["truth_model"].replace("-", "_")
     if "maneuver_kind" in params:
         params["maneuver_kind"] = _KINDS[params["maneuver_kind"]]
     if "duration" in params:  # minutes on the command line, seconds in the library
         params["duration"] = params["duration"] * 60.0
-    return RunManifest(subcommand, params, output_path, fmt)
+    return RunManifest(subcommand, params, output_path)
 
 
 def _execute(manifest: RunManifest) -> List[CampaignResult]:
@@ -174,51 +167,39 @@ def _g17(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _rows(results: Sequence[CampaignResult]) -> List[Dict]:
-    rows = []
-    for r in results:
-        rows.append(
-            {
-                "kind": r.config.maneuver_kind,
-                "size_km": r.config.size,
-                "impulse_count": r.config.impulse_count,
-                "altitude_km": r.config.chief_altitude,
-                "total_dv_km_s": r.total_dv,
-                "insertion_dv_km_s": r.insertion_dv,
-                "max_miss_km": r.max_waypoint_miss,
-                "duration_s": r.duration,
-            }
-        )
-    return rows
+def _row(r: CampaignResult) -> str:
+    """The CSV row of one campaign, floats to 17 significant digits."""
+    c = r.config
+    floats = (r.total_dv, r.insertion_dv, r.max_waypoint_miss, r.duration)
+    return ",".join([c.maneuver_kind, _g17(c.size), str(c.impulse_count),
+                     _g17(c.chief_altitude), *map(_g17, floats)])
 
 
-def _summaries(rows: List[Dict]) -> List[str]:
+def _summaries(results: Sequence[CampaignResult]) -> List[str]:
     """One line per forced/unforced comparison pair."""
+    def of(kind):
+        return [r for r in results if r.config.maneuver_kind == kind]
+
+    circ = {(r.config.size, r.config.impulse_count): r for r in of("circle_forced")}
     lines = []
-    circ = {(r["size_km"], r["impulse_count"]): r for r in rows
-            if r["kind"] == "circle_forced"}
-    for r in rows:
-        if r["kind"] == "nmc_unforced":
-            other = circ.get((r["size_km"], r["impulse_count"]))
-            if other is not None:
-                lines.append(_pair_line(r, other))
-    unforced_arm = next((r for r in rows if r["kind"] == "intercept_unforced"), None)
-    if unforced_arm is not None:
-        for r in rows:
-            if r["kind"] == "intercept_forced":
-                lines.append(_pair_line(unforced_arm, r))
+    for r in of("nmc_unforced"):
+        other = circ.get((r.config.size, r.config.impulse_count))
+        if other is not None:
+            lines.append(_pair_line(r, other))
+    unforced_arms = of("intercept_unforced")
+    if unforced_arms:
+        lines += [_pair_line(unforced_arms[0], r) for r in of("intercept_forced")]
     return lines
 
 
-def _pair_line(unforced: Dict, forced: Dict) -> str:
-    lo, hi = sorted((unforced, forced), key=lambda r: r["total_dv_km_s"])
-    winner = "unforced" if lo["kind"].find("unforced") >= 0 else "forced"
-    ratio = math.inf if lo["total_dv_km_s"] == 0 else hi["total_dv_km_s"] / lo["total_dv_km_s"]
+def _pair_line(unforced: CampaignResult, forced: CampaignResult) -> str:
+    lo, hi = sorted((unforced, forced), key=lambda r: r.total_dv)
+    winner = "unforced" if "unforced" in lo.config.maneuver_kind else "forced"
+    ratio = math.inf if lo.total_dv == 0 else hi.total_dv / lo.total_dv
     return (
-        f"size={forced['size_km']:g} km impulses={forced['impulse_count']}: "
+        f"size={forced.config.size:g} km impulses={forced.config.impulse_count}: "
         f"{winner} arm uses less dv "
-        f"({lo['total_dv_km_s']:.6g} vs {hi['total_dv_km_s']:.6g} km/s, "
-        f"ratio {ratio:.3f})"
+        f"({lo.total_dv:.6g} vs {hi.total_dv:.6g} km/s, ratio {ratio:.3f})"
     )
 
 
@@ -226,20 +207,9 @@ def emit_results(results: Sequence[CampaignResult], manifest: RunManifest) -> No
     """Write the result table and print per-pair summaries to stdout."""
     if not results:
         raise UsageError("nothing to write: empty result set")
-    rows = _rows(results)
-    float_cols = ("size_km", "altitude_km", "total_dv_km_s",
-                  "insertion_dv_km_s", "max_miss_km", "duration_s")
-    # one encoding for both formats; the CSV writer writes str() of each value
-    encoded = [{c: _g17(v) if c in float_cols else v for c, v in row.items()} for row in rows]
     with open(manifest.output_path, "w", newline="") as handle:
-        if manifest.format == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CSV_HEADER.split(","))
-            writer.writerows(row.values() for row in encoded)
-        else:
-            json.dump(encoded, handle, indent=2)
-            handle.write("\n")
-    for line in _summaries(rows):
+        handle.writelines(f"{line}\n" for line in [CSV_HEADER, *map(_row, results)])
+    for line in _summaries(results):
         print(line)
 
 

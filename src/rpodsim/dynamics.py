@@ -312,6 +312,8 @@ def propagate_two_body(initial: InertialState, mu: float, duration: float) -> In
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {duration}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"gravitational parameter must be positive, got {mu}")
     if duration == 0.0:
         return InertialState(initial.epoch, initial.position, initial.velocity)
     coast = _KeplerCoast(initial, mu)
@@ -345,6 +347,8 @@ def cw_stm(n: float, dt: float) -> np.ndarray:
     """
     if not 0.0 < n < math.inf:
         raise ValueError("mean motion must be positive")
+    if not math.isfinite(dt):
+        raise ValueError(f"time step must be finite, got {dt}")
     nt = n * dt
     c, s = np.cos(nt), np.sin(nt)
 

@@ -16,10 +16,6 @@ class KeplerNonConvergence(RpodError):
     window)."""
 
 
-class ZeroOffset(RpodError):
-    """Raised when a relative orbit is requested with zero radial offset."""
-
-
 class SingularTransferTime(RpodError):
     """Raised when the targeting system is singular for the requested
     transfer time (e.g. a whole number of orbital periods)."""
@@ -29,10 +25,6 @@ class UnphysicalBurn(RpodError):
     """Raised when a guidance burn reaches the chief's circular speed: the
     relative-motion targeting has left any regime it can model (e.g. legs
     spanning millions of orbits)."""
-
-
-class InsufficientWaypoints(RpodError):
-    """Raised when a waypoint plan is requested with too few points."""
 
 
 class UsageError(RpodError):

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .dynamics import cw_stm
-from .errors import InsufficientWaypoints, SingularTransferTime, ZeroOffset
+from .errors import SingularTransferTime
 from .frames import RelativeState
 
 _DET_RTOL = 1e-12
@@ -48,11 +48,11 @@ def nmc_initial_state(x0: float, n: float) -> RelativeState:
 
     Raises
     ------
-    ZeroOffset
-        If x0 = 0 (the ellipse degenerates to the origin).
+    ValueError
+        If x0 is 0 (the ellipse degenerates to the origin) or not finite.
     """
-    if x0 == 0.0:
-        raise ZeroOffset("NMC offset x0 must be nonzero")
+    if not 0.0 < abs(x0) < math.inf:
+        raise ValueError("NMC offset x0 must be nonzero")
     if not 0.0 < n < math.inf:
         raise ValueError("mean motion must be positive")
     return RelativeState(x0, 0.0, 0.0, 0.0, -2.0 * n * x0, 0.0)
@@ -121,7 +121,7 @@ def cw_target_impulse(
 
 def _check_count(count: int, minimum: int) -> None:
     if count < minimum:
-        raise InsufficientWaypoints(f"need at least {minimum} waypoints, got {count}")
+        raise ValueError(f"need at least {minimum} waypoints, got {count}")
 
 
 Point = Tuple[float, float]
@@ -150,8 +150,8 @@ def waypoints_nmc(x0: float, count: int) -> List[Point]:
     :func:`nmc_initial_state`: x = x0 cos(nt), y = -2 x0 sin(nt).
     """
     _check_count(count, 3)
-    if x0 == 0.0:
-        raise ZeroOffset("NMC offset x0 must be nonzero")
+    if not 0.0 < abs(x0) < math.inf:
+        raise ValueError("NMC offset x0 must be nonzero")
     nts = [2.0 * np.pi * k / count for k in range(count)]
     return [(x0 * np.cos(nt), -2.0 * x0 * np.sin(nt)) for nt in nts]
 
@@ -161,5 +161,7 @@ def waypoints_line(start, end, count: int) -> List[Point]:
     _check_count(count, 2)
     p0 = np.asarray(start, dtype=float)
     p1 = np.asarray(end, dtype=float)
+    if not np.isfinite([p0, p1]).all():
+        raise ValueError("line endpoints must be finite")
     fs = [k / (count - 1) for k in range(count)]
     return [tuple((1.0 - f) * p0 + f * p1) for f in fs]

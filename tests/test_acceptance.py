@@ -384,7 +384,6 @@ def test_csv_output_is_deterministic(tmp_path):
         "--sizes-km", "1,10",
         "--impulses", "4,8",
         "--truth", "cw",
-        "--format", "csv",
     ]
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0

@@ -23,7 +23,6 @@ def test_parse_sweep_grid():
     assert manifest.params["impulse_counts"] == [4, 8, 16, 32, 64]
     assert manifest.params["chief_altitude"] == 2000.0
     assert manifest.output_path == "results.csv"
-    assert manifest.format == "csv"
 
 
 def test_parse_intercept_defaults():
@@ -137,22 +136,19 @@ def test_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_json_mirror(tmp_path):
-    args = [
-        "circumnav", "--kind", "forced", "--size-km", "5", "--impulses", "4",
-        "--truth", "cw", "--out",
-    ]
-    out, out_csv = tmp_path / "run.json", tmp_path / "run.csv"
-    assert main(args + [str(out), "--format", "json"]) == 0
-    assert main(args + [str(out_csv)]) == 0
-    rows = json.loads(out.read_text())
-    assert len(rows) == 1
-    assert list(rows[0].keys()) == CSV_HEADER.split(",")
-    assert rows[0]["kind"] == "circle_forced"
-    assert float(rows[0]["total_dv_km_s"]) >= 0.0
-    # the JSON row holds the very values the CSV row writes
-    fields = out_csv.read_text().splitlines()[1].split(",")
-    assert [str(v) for v in rows[0].values()] == fields
+def test_retired_output_flags_are_usage_errors(tmp_path, capsys):
+    # the CSV row is the one output: its total excludes the insertion, which
+    # has its own column, and no other file format is written
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["circumnav", "--kind", "forced", "--size-km", "5", "--impulses", "4"],
+        ["sweep", "--sizes-km", "5", "--impulses", "4"],
+    ):
+        for flags in (["--format", "json"], ["--format", "csv"], ["--count-insertion-dv"]):
+            assert main(argv + flags + ["--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"usage error: unrecognized arguments: {' '.join(flags)}\n"
+            assert not out.exists()
 
 
 def test_intercept_summary_names_unforced(tmp_path, capsys):
@@ -298,7 +294,9 @@ def test_singular_window_message_is_short(tmp_path, capsys):
 def test_non_finite_input_is_usage_error(tmp_path, capsys):
     # an altitude above ~5.6e102 km is finite, but its orbit radius cubed is
     # not; well below that, a 10 km offset added to the orbit radius is lost
-    # to rounding, and two-body truth once flew it to a 3.96e84 km miss
+    # to rounding, and two-body truth once flew it to a 3.96e84 km miss; a
+    # finite circle period factor whose lap overflows once stopped at the
+    # targeting law with a message that named neither the flag nor the overflow
     out = tmp_path / "x.csv"
     circle = ["circumnav", "--kind", "forced", "--size-km", "10", "--impulses", "4"]
     sweep = ["sweep", "--sizes-km", "10", "--impulses", "4"]
@@ -308,6 +306,8 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys):
         (sweep + ["--altitude-km", "1e154"], "its cube leaves double range"),
         (circle + ["--altitude-km", "1e25"], "below 1e7 ulps"),
         (sweep + ["--altitude-km", "1e100"], "below 1e7 ulps"),
+        (circle + ["--circle-period-factor", "1e308"],
+         "circle_period_factor 1e+308 times the 7631.89 s chief period overflows"),
     ):
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err

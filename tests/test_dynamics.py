@@ -302,6 +302,30 @@ def test_escape_over_an_absurd_window_stops_at_the_anomaly_cap():
         propagate_two_body(start, MU_EARTH, 1e300)
 
 
+@pytest.mark.parametrize("duration, message", [
+    (1e100, "universal Kepler solve for dt=1e\\+100 s did not converge in 100 iterations"),
+    (1e300, "coast of 1e\\+300 s leaves double-precision range"),
+])
+def test_parabolic_escape_over_an_absurd_window_is_a_kepler_failure(duration, message):
+    # exactly escape speed at 7000 km: alpha reads 0, so no period bounds the
+    # coast and no anomaly cap stops it
+    speed = np.sqrt(2.0 * MU_EARTH / 7000.0)
+    start = InertialState(0.0, np.array([7000.0, 0.0, 0.0]), np.array([0.0, speed, 0.0]))
+    with pytest.raises(KeplerNonConvergence, match=message):
+        propagate_two_body(start, MU_EARTH, duration)
+
+
+def test_kepler_bracket_search_gives_up_at_the_iteration_cap(monkeypatch):
+    # no natural input was found that exhausts the bracket search: a cap of
+    # one doubling makes an ordinary 12 km/s escape do so
+    import rpodsim.dynamics
+
+    monkeypatch.setattr(rpodsim.dynamics, "_KEPLER_MAX_ITER", 1)
+    start = InertialState(0.0, np.array([7000.0, 0.0, 0.0]), np.array([0.0, 12.0, 0.0]))
+    with pytest.raises(KeplerNonConvergence, match="no bracket for a coast of 5000 s"):
+        propagate_two_body(start, MU_EARTH, 5000.0)
+
+
 # ---------------------------------------------------------------------------
 # CW model
 

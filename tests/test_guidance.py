@@ -4,17 +4,17 @@ from numpy.testing import assert_allclose
 
 from rpodsim import (
     ImpulseRecord,
-    InsufficientWaypoints,
     RelativeState,
     SingularTransferTime,
     TargetOrbit,
-    ZeroOffset,
+    chief_state,
     cw_stm,
     cw_target_impulse,
     cw_targeting,
     drift_determinant,
     nmc_initial_state,
     propagate_cw,
+    propagate_two_body,
     waypoints_circle,
     waypoints_line,
     waypoints_nmc,
@@ -41,7 +41,7 @@ def test_nmc_insertion_sign_flip():
 
 
 def test_nmc_zero_offset_rejected():
-    with pytest.raises(ZeroOffset):
+    with pytest.raises(ValueError, match="NMC offset x0 must be nonzero"):
         nmc_initial_state(0.0, 1e-3)
 
 
@@ -146,13 +146,23 @@ def test_rejects_non_positive_transfer_time():
         (lambda: cw_targeting(N, np.inf), ValueError),
         (lambda: nmc_initial_state(1.0, np.nan), ValueError),
         (lambda: waypoints_circle(np.nan, 4), ValueError),
+        (lambda: nmc_initial_state(np.nan, N), ValueError),
+        (lambda: waypoints_nmc(np.nan, 4), ValueError),
+        (lambda: waypoints_line((np.nan, 0.0), (0.0, 0.0), 3), ValueError),
+        (lambda: cw_stm(N, np.nan), ValueError),
+        (lambda: propagate_cw(RelativeState(1.0, 0, 0, 0, 0, 0), N, np.nan), ValueError),
+        (lambda: propagate_two_body(chief_state(ORBIT, 0.0), -1.0, 100.0), ValueError),
     ],
     ids=["orbit-mu-nan", "orbit-mu-inf", "orbit-radius-nan", "stm-n-nan", "targeting-ts-nan",
-         "targeting-n-nan", "targeting-ts-inf", "nmc-n-nan", "circle-radius-nan"],
+         "targeting-n-nan", "targeting-ts-inf", "nmc-n-nan", "circle-radius-nan",
+         "nmc-x0-nan", "nmc-plan-x0-nan", "line-start-nan", "stm-dt-nan", "cw-coast-dt-nan",
+         "two-body-mu-negative"],
 )
 def test_non_finite_inputs_are_rejected(call, error):
-    with pytest.raises(error):
+    # each raises with a message of its own, never NaN out or a bare math error
+    with pytest.raises(error) as info:
         call()
+    assert str(info.value) and "math domain error" not in str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -166,7 +176,7 @@ def test_non_finite_inputs_are_rejected(call, error):
         (lambda: cw_targeting(N, -1.0), ValueError, "transfer time must be positive"),
         (lambda: nmc_initial_state(1.0, 0.0), ValueError, "mean motion must be positive"),
         (lambda: waypoints_circle(-1.0, 4), ValueError, "radius must be positive"),
-        (lambda: waypoints_nmc(0.0, 4), ZeroOffset, "NMC offset x0 must be nonzero"),
+        (lambda: waypoints_nmc(0.0, 4), ValueError, "NMC offset x0 must be nonzero"),
     ],
     ids=["orbit-mu", "orbit-radius", "stm-n", "targeting-ts", "nmc-n", "circle-radius",
          "nmc-plan-offset"],
@@ -202,7 +212,7 @@ def test_circle_chord_length():
 
 
 def test_circle_count_guard():
-    with pytest.raises(InsufficientWaypoints):
+    with pytest.raises(ValueError, match="need at least 3 waypoints, got 2"):
         waypoints_circle(1.0, 2)
 
 
@@ -248,5 +258,5 @@ def test_line_collinearity():
 
 
 def test_line_count_guard():
-    with pytest.raises(InsufficientWaypoints):
+    with pytest.raises(ValueError, match="need at least 2 waypoints, got 1"):
         waypoints_line((0, 0), (1, 1), 1)
