@@ -27,7 +27,6 @@ from .errors import (
     SingularRadius,
     SingularTransferTime,
     UnphysicalBurn,
-    UsageError,
 )
 from .frames import (
     InertialState,
@@ -63,7 +62,6 @@ __all__ = [
     "SingularTransferTime",
     "TargetOrbit",
     "UnphysicalBurn",
-    "UsageError",
     "chief_state",
     "cw_stm",
     "cw_target_impulse",

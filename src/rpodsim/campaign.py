@@ -95,8 +95,7 @@ class CampaignConfig:
             raise ValueError(f"unknown maneuver kind {self.maneuver_kind!r}")
         if self.truth_model not in TRUTH_MODELS:
             raise ValueError(f"unknown truth model {self.truth_model!r}")
-        if self.chief_altitude <= 0:
-            raise ValueError("chief altitude must be positive")
+        orbit = TargetOrbit.from_altitude(self.chief_altitude)
         if self.size < 0:
             raise ValueError("size must be non-negative")
         # a zero offset is a legal (null) intercept but a degenerate shape
@@ -126,7 +125,6 @@ class CampaignConfig:
                 raise ValueError("intercept kinds fly one lap: laps must be 1")
         elif self.duration is not None:
             raise ValueError("circumnavigation duration is derived; leave it unset")
-        orbit = TargetOrbit.from_altitude(self.chief_altitude)
         if self.truth_model == "two_body" and 0 < self.size < 1e7 * math.ulp(orbit.radius):
             # the leg lifts the chaser to R + x: an offset this small is rounding
             raise ValueError(
@@ -170,11 +168,10 @@ def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
     flown from 0 turned with the chief's frame: the two-body leg lifts the
     chaser at epoch 0, coasts it, and reads it back at tau.
     """
-    n, mu = orbit.n, orbit.mu
+    n = orbit.n
     if model == "cw":
         return lambda rel: propagate_cw(rel, n, tau)
-    return lambda rel: eci_to_hill(orbit, propagate_two_body(hill_to_eci(orbit, 0.0, rel),
-                                                             mu, tau))
+    return lambda rel: eci_to_hill(orbit, propagate_two_body(hill_to_eci(orbit, 0.0, rel), tau))
 
 
 def _burn(rel: RelativeState, record: ImpulseRecord, cap: float) -> RelativeState:

@@ -41,7 +41,7 @@ from .dynamics import (
     propagate_two_body,
     specific_energy,
 )
-from .errors import RpodError, UsageError
+from .errors import RpodError
 from .frames import RelativeState, eci_to_hill, hill_to_eci
 from .guidance import nmc_initial_state
 
@@ -49,6 +49,9 @@ CSV_HEADER = (
     "kind,size_km,impulse_count,altitude_km,total_dv_km_s,"
     "insertion_dv_km_s,max_miss_km,duration_s"
 )
+# km/s per burn: reading a ~7 km/s velocity and an ~8,400 km position to
+# double precision leaves ~1e-14 km/s, so a total within this is zero
+_DV_ROUND_KM_S = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ class RunManifest:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # raise instead of SystemExit(2)
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _list_of(kind):
@@ -160,7 +163,7 @@ def _execute(manifest: RunManifest) -> List[CampaignResult]:
         return intercept_experiment(**manifest.params)
     if manifest.subcommand == "sweep":
         return sweep_circumnavigation(**manifest.params)
-    raise UsageError(f"unknown subcommand {manifest.subcommand!r}")
+    raise ValueError(f"unknown subcommand {manifest.subcommand!r}")
 
 
 def _g17(value: float) -> str:
@@ -195,7 +198,8 @@ def _summaries(results: Sequence[CampaignResult]) -> List[str]:
 def _pair_line(unforced: CampaignResult, forced: CampaignResult) -> str:
     lo, hi = sorted((unforced, forced), key=lambda r: r.total_dv)
     winner = "unforced" if "unforced" in lo.config.maneuver_kind else "forced"
-    ratio = math.inf if lo.total_dv == 0 else hi.total_dv / lo.total_dv
+    floor = len(lo.impulses) * _DV_ROUND_KM_S
+    ratio = math.inf if lo.total_dv <= floor else hi.total_dv / lo.total_dv
     return (
         f"size={forced.config.size:g} km impulses={forced.config.impulse_count}: "
         f"{winner} arm uses less dv "
@@ -206,7 +210,7 @@ def _pair_line(unforced: CampaignResult, forced: CampaignResult) -> str:
 def emit_results(results: Sequence[CampaignResult], manifest: RunManifest) -> None:
     """Write the result table and print per-pair summaries to stdout."""
     if not results:
-        raise UsageError("nothing to write: empty result set")
+        raise ValueError("nothing to write: empty result set")
     with open(manifest.output_path, "w", newline="") as handle:
         handle.writelines(f"{line}\n" for line in [CSV_HEADER, *map(_row, results)])
     for line in _summaries(results):
@@ -240,14 +244,14 @@ def validate_suite():
 
     def circular_coast():
         t = coast_periods * orbit.period
-        end = propagate_two_body(chief_state(orbit, 0.0), orbit.mu, t)
+        end = propagate_two_body(chief_state(orbit, 0.0), t)
         return float(np.linalg.norm(end.position - chief_state(orbit, t).position)), 1e-6
 
     def energy_drift():
         start = chief_state(orbit, 0.0)
-        end = propagate_two_body(start, orbit.mu, coast_periods * orbit.period)
-        e0 = specific_energy(start, orbit.mu)
-        return abs((specific_energy(end, orbit.mu) - e0) / e0), 1e-10
+        end = propagate_two_body(start, coast_periods * orbit.period)
+        e0 = specific_energy(start)
+        return abs((specific_energy(end) - e0) / e0), 1e-10
 
     def closed_relative_orbit():
         rel = nmc_initial_state(1.0, orbit.n)
@@ -309,7 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 0 if ok else 3
             emit_results(_execute(manifest), manifest)
         return 0
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (RpodError, OSError) as exc:

@@ -27,7 +27,7 @@ from .errors import KeplerNonConvergence, SingularRadius
 from .frames import InertialState, RelativeState
 from .frames import eci_to_hill  # noqa: F401  wrapped by perfbench/spans.py
 
-# km; no coast may pass below the Earth's surface, checked over the whole arc
+# km; no chief orbit may lie, and no coast pass anywhere on its arc, below this
 _SURFACE_RADIUS = R_EARTH
 _KEPLER_MAX_ITER = 100
 # relative size of the last Newton step; quadratic convergence leaves the
@@ -38,25 +38,23 @@ _KEPLER_RTOL = 1e-12
 _MAX_HYPERBOLIC_ANOMALY = 700.0
 # km; the mean motion needs radius**3, which leaves double range above this
 _MAX_RADIUS = float(np.finfo(float).max) ** (1.0 / 3.0)
+_SQRT_MU = math.sqrt(MU_EARTH)
 
 
 @dataclass(frozen=True)
 class TargetOrbit:
-    """Circular chief orbit.
+    """Circular chief orbit about the Earth, of radius above its surface, km.
 
-    The mean motion and circular speed are derived from (mu, radius) on
-    first use and cached; the orbit is frozen, so they cannot drift out of
-    consistency with it.
+    The mean motion and circular speed are derived from (MU_EARTH, radius)
+    on first use and cached; the orbit is frozen, so they cannot drift out
+    of consistency with it.
     """
 
-    mu: float = MU_EARTH
-    radius: float = R_EARTH + 500.0
+    radius: float
 
     def __post_init__(self):
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError(f"gravitational parameter must be positive, got {self.mu}")
-        if not self.radius > R_EARTH:
-            raise ValueError(f"orbit radius {self.radius} km is below the Earth surface")
+        if not self.radius > _SURFACE_RADIUS:
+            raise ValueError(f"orbit radius {self.radius:.6g} km is not above the Earth surface")
         if self.radius > _MAX_RADIUS:
             raise ValueError(f"orbit radius {self.radius} km is too large: its cube leaves "
                              f"double range above {_MAX_RADIUS:.3g} km")
@@ -67,8 +65,8 @@ class TargetOrbit:
 
     @cached_property
     def n(self) -> float:
-        """Mean motion sqrt(mu / radius^3), rad/s."""
-        return math.sqrt(self.mu / self.radius**3)
+        """Mean motion sqrt(MU_EARTH / radius^3), rad/s."""
+        return math.sqrt(MU_EARTH / self.radius**3)
 
     @property
     def period(self) -> float:
@@ -133,7 +131,7 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 class _KeplerCoast:
-    """Unforced two-body motion from one state, in closed form.
+    """Unforced two-body motion about the Earth from one state, in closed form.
 
     Universal-variable formulation (Curtis, *Orbital Mechanics for
     Engineering Students*, Alg. 3.3-3.4; Vallado, KEPLER): Newton's method
@@ -143,19 +141,17 @@ class _KeplerCoast:
     scalars at this size.
     """
 
-    def __init__(self, initial: InertialState, mu: float):
-        self.mu = mu
-        self.sqrt_mu = math.sqrt(mu)
+    def __init__(self, initial: InertialState):
         self.r0 = initial.position.tolist()
         self.v0 = initial.velocity.tolist()
         self.rn0 = math.hypot(*self.r0)
         # sigma = (r . v) / sqrt(mu); alpha = 1/a (> 0 elliptic, < 0 hyperbolic)
-        self.sigma0 = _dot(self.r0, self.v0) / self.sqrt_mu
-        self.alpha = 2.0 / self.rn0 - _dot(self.v0, self.v0) / mu
+        self.sigma0 = _dot(self.r0, self.v0) / _SQRT_MU
+        self.alpha = 2.0 / self.rn0 - _dot(self.v0, self.v0) / MU_EARTH
         # e cos E0 on an ellipse, e cosh F0 on a hyperbola
         self.ecc_cos0 = 1.0 - self.alpha * self.rn0
         self.period = (
-            2.0 * math.pi / (self.sqrt_mu * self.alpha * math.sqrt(self.alpha))
+            2.0 * math.pi / (_SQRT_MU * self.alpha * math.sqrt(self.alpha))
             if self.alpha > 0.0
             else math.inf
         )
@@ -167,7 +163,7 @@ class _KeplerCoast:
         k = self.ecc_cos0
         residual = (
             self.sigma0 * chi * chi * c + k * chi * chi * chi * s + self.rn0 * chi
-            - self.sqrt_mu * dt
+            - _SQRT_MU * dt
         )
         radius = self.sigma0 * chi * (1.0 - z * s) + k * chi * chi * c + self.rn0
         if not (math.isfinite(residual) and math.isfinite(radius)):
@@ -191,7 +187,7 @@ class _KeplerCoast:
         else:
             # grow the bracket from at most one unit of hyperbolic anomaly,
             # so the search cannot overshoot into sinh/cosh overflow
-            hi = self.sqrt_mu * dt / self.rn0
+            hi = _SQRT_MU * dt / self.rn0
             if self.alpha < 0.0:
                 hi = min(hi, 1.0 / math.sqrt(-self.alpha))
             for _ in range(_KEPLER_MAX_ITER):
@@ -201,7 +197,7 @@ class _KeplerCoast:
             else:
                 raise KeplerNonConvergence(f"no bracket for a coast of {dt:.6g} s")
         # Curtis's starting guess, kept inside the bracket
-        chi = min(self.sqrt_mu * abs(self.alpha) * dt, 0.5 * hi) or 0.5 * hi
+        chi = min(_SQRT_MU * abs(self.alpha) * dt, 0.5 * hi) or 0.5 * hi
         last_step = hi - lo
         for _ in range(_KEPLER_MAX_ITER):
             residual, radius = self._kepler(chi, dt)
@@ -236,10 +232,10 @@ class _KeplerCoast:
         z = self.alpha * chi * chi
         c, s = _stumpff(z)
         f = 1.0 - chi * chi * c / self.rn0
-        g = dt - chi * chi * chi * s / self.sqrt_mu
+        g = dt - chi * chi * chi * s / _SQRT_MU
         position = [f * a + g * b for a, b in zip(self.r0, self.v0)]
         rn = math.hypot(*position)
-        fdot = self.sqrt_mu * chi * (z * s - 1.0) / (rn * self.rn0)
+        fdot = _SQRT_MU * chi * (z * s - 1.0) / (rn * self.rn0)
         gdot = 1.0 - chi * chi * c / rn
         velocity = [fdot * a + gdot * b for a, b in zip(self.r0, self.v0)]
         return position, velocity
@@ -249,7 +245,7 @@ class _KeplerCoast:
     ) -> float:
         """Smallest radius reached over [0, duration], given the end state.
 
-        Exact: periapsis radius h^2 / (mu (1 + e)) if the arc passes
+        Exact: periapsis radius h^2 / (MU_EARTH (1 + e)) if the arc passes
         periapsis, else the smaller end radius (r is monotone between
         apsides).
         """
@@ -274,14 +270,14 @@ class _KeplerCoast:
             r[2] * v[0] - r[0] * v[2],
             r[0] * v[1] - r[1] * v[0],
         )
-        radial = _dot(v, v) - self.mu / self.rn0
+        radial = _dot(v, v) - MU_EARTH / self.rn0
         rv = _dot(r, v)
-        ecc = [(radial * a - rv * b) / self.mu for a, b in zip(r, v)]
-        return _dot(h, h) / (self.mu * (1.0 + math.hypot(*ecc)))
+        ecc = [(radial * a - rv * b) / MU_EARTH for a, b in zip(r, v)]
+        return _dot(h, h) / (MU_EARTH * (1.0 + math.hypot(*ecc)))
 
 
-def propagate_two_body(initial: InertialState, mu: float, duration: float) -> InertialState:
-    """Coast on a two-body orbit for ``duration`` seconds.
+def propagate_two_body(initial: InertialState, duration: float) -> InertialState:
+    """Coast on a two-body orbit about the Earth for ``duration`` seconds.
 
     The coast is solved in closed form (universal-variable Kepler equation
     with Lagrange f and g), so its cost does not grow with the duration.
@@ -290,8 +286,6 @@ def propagate_two_body(initial: InertialState, mu: float, duration: float) -> In
     ----------
     initial : InertialState
         State at the start of the segment.
-    mu : float
-        Gravitational parameter, km^3/s^2.
     duration : float
         Segment length, s (>= 0).
 
@@ -312,11 +306,9 @@ def propagate_two_body(initial: InertialState, mu: float, duration: float) -> In
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {duration}")
-    if not 0.0 < mu < math.inf:
-        raise ValueError(f"gravitational parameter must be positive, got {mu}")
     if duration == 0.0:
         return InertialState(initial.epoch, initial.position, initial.velocity)
-    coast = _KeplerCoast(initial, mu)
+    coast = _KeplerCoast(initial)
     position, velocity = coast.state(duration)
     lowest = coast.lowest_radius(duration, position, velocity)
     if lowest < _SURFACE_RADIUS:
@@ -327,9 +319,9 @@ def propagate_two_body(initial: InertialState, mu: float, duration: float) -> In
     return InertialState(initial.epoch + float(duration), position, velocity)
 
 
-def specific_energy(state: InertialState, mu: float) -> float:
-    """Specific orbital energy v^2/2 - mu/r, km^2/s^2."""
-    return 0.5 * float(np.dot(state.velocity, state.velocity)) - mu / float(
+def specific_energy(state: InertialState) -> float:
+    """Specific orbital energy v^2/2 - MU_EARTH/r, km^2/s^2."""
+    return 0.5 * float(np.dot(state.velocity, state.velocity)) - MU_EARTH / float(
         np.linalg.norm(state.position)
     )
 

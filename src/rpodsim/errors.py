@@ -25,7 +25,3 @@ class UnphysicalBurn(RpodError):
     """Raised when a guidance burn reaches the chief's circular speed: the
     relative-motion targeting has left any regime it can model (e.g. legs
     spanning millions of orbits)."""
-
-
-class UsageError(RpodError):
-    """Raised on invalid command-line arguments or configuration."""

@@ -6,8 +6,10 @@ from dataclasses import asdict
 
 import pytest
 
-from rpodsim import CampaignConfig, UsageError
-from rpodsim.cli import CSV_HEADER, RunManifest, emit_results, main, parse_args, validate_suite
+from rpodsim import CampaignConfig
+from rpodsim.cli import (
+    CSV_HEADER, RunManifest, _execute, emit_results, main, parse_args, validate_suite,
+)
 
 
 def test_parse_sweep_grid():
@@ -48,7 +50,7 @@ def test_parse_circumnav():
 
 
 def test_missing_out_is_usage_error():
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         parse_args(["sweep", "--sizes-km", "1", "--impulses", "4"])
 
 
@@ -60,7 +62,7 @@ def test_bad_list_is_usage_error(tmp_path, capsys):
         ["intercept", "--impulses", ""],
         ["intercept", "--impulses", ","],
     ):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_args(argv + ["--out", str(out)])
         assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err.count("\n") == 1
@@ -68,7 +70,7 @@ def test_bad_list_is_usage_error(tmp_path, capsys):
 
 
 def test_unknown_flag_is_usage_error():
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         parse_args(["validate", "--frob"])
 
 
@@ -151,6 +153,22 @@ def test_retired_output_flags_are_usage_errors(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_cw_truth_summary_ratio_of_rounding_is_inf(tmp_path, capsys):
+    # under CW truth the unforced arm's correction is exactly zero but for
+    # ~1e-17 km/s of rounding, which once printed a ratio of ~7e14
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--sizes-km", "10", "--impulses", "4", "--truth", "cw",
+                 "--out", str(out)]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("size=10 km impulses=4: unforced arm uses less dv (")
+    assert line.endswith(" vs 0.0300503 km/s, ratio inf)")
+
+
+def test_unknown_subcommand_is_usage_error():
+    with pytest.raises(ValueError, match="unknown subcommand 'frob'"):
+        _execute(RunManifest("frob", {}, None))
+
+
 def test_intercept_summary_names_unforced(tmp_path, capsys):
     out = tmp_path / "intercept.csv"
     code = main(
@@ -175,7 +193,7 @@ def test_intercept_count_guard(tmp_path, capsys):
 
 def test_empty_result_set_is_usage_error(tmp_path):
     out = tmp_path / "x.csv"
-    with pytest.raises(UsageError, match="empty result set"):
+    with pytest.raises(ValueError, match="empty result set"):
         emit_results([], RunManifest("sweep", {}, str(out)))
     assert not out.exists()
 
@@ -308,6 +326,10 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys):
         (sweep + ["--altitude-km", "1e100"], "below 1e7 ulps"),
         (circle + ["--circle-period-factor", "1e308"],
          "circle_period_factor 1e+308 times the 7631.89 s chief period overflows"),
+        # an altitude whose radius rounds to the Earth's is not above it
+        (circle + ["--altitude-km", "1e-300"],
+         "orbit radius 6378.14 km is not above the Earth surface"),
+        (circle + ["--altitude-km", "0"], "orbit radius 6378.14 km is not above the Earth surface"),
     ):
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err

@@ -54,14 +54,14 @@ def test_chief_state_is_circular():
 
 def test_zero_duration_returns_initial():
     start = chief_state(ORBIT, 0.0)
-    out = propagate_two_body(start, MU_EARTH, 0.0)
+    out = propagate_two_body(start, 0.0)
     assert_allclose(out.position, start.position)
     assert_allclose(out.velocity, start.velocity)
 
 
 def test_circular_orbit_closure():
     start = chief_state(ORBIT, 0.0)
-    end = propagate_two_body(start, MU_EARTH, ORBIT.period)
+    end = propagate_two_body(start, ORBIT.period)
     assert np.linalg.norm(end.position - start.position) < 1e-6
 
 
@@ -72,16 +72,16 @@ def test_eccentric_orbit_closure():
     r_p = 8378.0
     v_p = 1.05 * np.sqrt(MU_EARTH / r_p)
     start = InertialState(0.0, [r_p, 0, 0], [0, v_p, 0])
-    end = propagate_two_body(start, MU_EARTH, period)
+    end = propagate_two_body(start, period)
     assert np.linalg.norm(end.position - start.position) < 1e-5
 
 
 def test_energy_and_momentum_drift_ten_periods():
     start = chief_state(ORBIT, 0.0)
-    end = propagate_two_body(start, MU_EARTH, 10 * ORBIT.period)
-    e0 = specific_energy(start, MU_EARTH)
+    end = propagate_two_body(start, 10 * ORBIT.period)
+    e0 = specific_energy(start)
     h0 = specific_angular_momentum(start)
-    assert abs((specific_energy(end, MU_EARTH) - e0) / e0) < 1e-10
+    assert abs((specific_energy(end) - e0) / e0) < 1e-10
     assert abs((specific_angular_momentum(end) - h0) / h0) < 1e-10
 
 
@@ -109,7 +109,7 @@ def _kepler_position(r_p, v_p, t):
 
 def test_circular_orbit_fractional_period():
     t = FRACTION * ORBIT.period
-    end = propagate_two_body(chief_state(ORBIT, 0.0), MU_EARTH, t)
+    end = propagate_two_body(chief_state(ORBIT, 0.0), t)
     assert np.linalg.norm(end.position - chief_state(ORBIT, t).position) < 1e-6
 
 
@@ -119,16 +119,16 @@ def test_eccentric_orbit_fractional_period():
     v_p = 1.05 * np.sqrt(MU_EARTH / r_p)
     t = FRACTION * 8975.7310046844232
     start = InertialState(0.0, [r_p, 0, 0], [0, v_p, 0])
-    end = propagate_two_body(start, MU_EARTH, t)
+    end = propagate_two_body(start, t)
     assert np.linalg.norm(end.position - _kepler_position(r_p, v_p, t)) < 1e-5
 
 
 def test_energy_and_momentum_drift_fractional_periods():
     start = chief_state(ORBIT, 0.0)
-    end = propagate_two_body(start, MU_EARTH, 10.37 * ORBIT.period)
-    e0 = specific_energy(start, MU_EARTH)
+    end = propagate_two_body(start, 10.37 * ORBIT.period)
+    e0 = specific_energy(start)
     h0 = specific_angular_momentum(start)
-    assert abs((specific_energy(end, MU_EARTH) - e0) / e0) < 1e-10
+    assert abs((specific_energy(end) - e0) / e0) < 1e-10
     assert abs((specific_angular_momentum(end) - h0) / h0) < 1e-10
 
 
@@ -137,7 +137,7 @@ def test_sample_times_and_epochs():
     for t0 in (0.0, 1234.5):
         start = chief_state(ORBIT, t0)
         for t in (100.0, 500.0, 1000.0):
-            end = propagate_two_body(start, MU_EARTH, t)
+            end = propagate_two_body(start, t)
             assert end.epoch == pytest.approx(t0 + t)
             assert np.linalg.norm(end.position) == pytest.approx(ORBIT.radius, abs=1e-6)
 
@@ -191,7 +191,7 @@ def test_kepler_coast_matches_dop853(name):
         method="DOP853", rtol=2.3e-14, atol=1e-14, t_eval=times,
     )
     for i, t in enumerate(times):
-        state = propagate_two_body(start, MU_EARTH, t)
+        state = propagate_two_body(start, t)
         gap = np.linalg.norm(state.position - sol.y[:3, i])
         assert gap < 1e-7 * max(1.0, t / scale), (t / scale, gap)
         assert state.epoch == t
@@ -210,9 +210,9 @@ def test_kepler_coast_composes(start, window):
     # including near-parabolic arcs where the integrator oracle drifts
     rng = np.random.default_rng(3)
     for t1, t2 in rng.uniform(0.0, window, (10, 2)):
-        mid = propagate_two_body(start, MU_EARTH, t1)
-        two = propagate_two_body(mid, MU_EARTH, t2)
-        one = propagate_two_body(start, MU_EARTH, t1 + t2)
+        mid = propagate_two_body(start, t1)
+        two = propagate_two_body(mid, t2)
+        one = propagate_two_body(start, t1 + t2)
         assert np.linalg.norm(two.position - one.position) < 1e-8
 
 
@@ -220,7 +220,7 @@ def test_kepler_coast_returns_after_a_million_periods():
     # an elliptic coast is reduced modulo its period before the solve, so
     # the only error left is the rounding of the period, ~1e-12 s per lap
     start = chief_state(ORBIT, 0.0)
-    end = propagate_two_body(start, MU_EARTH, 1e6 * ORBIT.period)
+    end = propagate_two_body(start, 1e6 * ORBIT.period)
     assert np.linalg.norm(end.position - start.position) < 1e-4
 
 
@@ -270,9 +270,9 @@ def test_coast_floor_is_checked_over_the_whole_arc(nu0, nu1, laps, hits):
     duration = _since_periapsis(nu1) - _since_periapsis(nu0) + laps * _SUB_PERIOD
     if hits:
         with pytest.raises(SingularRadius, match="below the 6378.14 km floor"):
-            propagate_two_body(start, MU_EARTH, duration)
+            propagate_two_body(start, duration)
     else:
-        got = propagate_two_body(start, MU_EARTH, duration)
+        got = propagate_two_body(start, duration)
         assert np.linalg.norm(got.position - end.position) < 1e-8
 
 
@@ -282,16 +282,16 @@ def test_hyperbolic_flyby_floor():
     ecc = 1.0 + 6000.0 / 13000.0
     inbound, outbound = _on_conic(6000.0, ecc, -60), _on_conic(6000.0, ecc, 60)
     assert np.linalg.norm(inbound.position) > R_EARTH
-    propagate_two_body(inbound, MU_EARTH, 1.0)
+    propagate_two_body(inbound, 1.0)
     with pytest.raises(SingularRadius):
-        propagate_two_body(inbound, MU_EARTH, 1e6)
-    propagate_two_body(outbound, MU_EARTH, 1e6)
+        propagate_two_body(inbound, 1e6)
+    propagate_two_body(outbound, 1e6)
 
 
 @pytest.mark.parametrize("duration", [-1.0, np.nan, np.inf])
 def test_rejects_negative_or_non_finite_duration(duration):
     with pytest.raises(ValueError, match="duration must be finite and non-negative"):
-        propagate_two_body(chief_state(ORBIT, 0.0), MU_EARTH, duration)
+        propagate_two_body(chief_state(ORBIT, 0.0), duration)
 
 
 def test_escape_over_an_absurd_window_stops_at_the_anomaly_cap():
@@ -299,7 +299,7 @@ def test_escape_over_an_absurd_window_stops_at_the_anomaly_cap():
     # have changed by ~1e3, past where sinh and cosh overflow
     start = InertialState(0.0, np.array([8378.0, 0.0, 0.0]), np.array([0.0, 15.0, 0.0]))
     with pytest.raises(KeplerNonConvergence, match="hyperbolic anomaly change 1.02e"):
-        propagate_two_body(start, MU_EARTH, 1e300)
+        propagate_two_body(start, 1e300)
 
 
 @pytest.mark.parametrize("duration, message", [
@@ -312,7 +312,7 @@ def test_parabolic_escape_over_an_absurd_window_is_a_kepler_failure(duration, me
     speed = np.sqrt(2.0 * MU_EARTH / 7000.0)
     start = InertialState(0.0, np.array([7000.0, 0.0, 0.0]), np.array([0.0, speed, 0.0]))
     with pytest.raises(KeplerNonConvergence, match=message):
-        propagate_two_body(start, MU_EARTH, duration)
+        propagate_two_body(start, duration)
 
 
 def test_kepler_bracket_search_gives_up_at_the_iteration_cap(monkeypatch):
@@ -323,7 +323,7 @@ def test_kepler_bracket_search_gives_up_at_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(rpodsim.dynamics, "_KEPLER_MAX_ITER", 1)
     start = InertialState(0.0, np.array([7000.0, 0.0, 0.0]), np.array([0.0, 12.0, 0.0]))
     with pytest.raises(KeplerNonConvergence, match="no bracket for a coast of 5000 s"):
-        propagate_two_body(start, MU_EARTH, 5000.0)
+        propagate_two_body(start, 5000.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,12 @@ from rpodsim import (
     RelativeState,
     SingularTransferTime,
     TargetOrbit,
-    chief_state,
     cw_stm,
     cw_target_impulse,
     cw_targeting,
     drift_determinant,
     nmc_initial_state,
     propagate_cw,
-    propagate_two_body,
     waypoints_circle,
     waypoints_line,
     waypoints_nmc,
@@ -137,8 +135,6 @@ def test_rejects_non_positive_transfer_time():
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: TargetOrbit(mu=np.nan), ValueError),
-        (lambda: TargetOrbit(mu=np.inf), ValueError),
         (lambda: TargetOrbit(radius=np.nan), ValueError),
         (lambda: cw_stm(np.nan, 1.0), ValueError),
         (lambda: cw_targeting(N, np.nan), ValueError),
@@ -151,12 +147,10 @@ def test_rejects_non_positive_transfer_time():
         (lambda: waypoints_line((np.nan, 0.0), (0.0, 0.0), 3), ValueError),
         (lambda: cw_stm(N, np.nan), ValueError),
         (lambda: propagate_cw(RelativeState(1.0, 0, 0, 0, 0, 0), N, np.nan), ValueError),
-        (lambda: propagate_two_body(chief_state(ORBIT, 0.0), -1.0, 100.0), ValueError),
     ],
-    ids=["orbit-mu-nan", "orbit-mu-inf", "orbit-radius-nan", "stm-n-nan", "targeting-ts-nan",
+    ids=["orbit-radius-nan", "stm-n-nan", "targeting-ts-nan",
          "targeting-n-nan", "targeting-ts-inf", "nmc-n-nan", "circle-radius-nan",
-         "nmc-x0-nan", "nmc-plan-x0-nan", "line-start-nan", "stm-dt-nan", "cw-coast-dt-nan",
-         "two-body-mu-negative"],
+         "nmc-x0-nan", "nmc-plan-x0-nan", "line-start-nan", "stm-dt-nan", "cw-coast-dt-nan"],
 )
 def test_non_finite_inputs_are_rejected(call, error):
     # each raises with a message of its own, never NaN out or a bare math error
@@ -168,17 +162,15 @@ def test_non_finite_inputs_are_rejected(call, error):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: TargetOrbit(mu=-1.0), ValueError,
-         "gravitational parameter must be positive, got -1.0"),
         (lambda: TargetOrbit(radius=6000.0), ValueError,
-         "orbit radius 6000.0 km is below the Earth surface"),
+         "orbit radius 6000 km is not above the Earth surface"),
         (lambda: cw_stm(0.0, 1.0), ValueError, "mean motion must be positive"),
         (lambda: cw_targeting(N, -1.0), ValueError, "transfer time must be positive"),
         (lambda: nmc_initial_state(1.0, 0.0), ValueError, "mean motion must be positive"),
         (lambda: waypoints_circle(-1.0, 4), ValueError, "radius must be positive"),
         (lambda: waypoints_nmc(0.0, 4), ValueError, "NMC offset x0 must be nonzero"),
     ],
-    ids=["orbit-mu", "orbit-radius", "stm-n", "targeting-ts", "nmc-n", "circle-radius",
+    ids=["orbit-radius", "stm-n", "targeting-ts", "nmc-n", "circle-radius",
          "nmc-plan-offset"],
 )
 def test_bad_finite_inputs_keep_their_messages(call, error, message):
