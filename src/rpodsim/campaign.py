@@ -95,7 +95,6 @@ class CampaignConfig:
             raise ValueError(f"unknown maneuver kind {self.maneuver_kind!r}")
         if self.truth_model not in TRUTH_MODELS:
             raise ValueError(f"unknown truth model {self.truth_model!r}")
-        orbit = TargetOrbit.from_altitude(self.chief_altitude)
         if self.size < 0:
             raise ValueError("size must be non-negative")
         # a zero offset is a legal (null) intercept but a degenerate shape
@@ -125,6 +124,7 @@ class CampaignConfig:
                 raise ValueError("intercept kinds fly one lap: laps must be 1")
         elif self.duration is not None:
             raise ValueError("circumnavigation duration is derived; leave it unset")
+        orbit = TargetOrbit.from_altitude(self.chief_altitude)
         if self.truth_model == "two_body" and 0 < self.size < 1e7 * math.ulp(orbit.radius):
             # the leg lifts the chaser to R + x: an offset this small is rounding
             raise ValueError(

@@ -164,6 +164,17 @@ def test_cw_truth_summary_ratio_of_rounding_is_inf(tmp_path, capsys):
     assert line.endswith(" vs 0.0300503 km/s, ratio inf)")
 
 
+def test_two_body_summary_ratio_of_a_small_resolved_total_is_finite(tmp_path, capsys):
+    # a 1 m offset's unforced correction is a few 1e-12 km/s but resolved:
+    # the rounding floor is relative to the forced arm, not per burn
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--sizes-km", "0.001", "--impulses", "4", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "size=0.001 km impulses=4: unforced arm uses less dv "
+        "(2.99222e-12 vs 3.00503e-06 km/s, ratio 1004280.449)"
+    )
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(ValueError, match="unknown subcommand 'frob'"):
         _execute(RunManifest("frob", {}, None))
