@@ -18,7 +18,7 @@ lap and departure:
 
 * ``nmc_unforced``: the NMC ellipse, one chief period per lap, inserted
   already carrying the NMC velocity.
-* ``circle_forced``: the circle, ``circle_period_factor`` periods per lap,
+* ``circle_forced``: the circle, one chief period per lap like the NMC,
   inserted carrying the first leg's targeting velocity from rest.
 * intercepts: the straight line from (size, 0) to the chief over
   ``duration`` in one lap; the chaser starts at rest and its departure
@@ -84,7 +84,6 @@ class CampaignConfig:
     duration: Optional[float] = None
     truth_model: str = "two_body"
     laps: int = 1
-    circle_period_factor: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -115,8 +114,6 @@ class CampaignConfig:
                 f"laps x impulse_count = {self.laps * self.impulse_count} exceeds "
                 f"the {MAX_LEGS} legs a campaign may fly"
             )
-        if self.circle_period_factor <= 0:
-            raise ValueError("circle period factor must be positive")
         if self.maneuver_kind in INTERCEPT_KINDS:
             if self.duration is None or self.duration <= 0:
                 raise ValueError("intercept kinds require a positive duration")
@@ -131,10 +128,6 @@ class CampaignConfig:
                 f"size {self.size:.6g} km is below 1e7 ulps of the {orbit.radius:.6g} km "
                 f"chief radius, which two-body truth cannot resolve"
             )
-        lap = self.circle_period_factor * orbit.period
-        if self.maneuver_kind == "circle_forced" and not math.isfinite(lap):
-            raise ValueError(f"circle_period_factor {self.circle_period_factor:g} times "
-                             f"the {orbit.period:.6g} s chief period overflows")
 
 
 @dataclass(frozen=True)
@@ -201,16 +194,15 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     """
     orbit = TargetOrbit.from_altitude(config.chief_altitude)
     n, m, kind = orbit.n, config.impulse_count, config.maneuver_kind
-    if kind == "nmc_unforced":
-        lap, plan = orbit.period, waypoints_nmc(config.size, m)
-    elif kind == "circle_forced":
-        lap, plan = config.circle_period_factor * orbit.period, waypoints_circle(config.size, m)
+    closed = kind in CIRCUMNAV_KINDS
+    if closed:
+        lap = orbit.period
+        plan = (waypoints_nmc if kind == "nmc_unforced" else waypoints_circle)(config.size, m)
     else:
         lap, plan = float(config.duration), waypoints_line((config.size, 0.0), (0.0, 0.0), m + 1)
     tau = lap / m
     law = cw_targeting(n, tau)
     rel = RelativeState(*plan[0], 0.0, 0.0, 0.0, 0.0)  # at rest at the plan's start
-    closed = kind in CIRCUMNAV_KINDS
     cap = orbit.circular_speed
     insertion_dv = 0.0
     if closed:  # inserted by a burn at 0: onto the NMC, or along the first leg from rest
@@ -267,10 +259,10 @@ def sweep_circumnavigation(
     """Run forced and unforced circumnavigations over a (size, count) grid.
 
     ``settings`` are further ``CampaignConfig`` fields shared by every cell
-    (``truth_model``, ``laps``, ``circle_period_factor``).  Rows are ordered
-    size-major, then impulse count, with the forced run preceding the
-    unforced run in every cell.  Every cell is configured, and so
-    validated, before any is flown.
+    (``truth_model``, ``laps``).  Both arms of a cell fly one chief period
+    per lap, so they share tau.  Rows are ordered size-major, then impulse
+    count, with the forced run preceding the unforced run in every cell.
+    Every cell is configured, and so validated, before any is flown.
     """
     if not sizes or not impulse_counts:
         raise ValueError("sweep grids must be non-empty")

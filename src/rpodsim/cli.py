@@ -99,13 +99,6 @@ def _add_common(sub):
     sub.add_argument("--out", required=True, help="output file path")
 
 
-def _add_circumnav_settings(sub):
-    sub.add_argument("--laps", type=int, default=1)
-    sub.add_argument("--circle-period-factor", type=float, default=1.0,
-                     help="forced-circle traversal period as a multiple of "
-                          "the chief period (default 1.0)")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rpodsim", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -118,7 +111,8 @@ def _build_parser() -> _Parser:
                       help="NMC semi-minor axis / circle radius")
     circ.add_argument("--impulses", dest="impulse_count", type=int, required=True,
                       help="correction burns per lap")
-    _add_circumnav_settings(circ)
+    circ.add_argument("--laps", type=int, default=1,
+                      help="laps flown, one chief period each (default 1)")
     _add_common(circ)
 
     inter = subs.add_parser("intercept", help="paired intercept comparison")
@@ -135,7 +129,8 @@ def _build_parser() -> _Parser:
                        help="comma-separated sizes")
     sweep.add_argument("--impulses", dest="impulse_counts", type=_list_of(int), required=True,
                        help="comma-separated burn counts")
-    _add_circumnav_settings(sweep)
+    sweep.add_argument("--laps", type=int, default=1,
+                       help="laps each campaign flies, one chief period each (default 1)")
     _add_common(sweep)
 
     subs.add_parser("validate", help="run built-in self-checks")
@@ -198,10 +193,12 @@ def _summaries(results: Sequence[CampaignResult]) -> List[str]:
 
 def _pair_line(unforced: CampaignResult, forced: CampaignResult) -> str:
     lo, hi = sorted((unforced, forced), key=lambda r: r.total_dv)
+    head = f"size={forced.config.size:g} km impulses={forced.config.impulse_count}: "
+    if hi.total_dv == 0:  # a null transfer: neither arm is cheaper
+        return head + "neither arm uses dv (0 vs 0 km/s)"
     winner = "unforced" if "unforced" in lo.config.maneuver_kind else "forced"
     ratio = math.inf if lo.total_dv <= _DV_ROUND_REL * hi.total_dv else hi.total_dv / lo.total_dv
-    return (
-        f"size={forced.config.size:g} km impulses={forced.config.impulse_count}: "
+    return head + (
         f"{winner} arm uses less dv "
         f"({lo.total_dv:.6g} vs {hi.total_dv:.6g} km/s, ratio {ratio:.3f})"
     )

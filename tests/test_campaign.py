@@ -133,9 +133,11 @@ def test_deterministic_rerun():
 
 
 def test_impulse_count_per_lap():
-    result = run_campaign(unforced(10.0, 4, laps=3))
-    assert len(result.impulses) == 12
-    assert result.duration == pytest.approx(3 * ORBIT.period)
+    # either circumnavigation flies one chief period a lap
+    for config in (unforced(10.0, 4, laps=3), forced(10.0, 4, laps=3)):
+        result = run_campaign(config)
+        assert len(result.impulses) == 12
+        assert result.duration == pytest.approx(3 * ORBIT.period)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +345,8 @@ def test_free_drift_divergence_small_at_small_separation():
 def test_intercept_null_transfer_is_free():
     unforced_arm, forced_arm = intercept_experiment(0.0, 3600.0, [4], 2000.0)
     assert unforced_arm.total_dv == 0.0
-    # the forced arm re-reads the truth state between legs, so integrator
-    # noise at the co-moving equilibrium shows up at the 1e-11 level
+    # the legs are closed form; the forced arm's ~1e-14 km/s is the rounding
+    # of lifting the chaser at rest at the chief to R + x and reading it back
     assert forced_arm.total_dv < 1e-9
 
 

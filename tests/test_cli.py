@@ -138,15 +138,17 @@ def test_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_retired_output_flags_are_usage_errors(tmp_path, capsys):
+def test_retired_flags_are_usage_errors(tmp_path, capsys):
     # the CSV row is the one output: its total excludes the insertion, which
-    # has its own column, and no other file format is written
+    # has its own column, and no other file format is written; the forced
+    # circle flies one chief period a lap, like the NMC it is compared with
     out = tmp_path / "x.csv"
     for argv in (
         ["circumnav", "--kind", "forced", "--size-km", "5", "--impulses", "4"],
         ["sweep", "--sizes-km", "5", "--impulses", "4"],
     ):
-        for flags in (["--format", "json"], ["--format", "csv"], ["--count-insertion-dv"]):
+        for flags in (["--format", "json"], ["--format", "csv"], ["--count-insertion-dv"],
+                      ["--circle-period-factor", "1.0"]):
             assert main(argv + flags + ["--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert err == f"usage error: unrecognized arguments: {' '.join(flags)}\n"
@@ -173,6 +175,16 @@ def test_two_body_summary_ratio_of_a_small_resolved_total_is_finite(tmp_path, ca
         "size=0.001 km impulses=4: unforced arm uses less dv "
         "(2.99222e-12 vs 3.00503e-06 km/s, ratio 1004280.449)"
     )
+
+
+def test_null_intercept_summary_names_no_winner(tmp_path, capsys):
+    # from the chief to the chief under CW truth both totals are exactly 0:
+    # neither arm is cheaper, and 0 over 0 is no ratio
+    out = tmp_path / "x.csv"
+    assert main(["intercept", "--offset-km", "0", "--impulses", "4", "--truth", "cw",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "size=0 km impulses=4: neither arm uses dv (0 vs 0 km/s)\n"
+    assert [line.split(",")[4] for line in out.read_text().splitlines()[1:]] == ["0", "0"]
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -323,9 +335,7 @@ def test_singular_window_message_is_short(tmp_path, capsys):
 def test_non_finite_input_is_usage_error(tmp_path, capsys):
     # an altitude above ~5.6e102 km is finite, but its orbit radius cubed is
     # not; well below that, a 10 km offset added to the orbit radius is lost
-    # to rounding, and two-body truth once flew it to a 3.96e84 km miss; a
-    # finite circle period factor whose lap overflows once stopped at the
-    # targeting law with a message that named neither the flag nor the overflow
+    # to rounding, and two-body truth once flew it to a 3.96e84 km miss
     out = tmp_path / "x.csv"
     circle = ["circumnav", "--kind", "forced", "--size-km", "10", "--impulses", "4"]
     sweep = ["sweep", "--sizes-km", "10", "--impulses", "4"]
@@ -335,8 +345,6 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys):
         (sweep + ["--altitude-km", "1e154"], "its cube leaves double range"),
         (circle + ["--altitude-km", "1e25"], "below 1e7 ulps"),
         (sweep + ["--altitude-km", "1e100"], "below 1e7 ulps"),
-        (circle + ["--circle-period-factor", "1e308"],
-         "circle_period_factor 1e+308 times the 7631.89 s chief period overflows"),
         # an altitude whose radius rounds to the Earth's is not above it
         (circle + ["--altitude-km", "1e-300"],
          "orbit radius 6378.14 km is not above the Earth surface"),

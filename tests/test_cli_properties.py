@@ -53,7 +53,7 @@ COMMON = _flags(**{
     "--altitude-km": _float(200.0, 40000.0),
     "--truth": st.sampled_from(["two-body", "cw"]),
 })
-CIRCUMNAV_SETTINGS = _flags(**{"--laps": _int(1, 2), "--circle-period-factor": _float(0.3, 3.0)})
+CIRCUMNAV_SETTINGS = _flags(**{"--laps": _int(1, 2)})
 
 CIRCUMNAV = st.tuples(
     st.just(["circumnav", "--kind"]),
