@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -143,6 +144,8 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
     params = vars(_build_parser().parse_args(argv))
     subcommand = params.pop("subcommand")
     output_path = params.pop("out", None)
+    if output_path is not None:
+        _check_output_path(output_path)
     if "truth_model" in params:
         params["truth_model"] = params["truth_model"].replace("-", "_")
     if "maneuver_kind" in params:
@@ -150,6 +153,18 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
     if "duration" in params:  # minutes on the command line, seconds in the library
         params["duration"] = params["duration"] * 60.0
     return RunManifest(subcommand, params, output_path)
+
+
+def _check_output_path(path: str) -> None:
+    """Reject an --out that cannot be written as a file before any campaign
+    flies; other write failures surface at the write."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+    parent, name = os.path.split(path)
+    if not name:
+        raise ValueError(f"--out {path!r} names no file")
+    if not os.path.isdir(parent or "."):
+        raise ValueError(f"--out {path!r}: no directory {parent!r}")
 
 
 def _execute(manifest: RunManifest) -> List[CampaignResult]:

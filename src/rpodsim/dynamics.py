@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  wrapped by perfbench/spans.py
 
 from .constants import MU_EARTH, R_EARTH
 from .errors import KeplerNonConvergence, SingularRadius
@@ -39,6 +38,21 @@ _MAX_HYPERBOLIC_ANOMALY = 700.0
 # km; the mean motion needs radius**3, which leaves double range above this
 _MAX_RADIUS = float(np.finfo(float).max) ** (1.0 / 3.0)
 _SQRT_MU = math.sqrt(MU_EARTH)
+
+
+def __getattr__(name: str):
+    """PEP 562: bind scipy's ``solve_ivp`` on its first look-up, never on import.
+
+    Nothing here calls it; ``perfbench/spans.py`` looks it up to count
+    integrator work. The binding goes once that tracer tolerates a name that
+    does not resolve.
+    """
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        globals()[name] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,43 @@ def test_usage_error_exit_code(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_out", ["{tmp}/no_such_dir/x.csv", "{tmp}", "{tmp}/x.csv/", ""],
+                         ids=["missing_dir", "a_dir", "trailing_slash", "empty"])
+def test_unwritable_out_stops_the_run_before_any_campaign(bad_out, monkeypatch, tmp_path,
+                                                          capsys):
+    # an --out that cannot be a file once failed with exit 2 only at the
+    # write, after every campaign of the run had flown
+    import rpodsim.campaign
+
+    flown = []
+    monkeypatch.setattr(rpodsim.campaign, "run_campaign", flown.append)
+    argv = ["sweep", "--sizes-km", "10", "--impulses", "4", "--truth", "cw",
+            "--out", bad_out.format(tmp=tmp_path)]
+    with pytest.raises(ValueError, match="--out"):
+        parse_args(argv)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --out ")
+    assert err.count("\n") == 1
+    assert flown == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_is_runtime_error(monkeypatch, tmp_path, capsys):
+    # an --out that passes the path check can still fail at the write, for
+    # instance without permission: that stays exit 2
+    import rpodsim.cli
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(rpodsim.cli, "open", refuse, raising=False)
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--sizes-km", "10", "--impulses", "4", "--truth", "cw", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{out}'\n"
+
+
 def test_csv_output_schema(tmp_path):
     out = tmp_path / "run.csv"
     code = main(

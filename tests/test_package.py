@@ -1,7 +1,18 @@
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import rpodsim
+import rpodsim.dynamics
+
+SRC = Path(rpodsim.__file__).resolve().parents[1]
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_every_export_has_a_caller_in_the_package():
@@ -34,3 +45,57 @@ def test_every_exported_exception_is_raised_in_the_package():
     assert exceptions
     assert [t.__name__ for t in exceptions
             if not any(issubclass(r, t) for r in raised_types)] == []
+
+
+# Imports the CLI and flies every subcommand under both truths in one fresh
+# process, then prints the scipy modules that process loaded.
+_FLY_EVERY_SUBCOMMAND = """
+import contextlib, io, json, sys
+import rpodsim.cli as cli
+out = sys.argv[1]
+runs = [["validate"]]
+for truth in ("two-body", "cw"):
+    runs += [
+        ["circumnav", "--kind", "forced", "--size-km", "10", "--impulses", "4",
+         "--truth", truth, "--out", f"{out}/circumnav-{truth}.csv"],
+        ["intercept", "--impulses", "2,4", "--truth", truth,
+         "--out", f"{out}/intercept-{truth}.csv"],
+        ["sweep", "--sizes-km", "1,10", "--impulses", "4", "--truth", truth,
+         "--out", f"{out}/sweep-{truth}.csv"],
+    ]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_the_flown_path_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: importing and running the program
+    # must not load it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _FLY_EVERY_SUBCOMMAND, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0] * 7
+    assert report["scipy"] == []
+
+
+def test_dynamics_binds_solve_ivp_on_first_look_up():
+    # the benchmark's tracer counts integrator work through this binding
+    import scipy.integrate
+
+    assert rpodsim.dynamics.solve_ivp is scipy.integrate.solve_ivp
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rpodsim.dynamics.no_such_name
+
+
+def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+
+    def names(requirements):
+        return [re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements]
+
+    assert "scipy" not in names(project["dependencies"])
+    assert "scipy" in names(project["optional-dependencies"]["test"])
