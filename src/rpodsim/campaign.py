@@ -41,13 +41,11 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .dynamics import TargetOrbit, propagate_cw, propagate_two_body
+from .dynamics import TargetOrbit, cw_coast, propagate_two_body
 from .errors import UnphysicalBurn
 from .frames import RelativeState, eci_to_hill, hill_to_eci
 # bound here only because perfbench/spans.py wraps them here
-from .dynamics import chief_state  # noqa: F401
+from .dynamics import chief_state, propagate_cw  # noqa: F401
 from .frames import hill_basis  # noqa: F401
 from .guidance import (
     ImpulseRecord,
@@ -161,9 +159,8 @@ def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
     flown from 0 turned with the chief's frame: the two-body leg lifts the
     chaser at epoch 0, coasts it, and reads it back at tau.
     """
-    n = orbit.n
     if model == "cw":
-        return lambda rel: propagate_cw(rel, n, tau)
+        return cw_coast(orbit.n, tau)
     return lambda rel: eci_to_hill(orbit, propagate_two_body(hill_to_eci(orbit, 0.0, rel), tau))
 
 
@@ -180,8 +177,8 @@ def _burn(rel: RelativeState, record: ImpulseRecord, cap: float) -> RelativeStat
             f"burn of {record.magnitude:.6g} km/s at t = {record.t:.6g} s reaches "
             f"the chief's circular speed {cap:.6g} km/s"
         )
-    dv = record.dv
-    return RelativeState(rel.x, rel.y, rel.z, rel.vx + dv[0], rel.vy + dv[1], rel.vz + dv[2])
+    dx, dy, dz = record.dv.tolist()
+    return RelativeState(rel.x, rel.y, rel.z, rel.vx + dx, rel.vy + dy, rel.vz + dz)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -229,7 +226,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     for k in range(1, legs + 1):
         rel = coast(rel)
         x, y = plan[k % len(plan)]
-        max_miss = max(max_miss, float(np.hypot(rel.x - x, rel.y - y)))
+        max_miss = max(max_miss, math.hypot(rel.x - x, rel.y - y))
         samples.append((k * tau, rel))
         if closed or k < legs:
             rel = steer(rel, k)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -381,6 +381,26 @@ def cw_stm(n: float, dt: float) -> np.ndarray:
     return m
 
 
+def cw_coast(n: float, dt: float) -> Callable[[RelativeState], RelativeState]:
+    """Uncontrolled CW motion over dt, as float arithmetic on a state.
+
+    The nonzero coefficients of :func:`cw_stm` are read out once (``ab``
+    carries component b into a; u, v, w stand for vx, vy, vz), so a caller
+    that coasts many legs of one length pays for the matrix once.
+    """
+    m = cw_stm(n, dt).tolist()
+    (xx, _, _, xu, xv, _), (yx, yy, _, yu, yv, _), (_, _, zz, _, _, zw) = m[:3]
+    (ux, _, _, uu, uv, _), (vx, _, _, vu, vv, _), (_, _, wz, _, _, ww) = m[3:]
+
+    def coast(rel: RelativeState) -> RelativeState:
+        x, y, z, u, v, w = rel.x, rel.y, rel.z, rel.vx, rel.vy, rel.vz
+        return RelativeState(xx * x + xu * u + xv * v, yx * x + yy * y + yu * u + yv * v,
+                             zz * z + zw * w, ux * x + uu * u + uv * v,
+                             vx * x + vu * u + vv * v, wz * z + ww * w)
+
+    return coast
+
+
 def propagate_cw(rel: RelativeState, n: float, dt: float) -> RelativeState:
     """Uncontrolled CW propagation by the closed-form transition matrix."""
-    return RelativeState.from_vector(cw_stm(n, dt) @ rel.vector)
+    return cw_coast(n, dt)(rel)

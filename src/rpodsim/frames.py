@@ -53,9 +53,10 @@ class InertialState:
     def __post_init__(self):
         object.__setattr__(self, "position", _vec3(self.position))
         object.__setattr__(self, "velocity", _vec3(self.velocity))
-        if not (np.isfinite(self.position).all() and np.isfinite(self.velocity).all()):
+        components = self.position.tolist() + self.velocity.tolist()
+        if not all(map(math.isfinite, components)):
             raise ValueError("state components must be finite")
-        if np.linalg.norm(self.position) == 0.0:
+        if not any(components[:3]):
             raise ValueError("position magnitude must be positive")
 
 

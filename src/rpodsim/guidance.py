@@ -12,7 +12,7 @@ decides when each point is due.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +22,8 @@ from .errors import SingularTransferTime
 from .frames import RelativeState
 
 _DET_RTOL = 1e-12
+# a 2x2 matrix as its entries in row-major order
+Matrix2 = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -30,13 +32,12 @@ class ImpulseRecord:
 
     t: float
     dv: np.ndarray
+    magnitude: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dv", np.asarray(self.dv, dtype=float))
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.dv))
+        dv = np.asarray(self.dv, dtype=float)
+        object.__setattr__(self, "dv", dv)
+        object.__setattr__(self, "magnitude", math.hypot(*dv.tolist()))
 
 
 def nmc_initial_state(x0: float, n: float) -> RelativeState:
@@ -70,12 +71,14 @@ def drift_determinant(theta: float) -> float:
     return 8.0 * (1.0 - np.cos(theta)) - 3.0 * theta * np.sin(theta)
 
 
-def cw_targeting(n: float, ts: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The CW targeting law for transfers of length ts: the blocks (A, B).
+def cw_targeting(n: float, ts: float) -> Tuple[Matrix2, Matrix2]:
+    """The CW targeting law for transfers of length ts: A and B^-1.
 
     A and B are the in-plane position/position and position/velocity
     blocks of the CW transition matrix over ts, so a departure from p0
-    with in-plane velocity v0 arrives at A p0 + B v0.
+    with in-plane velocity v0 arrives at A p0 + B v0.  B is inverted once,
+    in closed form on its entries times n, which are dimensionless and so
+    keep every product in double range.
 
     Raises
     ------
@@ -92,18 +95,20 @@ def cw_targeting(n: float, ts: float) -> Tuple[np.ndarray, np.ndarray]:
         raise SingularTransferTime(
             f"transfer angle n*ts = {theta:.6g} rad is a targeting singularity"
         )
-    stm = cw_stm(n, ts)
-    return stm[:2, :2], stm[:2, 3:5]
+    (a00, a01, _, b00, b01, _), (a10, a11, _, b10, b11, _) = cw_stm(n, ts).tolist()[:2]
+    b00, b01, b10, b11 = b00 * n, b01 * n, b10 * n, b11 * n
+    k = n / (b00 * b11 - b01 * b10)
+    return (a00, a01, a10, a11), (b11 * k, -b01 * k, -b10 * k, b00 * k)
 
 
 def cw_target_impulse(
     rel_now: RelativeState, target: Sequence[float], t: float,
-    law: Tuple[np.ndarray, np.ndarray],
+    law: Tuple[Matrix2, Matrix2],
 ) -> Tuple[ImpulseRecord, Tuple[float, float]]:
     """Single-impulse transfer to an in-plane target under a targeting law.
 
     Solves the 2x2 linear system  B v0+ = p_f - A p0  for the departure
-    velocity v0+, where ``law = (A, B)`` comes from :func:`cw_targeting`.
+    velocity v0+, where ``law = (A, B^-1)`` comes from :func:`cw_targeting`.
     The impulse, stamped ``t``, is the in-plane velocity change v0+ - v0-;
     the cross-track channel is left untouched.
 
@@ -112,11 +117,11 @@ def cw_target_impulse(
     (ImpulseRecord, (vx_plus, vy_plus))
         The impulse and the post-impulse in-plane velocity.
     """
-    a, b = law
-    p0 = np.array([rel_now.x, rel_now.y])
-    v_plus = np.linalg.solve(b, np.array(target) - a @ p0)
-    dv = np.array([v_plus[0] - rel_now.vx, v_plus[1] - rel_now.vy, 0.0])
-    return ImpulseRecord(t=t, dv=dv), (float(v_plus[0]), float(v_plus[1]))
+    (a00, a01, a10, a11), (i00, i01, i10, i11) = law
+    x, y = rel_now.x, rel_now.y
+    rx, ry = target[0] - (a00 * x + a01 * y), target[1] - (a10 * x + a11 * y)
+    vx, vy = i00 * rx + i01 * ry, i10 * rx + i11 * ry
+    return ImpulseRecord(t, np.array([vx - rel_now.vx, vy - rel_now.vy, 0.0])), (vx, vy)
 
 
 def _check_count(count: int, minimum: int) -> None:
@@ -138,8 +143,8 @@ def waypoints_circle(radius: float, count: int) -> List[Point]:
     _check_count(count, 3)
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be positive")
-    phis = [-2.0 * np.pi * k / count for k in range(count)]
-    return [(radius * np.cos(phi), radius * np.sin(phi)) for phi in phis]
+    phis = [-2.0 * math.pi * k / count for k in range(count)]
+    return [(radius * math.cos(phi), radius * math.sin(phi)) for phi in phis]
 
 
 def waypoints_nmc(x0: float, count: int) -> List[Point]:
@@ -152,16 +157,15 @@ def waypoints_nmc(x0: float, count: int) -> List[Point]:
     _check_count(count, 3)
     if not 0.0 < abs(x0) < math.inf:
         raise ValueError("NMC offset x0 must be nonzero")
-    nts = [2.0 * np.pi * k / count for k in range(count)]
-    return [(x0 * np.cos(nt), -2.0 * x0 * np.sin(nt)) for nt in nts]
+    nts = [2.0 * math.pi * k / count for k in range(count)]
+    return [(x0 * math.cos(nt), -2.0 * x0 * math.sin(nt)) for nt in nts]
 
 
 def waypoints_line(start, end, count: int) -> List[Point]:
     """``count`` points uniformly spaced along a segment, endpoints inclusive."""
     _check_count(count, 2)
-    p0 = np.asarray(start, dtype=float)
-    p1 = np.asarray(end, dtype=float)
-    if not np.isfinite([p0, p1]).all():
+    (x0, y0), (x1, y1) = map(float, start), map(float, end)
+    if not all(map(math.isfinite, (x0, y0, x1, y1))):
         raise ValueError("line endpoints must be finite")
     fs = [k / (count - 1) for k in range(count)]
-    return [tuple((1.0 - f) * p0 + f * p1) for f in fs]
+    return [((1.0 - f) * x0 + f * x1, (1.0 - f) * y0 + f * y1) for f in fs]

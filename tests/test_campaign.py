@@ -207,17 +207,41 @@ def test_cw_truth_samples_are_self_consistent():
 
 def test_targeting_law_is_built_once_per_campaign(monkeypatch):
     # tau is fixed for a whole campaign, so its CW transition matrix is
-    # built once, not once per burn (the CW coast builds its own, through
-    # rpodsim.dynamics)
+    # built once for the targeting law (through rpodsim.guidance) and, under
+    # CW truth, once for the coast (through rpodsim.dynamics): not once per
+    # burn or leg
+    import rpodsim.dynamics
     import rpodsim.guidance
 
-    calls = []
-    original = rpodsim.guidance.cw_stm
-    monkeypatch.setattr(rpodsim.guidance, "cw_stm",
-                        lambda *args: calls.append(args) or original(*args))
+    calls = {rpodsim.guidance: [], rpodsim.dynamics: []}
+    for module, log in calls.items():
+        original = module.cw_stm
+        monkeypatch.setattr(module, "cw_stm",
+                            lambda *args, f=original, log=log: log.append(args) or f(*args))
     result = run_campaign(unforced(20.0, 8, truth="cw", laps=2))
     assert len(result.impulses) == 16
-    assert calls == [(ORBIT.n, ORBIT.period / 8)]
+    assert list(calls.values()) == [[(ORBIT.n, ORBIT.period / 8)]] * 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        forced(20.0, 8, truth="cw", laps=2),
+        unforced(20.0, 8),
+        CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0),
+    ],
+    ids=lambda config: f"{config.maneuver_kind}-{config.truth_model}",
+)
+def test_flown_states_and_burns_are_python_floats(config):
+    # the leg loop runs on Python floats; a numpy scalar let in by a plan
+    # point or a burn would make every later coast and burn numpy-scalar
+    # arithmetic (np.float64 is a float subclass, so the type is compared)
+    result = run_campaign(config)
+    values = [v for _, rel in result.samples for v in vars(rel).values()]
+    values += [record.magnitude for record in result.impulses]
+    values += [result.total_dv, result.insertion_dv, result.max_waypoint_miss]
+    assert len(values) == 6 * len(result.samples) + len(result.impulses) + 3
+    assert {type(v) for v in values} == {float}
 
 
 @pytest.mark.parametrize(

@@ -311,6 +311,39 @@ def test_validate_detects_flipped_frame_term(monkeypatch, capsys):
     assert "FAIL  two-body leg departs from CW as ρ²" in stdout
 
 
+@pytest.mark.parametrize(
+    "term, failing, passing",
+    [
+        # the along-track drift from vy, which the NMC's y' = -2 n x cancels
+        ("+ yv * v", "closed relative orbit", None),
+        # the vx-from-vy coupling 2 sin(nt) vanishes over a whole period, so
+        # only the zero-mismatch campaign's P/8 legs can see it
+        ("+ uv * v", "zero-mismatch campaign", "closed relative orbit"),
+    ],
+    ids=["along_track_drift", "vx_vy_coupling"],
+)
+def test_validate_detects_a_sign_flip_in_the_flown_cw_leg(term, failing, passing, monkeypatch,
+                                                            capsys):
+    # the coast that campaigns fly is compiled again with one term's sign
+    # flipped, and bound wherever the package looks it up
+    import inspect
+
+    import rpodsim.campaign
+    import rpodsim.dynamics
+
+    source = inspect.getsource(rpodsim.dynamics.cw_coast)
+    assert source.count(term) == 1
+    namespace = dict(vars(rpodsim.dynamics))
+    exec(source.replace(term, "-" + term[1:]), namespace)
+    for module in (rpodsim.dynamics, rpodsim.campaign):
+        monkeypatch.setattr(module, "cw_coast", namespace["cw_coast"])
+    assert main(["validate"]) == 3
+    stdout = capsys.readouterr().out
+    assert f"FAIL  {failing}" in stdout
+    if passing:
+        assert f"PASS  {passing}" in stdout
+
+
 def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
     import rpodsim.cli
     from rpodsim import KeplerNonConvergence

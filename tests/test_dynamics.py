@@ -422,6 +422,23 @@ def test_propagate_cw_matches_ode_quarter_period():
     assert np.max(np.abs(out.vector - sol.y[:, -1])) < 1e-10
 
 
+def test_propagate_cw_matches_the_transition_matrix():
+    # the coast applies cw_stm's nonzero coefficients as float multiply-adds;
+    # each row is a dot product of at most four terms, so each evaluation is
+    # within 2 eps sum_j |m_ij s_j| of exact (gamma_4 of Higham, "Accuracy and
+    # Stability of Numerical Algorithms", 3.1) and the two within 4 eps
+    n = ORBIT.n
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(17)
+    for theta in [*np.linspace(0.0, 25.2, 200), 2 * np.pi * (1 + 1e-9), 1e3, 1e5]:
+        stm = cw_stm(n, theta / n)
+        for _ in range(10):
+            s = rng.uniform(-100, 100, 6) * np.array([1, 1, 1, 1e-2, 1e-2, 1e-2])
+            got = propagate_cw(RelativeState(*s.tolist()), n, theta / n)
+            assert np.all(np.abs(got.vector - stm @ s) <= 4 * eps * (np.abs(stm) @ np.abs(s)))
+            assert {type(v) for v in vars(got).values()} == {float}
+
+
 def test_nmc_closes_after_one_period():
     rel = nmc_initial_state(1.0, ORBIT.n)
     after = propagate_cw(rel, ORBIT.n, ORBIT.period)

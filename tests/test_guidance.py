@@ -127,6 +127,53 @@ def test_targeting_is_linear_in_state_and_target():
     assert_allclose(rec2.dv, 2.0 * rec1.dv, rtol=1e-12)
 
 
+def _determinant_roots(lo, hi):
+    """Every root of the targeting determinant in (lo, hi): bracketed by its
+    sign changes on a fine grid, then bisected to rounding."""
+    thetas = np.linspace(lo, hi, 100_000)
+    dets = drift_determinant(thetas)
+    roots = []
+    for i in np.nonzero(np.sign(dets[:-1]) != np.sign(dets[1:]))[0]:
+        a, b = float(thetas[i]), float(thetas[i + 1])
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if np.sign(drift_determinant(mid)) == np.sign(dets[i]) else (a, mid)
+        roots.append(a)
+    return roots
+
+
+def test_targeting_matches_numpy_solve_up_to_near_singular_angles():
+    # the law inverts B once in closed form; the reference solves B v = p_f - A p0
+    # with np.linalg.solve on cw_stm's blocks.  Both are stable 2x2 solves, so
+    # they agree to the first-order perturbation bound, in 2-norms,
+    #   |v - v_ref| <= 4 eps |B^-1| (|B| |v_ref| + |p_f| + |A| |p0|);
+    # the worst case seen is 0.8 of it
+    roots = _determinant_roots(0.05, 25.2)
+    # 2 pi k for k = 1..4, and the three interior roots between them
+    assert len(roots) == 7
+    assert [round(r / (2 * np.pi), 9) for r in roots[::2]] == [1.0, 2.0, 3.0, 4.0]
+    thetas = list(np.linspace(0.05, 25.2, 200))
+    thetas += [r * (1.0 + e) for r in roots for e in (-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3)]
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(2718)
+    for theta in thetas:
+        ts = theta / N
+        law = cw_targeting(N, ts)
+        stm = cw_stm(N, ts)
+        a, b = stm[:2, :2], stm[:2, 3:5]
+        for _ in range(10):
+            p0, v0, target = rng.uniform(-100, 100, 2), rng.uniform(-0.1, 0.1, 2), \
+                rng.uniform(-100, 100, 2)
+            rel = RelativeState(*p0.tolist(), 0.0, *v0.tolist(), 0.0)
+            record, v_plus = cw_target_impulse(rel, tuple(target.tolist()), 0.0, law)
+            reference = np.linalg.solve(b, target - a @ p0)
+            bound = 4 * eps * np.linalg.norm(np.linalg.inv(b), 2) * (
+                np.linalg.norm(b, 2) * np.linalg.norm(reference) + np.linalg.norm(target)
+                + np.linalg.norm(a, 2) * np.linalg.norm(p0))
+            assert np.linalg.norm(np.subtract(v_plus, reference)) <= bound, theta
+            assert record.dv.tolist() == [v_plus[0] - v0[0], v_plus[1] - v0[1], 0.0]
+
+
 def test_rejects_non_positive_transfer_time():
     with pytest.raises(ValueError):
         cw_targeting(N, 0.0)
