@@ -204,7 +204,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     insertion_dv = 0.0
     if closed:  # inserted by a burn at 0: onto the NMC, or along the first leg from rest
         if kind == "nmc_unforced":
-            insertion = ImpulseRecord(0.0, nmc_initial_state(config.size, n).velocity)
+            insertion = ImpulseRecord(0.0, nmc_initial_state(config.size, n)[3:])
         else:
             insertion, _ = cw_target_impulse(rel, plan[1], 0.0, law)
         rel = _burn(rel, insertion, cap)

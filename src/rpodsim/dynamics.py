@@ -15,9 +15,10 @@ by the campaign layer between propagation segments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ _KEPLER_RTOL = 1e-12
 # changes by more than this has left any physically meaningful range
 _MAX_HYPERBOLIC_ANOMALY = 700.0
 # km; the mean motion needs radius**3, which leaves double range above this
-_MAX_RADIUS = float(np.finfo(float).max) ** (1.0 / 3.0)
+_MAX_RADIUS = sys.float_info.max ** (1.0 / 3.0)
 _SQRT_MU = math.sqrt(MU_EARTH)
 
 
@@ -85,7 +86,7 @@ class TargetOrbit:
     @property
     def period(self) -> float:
         """Orbital period 2*pi/n, s."""
-        return 2.0 * np.pi / self.n
+        return 2.0 * math.pi / self.n
 
     @cached_property
     def circular_speed(self) -> float:
@@ -100,14 +101,10 @@ def chief_state(orbit: TargetOrbit, t: float) -> InertialState:
     relative-state readout isolates chaser-side effects.
     """
     theta = orbit.n * t
-    c, s = np.cos(theta), np.sin(theta)
+    c, s = math.cos(theta), math.sin(theta)
     r = orbit.radius
     v = orbit.circular_speed
-    return InertialState(
-        epoch=t,
-        position=np.array([r * c, r * s, 0.0]),
-        velocity=np.array([-v * s, v * c, 0.0]),
-    )
+    return InertialState(t, (r * c, r * s, 0.0), (-v * s, v * c, 0.0))
 
 
 # Taylor coefficients of C and S, (-1)^k / (2k+2)! and (-1)^k / (2k+3)!,
@@ -156,8 +153,8 @@ class _KeplerCoast:
     """
 
     def __init__(self, initial: InertialState):
-        self.r0 = initial.position.tolist()
-        self.v0 = initial.velocity.tolist()
+        self.r0 = initial.position
+        self.v0 = initial.velocity
         self.rn0 = math.hypot(*self.r0)
         # sigma = (r . v) / sqrt(mu); alpha = 1/a (> 0 elliptic, < 0 hyperbolic)
         self.sigma0 = _dot(self.r0, self.v0) / _SQRT_MU
@@ -237,11 +234,11 @@ class _KeplerCoast:
             f"{_KEPLER_MAX_ITER} iterations"
         )
 
-    def state(self, dt: float) -> Tuple[List[float], List[float]]:
+    def state(self, dt: float) -> Tuple[Sequence[float], Sequence[float]]:
         """Position and velocity dt seconds after the initial state."""
         dt = math.fmod(dt, self.period)
         if dt == 0.0:
-            return list(self.r0), list(self.v0)
+            return self.r0, self.v0
         chi = self._anomaly(dt)
         z = self.alpha * chi * chi
         c, s = _stumpff(z)
@@ -335,9 +332,7 @@ def propagate_two_body(initial: InertialState, duration: float) -> InertialState
 
 def specific_energy(state: InertialState) -> float:
     """Specific orbital energy v^2/2 - MU_EARTH/r, km^2/s^2."""
-    return 0.5 * float(np.dot(state.velocity, state.velocity)) - MU_EARTH / float(
-        np.linalg.norm(state.position)
-    )
+    return 0.5 * _dot(state.velocity, state.velocity) - MU_EARTH / math.hypot(*state.position)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +388,7 @@ def cw_coast(n: float, dt: float) -> Callable[[RelativeState], RelativeState]:
     (ux, _, _, uu, uv, _), (vx, _, _, vu, vv, _), (_, _, wz, _, _, ww) = m[3:]
 
     def coast(rel: RelativeState) -> RelativeState:
-        x, y, z, u, v, w = rel.x, rel.y, rel.z, rel.vx, rel.vy, rel.vz
+        x, y, z, u, v, w = rel
         return RelativeState(xx * x + xu * u + xv * v, yx * x + yy * y + yu * u + yv * v,
                              zz * z + zw * w, ux * x + uu * u + uv * v,
                              vx * x + vu * u + vv * v, wz * z + ww * w)

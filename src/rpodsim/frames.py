@@ -17,18 +17,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 if TYPE_CHECKING:
     from .dynamics import TargetOrbit
 
+Vec3 = Tuple[float, float, float]
 
-def _vec3(value) -> np.ndarray:
-    out = np.asarray(value, dtype=float)
-    if out.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {out.shape}")
+
+def _vec3(value) -> Vec3:
+    try:
+        out = tuple(map(float, value))
+    except TypeError as exc:  # a scalar, or a nested component
+        raise ValueError(f"expected a 3-vector of numbers: {exc}") from None
+    if len(out) != 3:
+        raise ValueError(f"expected a 3-vector, got {len(out)} components")
     return out
 
 
@@ -40,28 +43,27 @@ class InertialState:
     ----------
     epoch : float
         Seconds since campaign start.
-    position : ndarray, shape (3,)
+    position : (float, float, float)
         ECI position, km.
-    velocity : ndarray, shape (3,)
+    velocity : (float, float, float)
         ECI velocity, km/s.
     """
 
     epoch: float
-    position: np.ndarray
-    velocity: np.ndarray
+    position: Vec3
+    velocity: Vec3
 
     def __post_init__(self):
         object.__setattr__(self, "position", _vec3(self.position))
         object.__setattr__(self, "velocity", _vec3(self.velocity))
-        components = self.position.tolist() + self.velocity.tolist()
+        components = self.position + self.velocity
         if not all(map(math.isfinite, components)):
             raise ValueError("state components must be finite")
         if not any(components[:3]):
             raise ValueError("position magnitude must be positive")
 
 
-@dataclass(frozen=True)
-class RelativeState:
+class RelativeState(NamedTuple):
     """Chaser state relative to the target, in Hill axes.
 
     Components are (x, y, z) position in km along (radial, along-track,
@@ -75,23 +77,6 @@ class RelativeState:
     vx: float
     vy: float
     vz: float
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return np.array([self.vx, self.vy, self.vz])
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.vx, self.vy, self.vz])
-
-    @classmethod
-    def from_vector(cls, s) -> "RelativeState":
-        s = np.asarray(s, dtype=float)
-        return cls(*s.tolist())
 
 
 def hill_basis(orbit: TargetOrbit, t: float) -> Tuple[float, float]:
@@ -128,7 +113,7 @@ def eci_to_hill(orbit: TargetOrbit, chaser: InertialState) -> RelativeState:
     """
     c, s = hill_basis(orbit, chaser.epoch)
     n, radius, speed = orbit.n, orbit.radius, orbit.circular_speed
-    (px, py, pz), (qx, qy, qz) = chaser.position.tolist(), chaser.velocity.tolist()
+    (px, py, pz), (qx, qy, qz) = chaser.position, chaser.velocity
     px, py, qx, qy = px - radius * c, py - radius * s, qx + speed * s, qy - speed * c
     x, y = c * px + s * py, -s * px + c * py
     return RelativeState(x, y, pz, c * qx + s * qy + n * y, -s * qx + c * qy - n * x, qz)

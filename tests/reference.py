@@ -47,8 +47,8 @@ def hill_basis(target: InertialState) -> Tuple[np.ndarray, float]:
     DegenerateOrbit
         If ``r x v`` vanishes and the frame is undefined.
     """
-    r = target.position
-    v = target.velocity
+    r = np.asarray(target.position)
+    v = np.asarray(target.velocity)
     rn = np.linalg.norm(r)
     h_vec = np.cross(r, v)
     hn = np.linalg.norm(h_vec)
@@ -81,8 +81,8 @@ def eci_to_hill(target: InertialState, chaser: InertialState) -> RelativeState:
             f"target epoch {target.epoch} != chaser epoch {chaser.epoch}"
         )
     rotation, w = hill_basis(target)
-    rho = rotation @ (chaser.position - target.position)
-    v = rotation @ (chaser.velocity - target.velocity)
+    rho = rotation @ np.subtract(chaser.position, target.position)
+    v = rotation @ np.subtract(chaser.velocity, target.velocity)
     return RelativeState(
         rho[0], rho[1], rho[2], v[0] + w * rho[1], v[1] - w * rho[0], v[2]
     )
@@ -94,8 +94,8 @@ def hill_to_eci(target: InertialState, rel: RelativeState) -> InertialState:
     Exact algebraic inverse of :func:`eci_to_hill` at the target's epoch.
     """
     rotation, w = hill_basis(target)
-    position = target.position + rotation.T @ rel.position
-    velocity = target.velocity + rotation.T @ np.array(
+    position = np.asarray(target.position) + rotation.T @ np.array(rel[:3])
+    velocity = np.asarray(target.velocity) + rotation.T @ np.array(
         [rel.vx - w * rel.y, rel.vy + w * rel.x, rel.vz]
     )
     return InertialState(epoch=target.epoch, position=position, velocity=velocity)
@@ -103,7 +103,7 @@ def hill_to_eci(target: InertialState, rel: RelativeState) -> InertialState:
 
 def specific_angular_momentum(state: InertialState) -> float:
     """Magnitude of r x v, km^2/s."""
-    return float(np.linalg.norm(np.cross(state.position, state.velocity)))
+    return float(np.linalg.norm(np.cross(np.asarray(state.position), np.asarray(state.velocity))))
 
 
 def cw_derivative(rel: RelativeState, n: float) -> np.ndarray:

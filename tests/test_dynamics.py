@@ -40,11 +40,10 @@ def test_target_orbit_rejects_subsurface_radius():
 def test_chief_state_is_circular():
     for t in (0.0, 1234.5, ORBIT.period / 3):
         state = chief_state(ORBIT, t)
-        assert np.linalg.norm(state.position) == pytest.approx(ORBIT.radius, rel=1e-14)
-        assert np.linalg.norm(state.velocity) == pytest.approx(
-            ORBIT.circular_speed, rel=1e-14
-        )
-        assert np.dot(state.position, state.velocity) == pytest.approx(0.0, abs=1e-6)
+        r, v = np.asarray(state.position), np.asarray(state.velocity)
+        assert np.linalg.norm(r) == pytest.approx(ORBIT.radius, rel=1e-14)
+        assert np.linalg.norm(v) == pytest.approx(ORBIT.circular_speed, rel=1e-14)
+        assert np.dot(r, v) == pytest.approx(0.0, abs=1e-6)
         assert state.epoch == t
 
 
@@ -62,7 +61,7 @@ def test_zero_duration_returns_initial():
 def test_circular_orbit_closure():
     start = chief_state(ORBIT, 0.0)
     end = propagate_two_body(start, ORBIT.period)
-    assert np.linalg.norm(end.position - start.position) < 1e-6
+    assert np.linalg.norm(np.subtract(end.position, start.position)) < 1e-6
 
 
 def test_eccentric_orbit_closure():
@@ -73,7 +72,7 @@ def test_eccentric_orbit_closure():
     v_p = 1.05 * np.sqrt(MU_EARTH / r_p)
     start = InertialState(0.0, [r_p, 0, 0], [0, v_p, 0])
     end = propagate_two_body(start, period)
-    assert np.linalg.norm(end.position - start.position) < 1e-5
+    assert np.linalg.norm(np.subtract(end.position, start.position)) < 1e-5
 
 
 def test_energy_and_momentum_drift_ten_periods():
@@ -110,7 +109,7 @@ def _kepler_position(r_p, v_p, t):
 def test_circular_orbit_fractional_period():
     t = FRACTION * ORBIT.period
     end = propagate_two_body(chief_state(ORBIT, 0.0), t)
-    assert np.linalg.norm(end.position - chief_state(ORBIT, t).position) < 1e-6
+    assert np.linalg.norm(np.subtract(end.position, chief_state(ORBIT, t).position)) < 1e-6
 
 
 def test_eccentric_orbit_fractional_period():
@@ -120,7 +119,7 @@ def test_eccentric_orbit_fractional_period():
     t = FRACTION * 8975.7310046844232
     start = InertialState(0.0, [r_p, 0, 0], [0, v_p, 0])
     end = propagate_two_body(start, t)
-    assert np.linalg.norm(end.position - _kepler_position(r_p, v_p, t)) < 1e-5
+    assert np.linalg.norm(np.asarray(end.position) - _kepler_position(r_p, v_p, t)) < 1e-5
 
 
 def test_energy_and_momentum_drift_fractional_periods():
@@ -157,7 +156,7 @@ def _start(position, speed_factor, direction):
 
 def _time_scale(state):
     """Period for an ellipse, 2 pi sqrt(|a|^3 / mu) for a hyperbola."""
-    r, v = state.position, state.velocity
+    r, v = np.asarray(state.position), np.asarray(state.velocity)
     inv_a = 2.0 / np.linalg.norm(r) - v @ v / MU_EARTH
     return 2.0 * np.pi / np.sqrt(MU_EARTH * abs(inv_a) ** 3)
 
@@ -192,7 +191,7 @@ def test_kepler_coast_matches_dop853(name):
     )
     for i, t in enumerate(times):
         state = propagate_two_body(start, t)
-        gap = np.linalg.norm(state.position - sol.y[:3, i])
+        gap = np.linalg.norm(np.asarray(state.position) - sol.y[:3, i])
         assert gap < 1e-7 * max(1.0, t / scale), (t / scale, gap)
         assert state.epoch == t
 
@@ -213,7 +212,7 @@ def test_kepler_coast_composes(start, window):
         mid = propagate_two_body(start, t1)
         two = propagate_two_body(mid, t2)
         one = propagate_two_body(start, t1 + t2)
-        assert np.linalg.norm(two.position - one.position) < 1e-8
+        assert np.linalg.norm(np.subtract(two.position, one.position)) < 1e-8
 
 
 def test_kepler_coast_returns_after_a_million_periods():
@@ -221,7 +220,7 @@ def test_kepler_coast_returns_after_a_million_periods():
     # the only error left is the rounding of the period, ~1e-12 s per lap
     start = chief_state(ORBIT, 0.0)
     end = propagate_two_body(start, 1e6 * ORBIT.period)
-    assert np.linalg.norm(end.position - start.position) < 1e-4
+    assert np.linalg.norm(np.subtract(end.position, start.position)) < 1e-4
 
 
 def _on_conic(r_p, ecc, nu_deg):
@@ -273,7 +272,7 @@ def test_coast_floor_is_checked_over_the_whole_arc(nu0, nu1, laps, hits):
             propagate_two_body(start, duration)
     else:
         got = propagate_two_body(start, duration)
-        assert np.linalg.norm(got.position - end.position) < 1e-8
+        assert np.linalg.norm(np.subtract(got.position, end.position)) < 1e-8
 
 
 def test_hyperbolic_flyby_floor():
@@ -356,7 +355,7 @@ def test_cw_derivative_matches_linear_system():
     rng = np.random.default_rng(5)
     for _ in range(20):
         s = rng.uniform(-10, 10, 6)
-        got = cw_derivative(RelativeState.from_vector(s), n)
+        got = cw_derivative(RelativeState(*s), n)
         expected = A @ s
         assert_allclose(got, expected, rtol=1e-12, atol=1e-18)
 
@@ -400,7 +399,7 @@ def test_stm_matches_ode_integration():
     period = ORBIT.period
 
     def rhs(t, s):
-        return cw_derivative(RelativeState.from_vector(s), n)
+        return cw_derivative(RelativeState(*s), n)
 
     rng = np.random.default_rng(42)
     for _ in range(10):
@@ -415,11 +414,11 @@ def test_propagate_cw_matches_ode_quarter_period():
     s0 = np.array([3.0, -2.0, 1.0, 1e-3, -2e-3, 5e-4])
 
     def rhs(t, s):
-        return cw_derivative(RelativeState.from_vector(s), n)
+        return cw_derivative(RelativeState(*s), n)
 
     sol = solve_ivp(rhs, (0, ORBIT.period / 4), s0, rtol=1e-12, atol=1e-14)
-    out = propagate_cw(RelativeState.from_vector(s0), n, ORBIT.period / 4)
-    assert np.max(np.abs(out.vector - sol.y[:, -1])) < 1e-10
+    out = propagate_cw(RelativeState(*s0), n, ORBIT.period / 4)
+    assert np.max(np.abs(np.array(out) - sol.y[:, -1])) < 1e-10
 
 
 def test_propagate_cw_matches_the_transition_matrix():
@@ -435,14 +434,14 @@ def test_propagate_cw_matches_the_transition_matrix():
         for _ in range(10):
             s = rng.uniform(-100, 100, 6) * np.array([1, 1, 1, 1e-2, 1e-2, 1e-2])
             got = propagate_cw(RelativeState(*s.tolist()), n, theta / n)
-            assert np.all(np.abs(got.vector - stm @ s) <= 4 * eps * (np.abs(stm) @ np.abs(s)))
-            assert {type(v) for v in vars(got).values()} == {float}
+            assert np.all(np.abs(np.array(got) - stm @ s) <= 4 * eps * (np.abs(stm) @ np.abs(s)))
+            assert {type(v) for v in got} == {float}
 
 
 def test_nmc_closes_after_one_period():
     rel = nmc_initial_state(1.0, ORBIT.n)
     after = propagate_cw(rel, ORBIT.n, ORBIT.period)
-    assert np.max(np.abs(after.vector - rel.vector)) < 1e-9
+    assert np.max(np.abs(np.subtract(after, rel))) < 1e-9
 
 
 def test_nmc_closure_property_random_offsets():
@@ -455,7 +454,7 @@ def test_nmc_closure_property_random_offsets():
             continue
         rel = RelativeState(x0, rng.uniform(-100, 100), 0, 0, -2 * n * x0, 0)
         after = propagate_cw(rel, n, ORBIT.period)
-        assert np.max(np.abs(after.position - rel.position)) < 1e-9
+        assert np.max(np.abs(np.subtract(after[:3], rel[:3]))) < 1e-9
 
 
 def test_cross_track_depends_only_on_its_own_channel():

@@ -82,7 +82,7 @@ def test_circular_orbit_angular_velocity():
 
 def test_cross_track_axis_is_momentum_direction():
     state = circular_state(0.77)
-    h = np.cross(state.position, state.velocity)
+    h = np.cross(np.asarray(state.position), np.asarray(state.velocity))
     rotation, _ = ref.hill_basis(state)
     assert_allclose(rotation[2], h / np.linalg.norm(h), atol=1e-15)
 
@@ -90,7 +90,7 @@ def test_cross_track_axis_is_momentum_direction():
 def test_coincident_satellites_give_zero_relative_state():
     target = circular_state(0.3)
     rel = ref.eci_to_hill(target, target)
-    assert_allclose(rel.vector, 0.0, atol=1e-15)
+    assert_allclose(np.array(rel), 0.0, atol=1e-15)
 
 
 def test_epoch_mismatch_rejected():
@@ -129,11 +129,11 @@ def test_round_trip_property_random_states():
         rel = RelativeState(*rng.uniform(-250, 250, 3), *rng.uniform(-0.3, 0.3, 3))
         chaser = ref.hill_to_eci(target, rel)
         back = ref.eci_to_hill(target, chaser)
-        assert np.max(np.abs(back.position - rel.position)) < 1e-12
-        assert np.max(np.abs(back.velocity - rel.velocity)) < 2e-15
+        assert np.max(np.abs(np.subtract(back[:3], rel[:3]))) < 1e-12
+        assert np.max(np.abs(np.subtract(back[3:], rel[3:]))) < 2e-15
         chaser2 = ref.hill_to_eci(target, back)
-        assert np.max(np.abs(chaser2.position - chaser.position)) < 1e-12
-        assert np.max(np.abs(chaser2.velocity - chaser.velocity)) < 2e-15
+        assert np.max(np.abs(np.subtract(chaser2.position, chaser.position))) < 1e-12
+        assert np.max(np.abs(np.subtract(chaser2.velocity, chaser.velocity))) < 2e-15
 
 
 def test_orthonormality_property_random_states():
@@ -177,11 +177,11 @@ def test_program_transforms_match_reference():
         chief = chief_state(ORBIT, t)
         chaser, expected = hill_to_eci(ORBIT, t, rel), ref.hill_to_eci(chief, rel)
         assert chaser.epoch == t
-        assert np.max(np.abs(chaser.position - expected.position)) < 1e-11
-        assert np.max(np.abs(chaser.velocity - expected.velocity)) < 5e-15
+        assert np.max(np.abs(np.subtract(chaser.position, expected.position))) < 1e-11
+        assert np.max(np.abs(np.subtract(chaser.velocity, expected.velocity))) < 5e-15
         back, expected = eci_to_hill(ORBIT, chaser), ref.eci_to_hill(chief, chaser)
-        assert np.max(np.abs(back.position - expected.position)) < 1e-12
-        assert np.max(np.abs(back.velocity - expected.velocity)) < 1e-15
+        assert np.max(np.abs(np.subtract(back[:3], expected[:3]))) < 1e-12
+        assert np.max(np.abs(np.subtract(back[3:], expected[3:]))) < 1e-15
 
 
 def test_program_round_trip_random_states():
@@ -195,11 +195,11 @@ def test_program_round_trip_random_states():
         rel = RelativeState(*rng.uniform(-250, 250, 3), *rng.uniform(-0.3, 0.3, 3))
         chaser = hill_to_eci(ORBIT, t, rel)
         back = eci_to_hill(ORBIT, chaser)
-        assert np.max(np.abs(back.position - rel.position)) < 5e-12
-        assert np.max(np.abs(back.velocity - rel.velocity)) < 5e-15
+        assert np.max(np.abs(np.subtract(back[:3], rel[:3]))) < 5e-12
+        assert np.max(np.abs(np.subtract(back[3:], rel[3:]))) < 5e-15
         chaser2 = hill_to_eci(ORBIT, t, back)
-        assert np.max(np.abs(chaser2.position - chaser.position)) < 5e-12
-        assert np.max(np.abs(chaser2.velocity - chaser.velocity)) < 5e-15
+        assert np.max(np.abs(np.subtract(chaser2.position, chaser.position))) < 5e-12
+        assert np.max(np.abs(np.subtract(chaser2.velocity, chaser.velocity))) < 5e-15
 
 
 def test_program_transport_term_on_a_ray_offset():
@@ -214,7 +214,7 @@ def test_program_transport_term_on_a_ray_offset():
 def test_nmc_insertion_round_trip():
     rel = nmc_initial_state(1.0, ORBIT.n)
     back = eci_to_hill(ORBIT, hill_to_eci(ORBIT, 0.0, rel))
-    assert_allclose(back.vector, rel.vector, atol=1e-12)
+    assert_allclose(np.array(back), np.array(rel), atol=1e-12)
 
 
 def test_inertial_state_validation():
@@ -224,8 +224,21 @@ def test_inertial_state_validation():
         InertialState(0.0, [np.nan, 0, 0], [1, 0, 0])
     with pytest.raises(ValueError):
         InertialState(0.0, [1, 2], [1, 0, 0])
+    with pytest.raises(ValueError):  # nested, not a TypeError from float()
+        InertialState(0.0, [[1, 0, 0]] * 3, [1, 0, 0])
+    with pytest.raises(ValueError):
+        InertialState(0.0, ["a", 0, 0], [1, 0, 0])
+    with pytest.raises(ValueError):
+        InertialState(0.0, [1, 0, 0], 1.0)
+    state = InertialState(0.0, np.array([1, 0, 0]), [np.float64(1), 0, 0])
+    assert state.position == state.velocity == (1.0, 0.0, 0.0)
+    assert {type(v) for v in state.position + state.velocity} == {float}
 
 
 def test_relative_state_vector_round_trip():
+    # a RelativeState is its six components: np.array reads them in field
+    # order and RelativeState(*s) builds the state back
     rel = RelativeState(1, 2, 3, 4, 5, 6)
-    assert_allclose(RelativeState.from_vector(rel.vector).vector, rel.vector)
+    s = np.array(rel)
+    assert_allclose(s, [1, 2, 3, 4, 5, 6])
+    assert RelativeState(*s) == rel
