@@ -26,6 +26,8 @@ Vec3 = Tuple[float, float, float]
 
 
 def _vec3(value) -> Vec3:
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"expected a 3-vector of numbers, got {value!r}")
     try:
         out = tuple(map(float, value))
     except TypeError as exc:  # a scalar, or a nested component

@@ -230,6 +230,9 @@ def test_inertial_state_validation():
         InertialState(0.0, ["a", 0, 0], [1, 0, 0])
     with pytest.raises(ValueError):
         InertialState(0.0, [1, 0, 0], 1.0)
+    for text in ("123", b"123"):  # three characters, not three numbers
+        with pytest.raises(ValueError):
+            InertialState(0.0, text, [1, 0, 0])
     state = InertialState(0.0, np.array([1, 0, 0]), [np.float64(1), 0, 0])
     assert state.position == state.velocity == (1.0, 0.0, 0.0)
     assert {type(v) for v in state.position + state.velocity} == {float}
