@@ -170,14 +170,17 @@ def _burn(rel: RelativeState, record: ImpulseRecord, cap: float) -> RelativeStat
     An impulse leaves the position, and with it the frame term omega x rho,
     unchanged, so in Hill axes it adds dv to the relative velocity exactly.
     A burn at or above ``cap`` (the chief's circular speed) is not a
-    relative-motion maneuver and raises UnphysicalBurn.
+    relative-motion maneuver and raises UnphysicalBurn, as does a burn that
+    is not finite.
     """
     if not record.magnitude < cap:
         raise UnphysicalBurn(
             f"burn of {record.magnitude:.6g} km/s at t = {record.t:.6g} s reaches "
             f"the chief's circular speed {cap:.6g} km/s"
+            if math.isfinite(record.magnitude) else
+            f"burn at t = {record.t:.6g} s is not finite: the targeting solve overflowed"
         )
-    dx, dy, dz = record.dv.tolist()
+    dx, dy, dz = record.dv
     return RelativeState(rel.x, rel.y, rel.z, rel.vx + dx, rel.vy + dy, rel.vz + dz)
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence, Tuple
 
-import numpy as np
-
 from .constants import MU_EARTH, R_EARTH
 from .errors import KeplerNonConvergence, SingularRadius
 from .frames import InertialState, RelativeState
@@ -339,8 +337,8 @@ def specific_energy(state: InertialState) -> float:
 # Clohessy-Wiltshire model
 
 
-def cw_stm(n: float, dt: float) -> np.ndarray:
-    """Closed-form CW state-transition matrix.
+def cw_stm(n: float, dt: float) -> Tuple[Tuple[float, ...], ...]:
+    """Closed-form CW state-transition matrix, as six rows of floats.
 
     State order (x, y, z, vx, vy, vz).  The in-plane 4x4 couples (x, y)
     radial/along-track motion; the cross-track pair (z, vz) is an
@@ -350,30 +348,18 @@ def cw_stm(n: float, dt: float) -> np.ndarray:
         raise ValueError("mean motion must be positive")
     if not math.isfinite(dt):
         raise ValueError(f"time step must be finite, got {dt}")
-    nt = n * dt
-    c, s = np.cos(nt), np.sin(nt)
-
-    m = np.zeros((6, 6))
-    # position rows
-    m[0, 0] = 4.0 - 3.0 * c
-    m[0, 3] = s / n
-    m[0, 4] = 2.0 * (1.0 - c) / n
-    m[1, 0] = 6.0 * (s - nt)
-    m[1, 1] = 1.0
-    m[1, 3] = 2.0 * (c - 1.0) / n
-    m[1, 4] = (4.0 * s - 3.0 * nt) / n
-    m[2, 2] = c
-    m[2, 5] = s / n
-    # velocity rows
-    m[3, 0] = 3.0 * n * s
-    m[3, 3] = c
-    m[3, 4] = 2.0 * s
-    m[4, 0] = 6.0 * n * (c - 1.0)
-    m[4, 3] = -2.0 * s
-    m[4, 4] = 4.0 * c - 3.0
-    m[5, 2] = -n * s
-    m[5, 5] = c
-    return m
+    n, nt = float(n), float(n * dt)  # so numpy scalars in give floats out
+    c, s = math.cos(nt), math.sin(nt)
+    return (
+        # position rows
+        (4.0 - 3.0 * c, 0.0, 0.0, s / n, 2.0 * (1.0 - c) / n, 0.0),
+        (6.0 * (s - nt), 1.0, 0.0, 2.0 * (c - 1.0) / n, (4.0 * s - 3.0 * nt) / n, 0.0),
+        (0.0, 0.0, c, 0.0, 0.0, s / n),
+        # velocity rows
+        (3.0 * n * s, 0.0, 0.0, c, 2.0 * s, 0.0),
+        (6.0 * n * (c - 1.0), 0.0, 0.0, -2.0 * s, 4.0 * c - 3.0, 0.0),
+        (0.0, 0.0, -n * s, 0.0, 0.0, c),
+    )
 
 
 def cw_coast(n: float, dt: float) -> Callable[[RelativeState], RelativeState]:
@@ -383,7 +369,7 @@ def cw_coast(n: float, dt: float) -> Callable[[RelativeState], RelativeState]:
     carries component b into a; u, v, w stand for vx, vy, vz), so a caller
     that coasts many legs of one length pays for the matrix once.
     """
-    m = cw_stm(n, dt).tolist()
+    m = cw_stm(n, dt)
     (xx, _, _, xu, xv, _), (yx, yy, _, yu, yv, _), (_, _, zz, _, _, zw) = m[:3]
     (ux, _, _, uu, uv, _), (vx, _, _, vu, vv, _), (_, _, wz, _, _, ww) = m[3:]
 

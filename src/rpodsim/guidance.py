@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .dynamics import cw_stm
 from .errors import SingularTransferTime
@@ -26,18 +24,31 @@ _DET_RTOL = 1e-12
 Matrix2 = Tuple[float, float, float, float]
 
 
+class Vector3(NamedTuple):
+    """Three floats in Hill axes; a real number scales them from either side."""
+
+    x: float
+    y: float
+    z: float
+
+    def __mul__(self, k: float) -> "Vector3":
+        return Vector3(self.x * k, self.y * k, self.z * k)
+
+    __rmul__ = __mul__
+
+
 @dataclass(frozen=True)
 class ImpulseRecord:
     """A time-stamped instantaneous velocity change in Hill axes."""
 
     t: float
-    dv: np.ndarray
+    dv: Vector3
     magnitude: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dv = np.asarray(self.dv, dtype=float)
-        object.__setattr__(self, "dv", dv)
-        object.__setattr__(self, "magnitude", math.hypot(*dv.tolist()))
+        if type(self.dv) is not Vector3:
+            object.__setattr__(self, "dv", Vector3(*map(float, self.dv)))
+        object.__setattr__(self, "magnitude", math.hypot(*self.dv))
 
 
 def nmc_initial_state(x0: float, n: float) -> RelativeState:
@@ -68,7 +79,7 @@ def drift_determinant(theta: float) -> float:
     theta = 2 pi k, plus isolated interior roots) are transfer times for
     which the two-point problem is singular.
     """
-    return 8.0 * (1.0 - np.cos(theta)) - 3.0 * theta * np.sin(theta)
+    return 8.0 * (1.0 - math.cos(theta)) - 3.0 * theta * math.sin(theta)
 
 
 def cw_targeting(n: float, ts: float) -> Tuple[Matrix2, Matrix2]:
@@ -88,14 +99,14 @@ def cw_targeting(n: float, ts: float) -> Tuple[Matrix2, Matrix2]:
     if not 0.0 < ts < math.inf:
         raise ValueError("transfer time must be positive")
     theta = n * ts
-    det = drift_determinant(theta)
-    # theta * theta reaches inf on absurd windows where theta**2 would raise;
-    # a non-finite n gives a NaN det, which fails the >= and is rejected
-    if not abs(det) >=_DET_RTOL * max(1.0, theta * theta):
+    # a NaN det (n not finite, or n * ts past double range) fails the >=;
+    # theta * theta reaches inf on absurd windows where theta**2 would raise
+    det = drift_determinant(theta) if math.isfinite(theta) else math.nan
+    if not abs(det) >= _DET_RTOL * max(1.0, theta * theta):
         raise SingularTransferTime(
             f"transfer angle n*ts = {theta:.6g} rad is a targeting singularity"
         )
-    (a00, a01, _, b00, b01, _), (a10, a11, _, b10, b11, _) = cw_stm(n, ts).tolist()[:2]
+    (a00, a01, _, b00, b01, _), (a10, a11, _, b10, b11, _) = cw_stm(n, ts)[:2]
     b00, b01, b10, b11 = b00 * n, b01 * n, b10 * n, b11 * n
     k = n / (b00 * b11 - b01 * b10)
     return (a00, a01, a10, a11), (b11 * k, -b01 * k, -b10 * k, b00 * k)
@@ -121,7 +132,7 @@ def cw_target_impulse(
     x, y = rel_now.x, rel_now.y
     rx, ry = target[0] - (a00 * x + a01 * y), target[1] - (a10 * x + a11 * y)
     vx, vy = i00 * rx + i01 * ry, i10 * rx + i11 * ry
-    return ImpulseRecord(t, np.array([vx - rel_now.vx, vy - rel_now.vy, 0.0])), (vx, vy)
+    return ImpulseRecord(t, Vector3(vx - rel_now.vx, vy - rel_now.vy, 0.0)), (vx, vy)
 
 
 def _check_count(count: int, minimum: int) -> None:

@@ -456,8 +456,8 @@ _OVERFLOWS = [
 
 @pytest.mark.parametrize("argv", _OVERFLOWS, ids=[f"argv{i}" for i in range(len(_OVERFLOWS))])
 def test_overflow_is_one_stderr_line(argv, tmp_path, capsys):
-    # each run overflows inside numpy before a burn or coast check stops it;
-    # numpy's RuntimeWarnings once added two lines to the one-line error
+    # each run overflows before a burn or coast check stops it; numpy's
+    # RuntimeWarnings once added two lines to the one-line error
     out = tmp_path / "x.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -466,6 +466,27 @@ def test_overflow_is_one_stderr_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+_NON_FINITE_BURNS = [
+    ["intercept", "--offset-km", "1e308"],
+    ["intercept", "--offset-km", "1e308", "--truth", "cw"],
+    ["circumnav", "--kind", "forced", "--size-km", "1e308", "--impulses", "4", "--truth", "cw"],
+]
+
+
+@pytest.mark.parametrize("argv", _NON_FINITE_BURNS,
+                         ids=["intercept", "intercept_cw", "circumnav_forced_cw"])
+def test_non_finite_burn_is_reported_as_not_finite(argv, tmp_path, capsys):
+    # the targeting solve reaches inf - inf on these offsets; the error once
+    # read "burn of nan km/s ... reaches the chief's circular speed"
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "burn at t = 0 s is not finite: the targeting solve overflowed" in err
+    assert "nan" not in err
     assert not out.exists()
 
 

@@ -366,7 +366,7 @@ def test_stm_identity_at_zero():
 
 def test_stm_secular_drift_entry_at_one_period():
     # the along-track drift entry 6(sin nt - nt) at nt = 2 pi equals -12 pi
-    stm = cw_stm(ORBIT.n, ORBIT.period)
+    stm = np.array(cw_stm(ORBIT.n, ORBIT.period))
     assert stm[1, 0] == pytest.approx(-37.699111843077517, rel=1e-9)
     # x-row and z-block return to identity after a full revolution
     assert stm[0, 0] == pytest.approx(1.0, abs=1e-9)
@@ -380,13 +380,13 @@ def test_stm_group_property():
         # keep a + b within one period: the secular 4 sin - 3 n t entries grow
         # linearly, and 1e-10 absolute stops being meaningful past ~1e5 km
         a, b = rng.uniform(0, ORBIT.period / 2, 2)
-        combined = cw_stm(n, a + b)
-        chained = cw_stm(n, a) @ cw_stm(n, b)
+        combined = np.array(cw_stm(n, a + b))
+        chained = np.array(cw_stm(n, a)) @ cw_stm(n, b)
         assert np.max(np.abs(combined - chained)) < 1e-10
 
 
 def test_stm_cross_track_decoupling():
-    stm = cw_stm(ORBIT.n, 1234.0)
+    stm = np.array(cw_stm(ORBIT.n, 1234.0))
     in_plane = [0, 1, 3, 4]
     out_plane = [2, 5]
     assert_allclose(stm[np.ix_(in_plane, out_plane)], 0.0, atol=1e-18)
@@ -430,7 +430,7 @@ def test_propagate_cw_matches_the_transition_matrix():
     eps = np.finfo(float).eps
     rng = np.random.default_rng(17)
     for theta in [*np.linspace(0.0, 25.2, 200), 2 * np.pi * (1 + 1e-9), 1e3, 1e5]:
-        stm = cw_stm(n, theta / n)
+        stm = np.array(cw_stm(n, theta / n))
         for _ in range(10):
             s = rng.uniform(-100, 100, 6) * np.array([1, 1, 1, 1e-2, 1e-2, 1e-2])
             got = propagate_cw(RelativeState(*s.tolist()), n, theta / n)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -62,6 +64,21 @@ def test_nmc_two_to_one_ellipse_extent():
 def test_impulse_record_magnitude():
     rec = ImpulseRecord(t=0.0, dv=[3e-3, -4e-3, 0.0])
     assert rec.magnitude == pytest.approx(5e-3, rel=1e-15)
+
+
+def test_impulse_dv_is_a_float_triple_scaled_from_either_side():
+    # the flown burn is three Python floats; a real number scales it from
+    # either side, component by component, and its magnitude is their hypot
+    rel = RelativeState(5.0, -3.0, 0.0, 1e-3, 0.0, 0.0)
+    record, _ = cw_target_impulse(rel, (2.0, 7.0), 0.0, cw_targeting(N, PERIOD / 6))
+    assert [type(v) for v in record.dv] == [float] * 3
+    for k in (1.001, -2.0, 3):
+        scaled = record.dv * k
+        assert scaled == k * record.dv == tuple(v * k for v in record.dv)
+        assert [type(v) for v in scaled] == [float] * 3
+    assert record.magnitude == math.hypot(*record.dv)
+    # any three numbers make the same float triple
+    assert ImpulseRecord(0.0, [1, np.float64(2.0), 3]).dv * 2.0 == (2.0, 4.0, 6.0)
 
 
 def test_zero_dv_when_already_on_course():
@@ -131,7 +148,7 @@ def _determinant_roots(lo, hi):
     """Every root of the targeting determinant in (lo, hi): bracketed by its
     sign changes on a fine grid, then bisected to rounding."""
     thetas = np.linspace(lo, hi, 100_000)
-    dets = drift_determinant(thetas)
+    dets = np.array([drift_determinant(th) for th in thetas.tolist()])
     roots = []
     for i in np.nonzero(np.sign(dets[:-1]) != np.sign(dets[1:]))[0]:
         a, b = float(thetas[i]), float(thetas[i + 1])
@@ -159,7 +176,7 @@ def test_targeting_matches_numpy_solve_up_to_near_singular_angles():
     for theta in thetas:
         ts = theta / N
         law = cw_targeting(N, ts)
-        stm = cw_stm(N, ts)
+        stm = np.array(cw_stm(N, ts))
         a, b = stm[:2, :2], stm[:2, 3:5]
         for _ in range(10):
             p0, v0, target = rng.uniform(-100, 100, 2), rng.uniform(-0.1, 0.1, 2), \
@@ -171,7 +188,7 @@ def test_targeting_matches_numpy_solve_up_to_near_singular_angles():
                 np.linalg.norm(b, 2) * np.linalg.norm(reference) + np.linalg.norm(target)
                 + np.linalg.norm(a, 2) * np.linalg.norm(p0))
             assert np.linalg.norm(np.subtract(v_plus, reference)) <= bound, theta
-            assert record.dv.tolist() == [v_plus[0] - v0[0], v_plus[1] - v0[1], 0.0]
+            assert list(record.dv) == [v_plus[0] - v0[0], v_plus[1] - v0[1], 0.0]
 
 
 def test_rejects_non_positive_transfer_time():
@@ -186,6 +203,8 @@ def test_rejects_non_positive_transfer_time():
         (lambda: cw_stm(np.nan, 1.0), ValueError),
         (lambda: cw_targeting(N, np.nan), ValueError),
         (lambda: cw_targeting(np.nan, 100.0), SingularTransferTime),
+        (lambda: cw_targeting(np.inf, 100.0), SingularTransferTime),
+        (lambda: cw_targeting(1e10, 1e300), SingularTransferTime),
         (lambda: cw_targeting(N, np.inf), ValueError),
         (lambda: nmc_initial_state(1.0, np.nan), ValueError),
         (lambda: waypoints_circle(np.nan, 4), ValueError),
@@ -196,7 +215,7 @@ def test_rejects_non_positive_transfer_time():
         (lambda: propagate_cw(RelativeState(1.0, 0, 0, 0, 0, 0), N, np.nan), ValueError),
     ],
     ids=["orbit-radius-nan", "stm-n-nan", "targeting-ts-nan",
-         "targeting-n-nan", "targeting-ts-inf", "nmc-n-nan", "circle-radius-nan",
+         "targeting-n-nan", "targeting-n-inf", "targeting-angle-overflow", "targeting-ts-inf", "nmc-n-nan", "circle-radius-nan",
          "nmc-x0-nan", "nmc-plan-x0-nan", "line-start-nan", "stm-dt-nan", "cw-coast-dt-nan"],
 )
 def test_non_finite_inputs_are_rejected(call, error):

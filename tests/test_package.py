@@ -48,7 +48,7 @@ def test_every_exported_exception_is_raised_in_the_package():
 
 
 # Imports the CLI and flies every subcommand under both truths in one fresh
-# process, then prints the scipy modules that process loaded.
+# process, then prints the numpy and scipy modules that process loaded.
 _FLY_EVERY_SUBCOMMAND = """
 import contextlib, io, json, sys
 import rpodsim.cli as cli
@@ -65,19 +65,21 @@ for truth in ("two-body", "cw"):
     ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+loaded = {name: sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+          for name in ("numpy", "scipy")}
+print(json.dumps({"codes": codes, **loaded}))
 """
 
 
 def test_the_flown_path_loads_no_scipy(tmp_path):
-    # scipy is a test dependency only: importing and running the program
-    # must not load it
+    # numpy and scipy are test dependencies only: importing the program and
+    # running every subcommand must load neither, not even on first use
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _FLY_EVERY_SUBCOMMAND, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(proc.stdout)
     assert report["codes"] == [0] * 7
+    assert report["numpy"] == []
     assert report["scipy"] == []
 
 
@@ -97,5 +99,6 @@ def test_scipy_is_a_test_dependency_only():
     def names(requirements):
         return [re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements]
 
-    assert "scipy" not in names(project["dependencies"])
-    assert "scipy" in names(project["optional-dependencies"]["test"])
+    # the program runs on the standard library alone
+    assert project["dependencies"] == []
+    assert {"numpy", "scipy"} <= set(names(project["optional-dependencies"]["test"]))
