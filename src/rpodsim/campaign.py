@@ -41,12 +41,13 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .dynamics import TargetOrbit, cw_coast, propagate_two_body
+from .dynamics import TargetOrbit, cw_coast, two_body_coast
 from .errors import UnphysicalBurn
-from .frames import RelativeState, eci_to_hill, hill_to_eci
-# bound here only because perfbench/spans.py wraps them here
-from .dynamics import chief_state, propagate_cw  # noqa: F401
-from .frames import hill_basis  # noqa: F401
+from .frames import RelativeState
+# bound here only because perfbench/spans.py wraps them here, and its tracer
+# raises on a binding that does not resolve; no campaign calls them
+from .dynamics import chief_state, propagate_cw, propagate_two_body  # noqa: F401
+from .frames import eci_to_hill, hill_basis, hill_to_eci  # noqa: F401
 from .guidance import (
     ImpulseRecord,
     cw_target_impulse,
@@ -151,17 +152,11 @@ Coast = Callable[[RelativeState], RelativeState]
 
 
 def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
-    """Coast of the truth model over a leg of length tau: the one place the
-    models differ.
-
-    The chief is circular and equatorial, and two-body motion is invariant
-    under rotation about the pole, so a leg flown from any epoch is the leg
-    flown from 0 turned with the chief's frame: the two-body leg lifts the
-    chaser at epoch 0, coasts it, and reads it back at tau.
-    """
+    """Coast of the truth model over a leg of length tau, built once per
+    campaign: the one place the models differ."""
     if model == "cw":
         return cw_coast(orbit.n, tau)
-    return lambda rel: eci_to_hill(orbit, propagate_two_body(hill_to_eci(orbit, 0.0, rel), tau))
+    return two_body_coast(orbit, tau)
 
 
 def _burn(rel: RelativeState, record: ImpulseRecord, cap: float) -> RelativeState:

@@ -209,6 +209,9 @@ def _pair_line(unforced: CampaignResult, forced: CampaignResult) -> str:
     head = f"size={forced.config.size:g} km impulses={forced.config.impulse_count}: "
     if hi.total_dv == 0:  # a null transfer: neither arm is cheaper
         return head + "neither arm uses dv (0 vs 0 km/s)"
+    if forced.config.size == 0:  # still a null transfer: its totals are rounding
+        return head + (f"neither arm is cheaper at zero offset "
+                       f"({lo.total_dv:.6g} vs {hi.total_dv:.6g} km/s)")
     winner = "unforced" if "unforced" in lo.config.maneuver_kind else "forced"
     ratio = math.inf if lo.total_dv <= _DV_ROUND_REL * hi.total_dv else hi.total_dv / lo.total_dv
     return head + (

@@ -22,7 +22,7 @@ from typing import Callable, Sequence, Tuple
 
 from .constants import MU_EARTH, R_EARTH
 from .errors import KeplerNonConvergence, SingularRadius
-from .frames import InertialState, RelativeState
+from .frames import InertialState, RelativeState, Vec3, _check_state, _to_eci, _to_hill, hill_basis
 from .frames import eci_to_hill  # noqa: F401  wrapped by perfbench/spans.py
 
 # km; no chief orbit may lie, and no coast pass anywhere on its arc, below this
@@ -150,10 +150,9 @@ class _KeplerCoast:
     scalars at this size.
     """
 
-    def __init__(self, initial: InertialState):
-        self.r0 = initial.position
-        self.v0 = initial.velocity
-        self.rn0 = math.hypot(*self.r0)
+    def __init__(self, r0: Vec3, v0: Vec3):
+        self.r0, self.v0 = r0, v0
+        self.rn0 = math.hypot(*r0)
         # sigma = (r . v) / sqrt(mu); alpha = 1/a (> 0 elliptic, < 0 hyperbolic)
         self.sigma0 = _dot(self.r0, self.v0) / _SQRT_MU
         self.alpha = 2.0 / self.rn0 - _dot(self.v0, self.v0) / MU_EARTH
@@ -232,33 +231,33 @@ class _KeplerCoast:
             f"{_KEPLER_MAX_ITER} iterations"
         )
 
-    def state(self, dt: float) -> Tuple[Sequence[float], Sequence[float]]:
-        """Position and velocity dt seconds after the initial state."""
+    def state(self, dt: float) -> Tuple[Vec3, Vec3, float]:
+        """Position, velocity and radius dt seconds after the initial state."""
         dt = math.fmod(dt, self.period)
         if dt == 0.0:
-            return self.r0, self.v0
+            return self.r0, self.v0, self.rn0
         chi = self._anomaly(dt)
         z = self.alpha * chi * chi
         c, s = _stumpff(z)
         f = 1.0 - chi * chi * c / self.rn0
         g = dt - chi * chi * chi * s / _SQRT_MU
-        position = [f * a + g * b for a, b in zip(self.r0, self.v0)]
+        (x, y, z0), (u, v, w) = self.r0, self.v0
+        position = (f * x + g * u, f * y + g * v, f * z0 + g * w)
         rn = math.hypot(*position)
         fdot = _SQRT_MU * chi * (z * s - 1.0) / (rn * self.rn0)
         gdot = 1.0 - chi * chi * c / rn
-        velocity = [fdot * a + gdot * b for a, b in zip(self.r0, self.v0)]
-        return position, velocity
+        return position, (fdot * x + gdot * u, fdot * y + gdot * v, fdot * z0 + gdot * w), rn
 
     def lowest_radius(
-        self, duration: float, end_position: Sequence[float], end_velocity: Sequence[float]
+        self, duration: float, end_position: Vec3, end_velocity: Vec3, rn1: float
     ) -> float:
-        """Smallest radius reached over [0, duration], given the end state.
+        """Smallest radius reached over [0, duration], given the end state
+        and its radius rn1.
 
         Exact: periapsis radius h^2 / (MU_EARTH (1 + e)) if the arc passes
         periapsis, else the smaller end radius (r is monotone between
         apsides).
         """
-        rn1 = math.hypot(*end_position)
         if duration >= self.period:
             passes = True
         elif self.alpha > 0.0:
@@ -285,47 +284,60 @@ class _KeplerCoast:
         return _dot(h, h) / (MU_EARTH * (1.0 + math.hypot(*ecc)))
 
 
-def propagate_two_body(initial: InertialState, duration: float) -> InertialState:
-    """Coast on a two-body orbit about the Earth for ``duration`` seconds.
-
-    The coast is solved in closed form (universal-variable Kepler equation
-    with Lagrange f and g), so its cost does not grow with the duration.
-
-    Parameters
-    ----------
-    initial : InertialState
-        State at the start of the segment.
-    duration : float
-        Segment length, s (>= 0).
-
-    Returns
-    -------
-    InertialState
-        The state at the end of the segment, its epoch advanced by
-        ``duration``.
-
-    Raises
-    ------
-    SingularRadius
-        If the coast passes below the Earth's surface anywhere on its arc,
-        not only at its end.
-    KeplerNonConvergence
-        If the coast's Kepler solve does not converge, or the coast leaves
-        double-precision range.
-    """
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration must be finite and non-negative, got {duration}")
-    if duration == 0.0:
-        return InertialState(initial.epoch, initial.position, initial.velocity)
-    coast = _KeplerCoast(initial)
-    position, velocity = coast.state(duration)
-    lowest = coast.lowest_radius(duration, position, velocity)
+def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
+    """End position and velocity of a coast of duration > 0 s, checked against the surface."""
+    coast = _KeplerCoast(r0, v0)
+    position, velocity, radius = coast.state(duration)
+    lowest = coast.lowest_radius(duration, position, velocity, radius)
     if lowest < _SURFACE_RADIUS:
         raise SingularRadius(
             f"coast reaches radius {lowest:.6g} km, below the "
             f"{_SURFACE_RADIUS:.6g} km floor"
         )
+    return position, velocity
+
+
+def propagate_two_body(initial: InertialState, duration: float) -> InertialState:
+    """Coast on a two-body orbit about the Earth for ``duration`` seconds (>= 0).
+
+    The coast is solved in closed form (universal-variable Kepler equation
+    with Lagrange f and g), so its cost does not grow with the duration.
+    The end state's epoch is advanced by ``duration``.  Raises SingularRadius
+    if the coast passes below the Earth's surface anywhere on its arc, not
+    only at its end, and KeplerNonConvergence if its Kepler solve does not
+    converge or leaves double-precision range.
+    """
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and non-negative, got {duration}")
+    if duration == 0.0:
+        return InertialState(initial.epoch, initial.position, initial.velocity)
+    position, velocity = _coast(initial.position, initial.velocity, duration)
     return InertialState(initial.epoch + float(duration), position, velocity)
+
+
+def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[RelativeState], RelativeState]:
+    """Two-body motion over dt of a chaser's Hill state, the twin of :func:`cw_coast`.
+
+    Two-body motion is invariant under rotation about the pole, so a leg
+    flown from any epoch is the leg flown from 0 turned with the chief's
+    frame: the chaser is lifted at theta = 0, coasted, and read back in the
+    frame at dt, whose basis is read once.  Each leg is ``eci_to_hill(orbit,
+    propagate_two_body(hill_to_eci(orbit, 0.0, rel), dt))`` operation for
+    operation, with its checks, but builds no InertialState.
+    """
+    if not 0.0 <= dt < math.inf:
+        raise ValueError(f"duration must be finite and non-negative, got {dt}")
+    c, s = hill_basis(orbit, dt)
+
+    def coast(rel: RelativeState) -> RelativeState:
+        position, velocity = _to_eci(orbit, 1.0, 0.0, rel)
+        _check_state(position, velocity)
+        if dt:
+            position, velocity = _coast(position, velocity, dt)
+            _check_state(position, velocity)
+        return _to_hill(orbit, c, s, position, velocity)
+
+    return coast
 
 
 def specific_energy(state: InertialState) -> float:
@@ -349,6 +361,8 @@ def cw_stm(n: float, dt: float) -> Tuple[Tuple[float, ...], ...]:
     if not math.isfinite(dt):
         raise ValueError(f"time step must be finite, got {dt}")
     n, nt = float(n), float(n * dt)  # so numpy scalars in give floats out
+    if not math.isfinite(nt):
+        raise ValueError(f"transfer angle n*dt = {nt} rad is not finite")
     c, s = math.cos(nt), math.sin(nt)
     return (
         # position rows

@@ -58,11 +58,15 @@ class InertialState:
     def __post_init__(self):
         object.__setattr__(self, "position", _vec3(self.position))
         object.__setattr__(self, "velocity", _vec3(self.velocity))
-        components = self.position + self.velocity
-        if not all(map(math.isfinite, components)):
-            raise ValueError("state components must be finite")
-        if not any(components[:3]):
-            raise ValueError("position magnitude must be positive")
+        _check_state(self.position, self.velocity)
+
+
+def _check_state(position: Vec3, velocity: Vec3) -> None:
+    """An inertial state's checks on its float triples: finite, with a nonzero position."""
+    if not all(map(math.isfinite, position + velocity)):
+        raise ValueError("state components must be finite")
+    if not any(position):
+        raise ValueError("position magnitude must be positive")
 
 
 class RelativeState(NamedTuple):
@@ -91,31 +95,38 @@ def hill_basis(orbit: TargetOrbit, t: float) -> Tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def hill_to_eci(orbit: TargetOrbit, t: float, rel: RelativeState) -> InertialState:
-    """The chaser's inertial state at epoch t from its Hill-frame state.
+def _to_eci(orbit: TargetOrbit, c: float, s: float, rel: RelativeState) -> Tuple[Vec3, Vec3]:
+    """The chaser's ECI position and velocity, given the chief's (cos, sin) theta.
 
     In the chief's frame at theta = 0 the chaser sits at (R + x, y, z) and
     moves at (vx - n y, V + vy + n x, vz), with R the chief's radius and V
     its circular speed; that state is turned through theta.
     """
-    c, s = hill_basis(orbit, t)
     n = orbit.n
     px, py = orbit.radius + rel.x, rel.y
     qx, qy = rel.vx - n * rel.y, orbit.circular_speed + (rel.vy + n * rel.x)
-    return InertialState(t, (c * px - s * py, s * px + c * py, rel.z),
-                         (c * qx - s * qy, s * qx + c * qy, rel.vz))
+    return (c * px - s * py, s * px + c * py, rel.z), (c * qx - s * qy, s * qx + c * qy, rel.vz)
 
 
-def eci_to_hill(orbit: TargetOrbit, chaser: InertialState) -> RelativeState:
-    """The chaser's Hill-frame state at its own epoch.
+def _to_hill(orbit: TargetOrbit, c: float, s: float, r: Vec3, v: Vec3) -> RelativeState:
+    """The chaser's Hill-frame state from its ECI floats, given the chief's (cos, sin) theta.
 
-    Exact inverse of :func:`hill_to_eci`: the chief's state at the chaser's
-    epoch is taken off, the rest is turned back through -theta, and the
-    frame term omega x rho is taken off the velocity.
+    Exact inverse of :func:`_to_eci`: the chief's state is taken off, the
+    rest is turned back through -theta, and the frame term omega x rho is
+    taken off the velocity.
     """
-    c, s = hill_basis(orbit, chaser.epoch)
     n, radius, speed = orbit.n, orbit.radius, orbit.circular_speed
-    (px, py, pz), (qx, qy, qz) = chaser.position, chaser.velocity
+    (px, py, pz), (qx, qy, qz) = r, v
     px, py, qx, qy = px - radius * c, py - radius * s, qx + speed * s, qy - speed * c
     x, y = c * px + s * py, -s * px + c * py
     return RelativeState(x, y, pz, c * qx + s * qy + n * y, -s * qx + c * qy - n * x, qz)
+
+
+def hill_to_eci(orbit: TargetOrbit, t: float, rel: RelativeState) -> InertialState:
+    """The chaser's inertial state at epoch t from its Hill-frame state."""
+    return InertialState(t, *_to_eci(orbit, *hill_basis(orbit, t), rel))
+
+
+def eci_to_hill(orbit: TargetOrbit, chaser: InertialState) -> RelativeState:
+    """The chaser's Hill-frame state at its own epoch: the inverse of :func:`hill_to_eci`."""
+    return _to_hill(orbit, *hill_basis(orbit, chaser.epoch), chaser.position, chaser.velocity)

@@ -79,6 +79,8 @@ def drift_determinant(theta: float) -> float:
     theta = 2 pi k, plus isolated interior roots) are transfer times for
     which the two-point problem is singular.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"transfer angle {theta} rad is not finite")
     return 8.0 * (1.0 - math.cos(theta)) - 3.0 * theta * math.sin(theta)
 
 

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,6 @@ from rpodsim import (
     RelativeState,
     TargetOrbit,
     chief_state,
-    hill_to_eci,
     intercept_experiment,
     nmc_initial_state,
     propagate_two_body,
@@ -21,6 +21,7 @@ from rpodsim import (
     waypoints_nmc,
 )
 from rpodsim.campaign import MAX_LEGS, _truth_coast
+from rpodsim.dynamics import two_body_coast
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
 
@@ -237,28 +238,29 @@ def test_flown_states_and_burns_are_python_floats(config, monkeypatch):
     # the leg loop runs on Python floats; a numpy scalar let in by a plan
     # point or a burn would make every later coast and burn numpy-scalar
     # arithmetic (np.float64 is a float subclass, so the type is compared)
-    import rpodsim.campaign
+    import rpodsim.dynamics
 
-    inertial = []
+    triples = []
+    core = rpodsim.dynamics._coast
 
-    def coast(initial, duration):  # the two-body leg's lift, and its coast
-        inertial.extend((initial, propagate_two_body(initial, duration)))
-        return inertial[-1]
+    def coast(r0, v0, duration):  # the Kepler core's inertial input and output
+        end = core(r0, v0, duration)
+        triples.extend((r0, v0, *end))
+        return end
 
-    monkeypatch.setattr(rpodsim.campaign, "propagate_two_body", coast)
+    monkeypatch.setattr(rpodsim.dynamics, "_coast", coast)
     result = run_campaign(config)
     values = [v for _, rel in result.samples for v in rel]
     values += [record.magnitude for record in result.impulses]
     values += [result.total_dv, result.insertion_dv, result.max_waypoint_miss]
     assert len(values) == 6 * len(result.samples) + len(result.impulses) + 3
     assert {type(v) for v in values} == {float}
-    if config.truth_model == "cw":  # no leg leaves Hill axes: lift the last arrival
-        lifted = hill_to_eci(ORBIT, 0.0, result.samples[-1][1])
-        inertial += [lifted, propagate_two_body(lifted, ORBIT.period / 8)]
-    assert inertial and all(isinstance(state, InertialState) for state in inertial)
-    components = [v for state in inertial for v in (*state.position, *state.velocity)]
-    assert len(components) == 6 * len(inertial)
-    assert {type(v) for v in components} == {float}
+    if config.truth_model == "cw":  # no leg leaves Hill axes: coast the last arrival
+        two_body_coast(ORBIT, ORBIT.period / 8)(result.samples[-1][1])
+    else:
+        assert len(triples) == 4 * config.laps * config.impulse_count
+    assert triples and {len(triple) for triple in triples} == {3}
+    assert {type(v) for triple in triples for v in triple} == {float}
 
 
 @pytest.mark.parametrize(
@@ -311,37 +313,49 @@ def test_cw_truth_never_builds_inertial_states(monkeypatch):
 
 
 def test_two_body_leg_flies_one_transform_each_way(monkeypatch):
-    # a two-body leg is lifted at epoch 0 by hill_to_eci, coasted, and read
-    # back by eci_to_hill: one call of each per leg, and no chief state
+    # the two-body leg is a map built once per campaign: it reads the chief's
+    # frame basis once, then lifts each leg's chaser at theta = 0 and reads it
+    # back through one float transform each way, with no frame trig per leg,
+    # no InertialState, no chief state and none of the library's transforms
     import rpodsim.campaign
     import rpodsim.dynamics
+    import rpodsim.frames
 
-    calls, lift_epochs = Counter(), set()
+    calls, lifts, trig = Counter(), set(), Counter()
 
     def counted(name):
-        original = getattr(rpodsim.campaign, name)
+        original = getattr(rpodsim.dynamics, name)
 
         def call(*args):
             calls[name] += 1
-            if name == "hill_to_eci":
-                lift_epochs.add(args[1])
+            if name == "_to_eci":
+                lifts.add(args[1:3])
             return original(*args)
         return call
 
     def refuse(*args, **kwargs):
-        raise AssertionError("two-body truth built a chief state")
+        raise AssertionError("the two-body leg left its float path")
 
-    for name in ("hill_to_eci", "propagate_two_body", "eci_to_hill"):
-        monkeypatch.setattr(rpodsim.campaign, name, counted(name))
-    for module in (rpodsim.campaign, rpodsim.dynamics):
-        monkeypatch.setattr(module, "chief_state", refuse)
+    class FrameMath:  # the frames module's math, counting its trig
+        def __getattr__(self, name):
+            trig[name] += name in ("cos", "sin")
+            return getattr(math, name)
+
+    for name in ("hill_basis", "_to_eci", "_to_hill"):
+        monkeypatch.setattr(rpodsim.dynamics, name, counted(name))
+    for name in ("hill_to_eci", "eci_to_hill", "propagate_two_body", "chief_state"):
+        monkeypatch.setattr(rpodsim.campaign, name, refuse)
+    monkeypatch.setattr(rpodsim.dynamics, "chief_state", refuse)
+    monkeypatch.setattr(InertialState, "__post_init__", refuse)
+    monkeypatch.setattr(rpodsim.frames, "math", FrameMath())
     assert run_campaign(forced(25.0, 8)).max_waypoint_miss > 0.0
     assert run_campaign(unforced(25.0, 8, laps=2)).total_dv > 0.0
     result = run_campaign(CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0))
     assert len(result.impulses) == 4
     legs = 8 + 16 + 4
-    assert calls == {"hill_to_eci": legs, "propagate_two_body": legs, "eci_to_hill": legs}
-    assert lift_epochs == {0.0}
+    assert calls == {"hill_basis": 3, "_to_eci": legs, "_to_hill": legs}
+    assert lifts == {(1.0, 0.0)}
+    assert +trig == {"cos": 3, "sin": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,19 @@ def test_null_intercept_summary_names_no_winner(tmp_path, capsys):
     assert [line.split(",")[4] for line in out.read_text().splitlines()[1:]] == ["0", "0"]
 
 
+def test_two_body_null_intercept_summary_names_no_winner(tmp_path, capsys):
+    # from the chief to the chief under two-body truth the forced arm's total
+    # is the rounding of lifting the chaser to R + x: no arm is cheaper, and
+    # both totals are printed
+    out = tmp_path / "x.csv"
+    assert main(["intercept", "--offset-km", "0", "--impulses", "4", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "size=0 km impulses=4: neither arm is cheaper at zero offset (0 vs 1.1735e-14 km/s)\n"
+    )
+    totals = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
+    assert totals[0] == 0.0 and 0.0 < totals[1] < 1e-13
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(ValueError, match="unknown subcommand 'frob'"):
         _execute(RunManifest("frob", {}, None))
@@ -283,28 +296,28 @@ def test_validate_detects_scaled_stumpff_c(monkeypatch, capsys):
 
 
 def test_validate_detects_flipped_frame_term(monkeypatch, capsys):
-    # omega x rho added where it is taken off, in both transforms: the round
-    # trip cannot see it, the leg's departure from CW can (it grows as rho)
-    import rpodsim.campaign
-    import rpodsim.cli
+    # omega x rho added where it is taken off, in both float transforms the
+    # library and the flown leg share: the round trip cannot see it, the
+    # leg's departure from CW can (it grows as rho)
+    import rpodsim.dynamics
     import rpodsim.frames
     from rpodsim import RelativeState
 
-    lift, read = rpodsim.frames.hill_to_eci, rpodsim.frames.eci_to_hill
+    lift, read = rpodsim.frames._to_eci, rpodsim.frames._to_hill
 
-    def flipped_lift(orbit, t, rel):
+    def flipped_lift(orbit, c, s, rel):
         n = orbit.n
-        return lift(orbit, t, RelativeState(rel.x, rel.y, rel.z, rel.vx + 2 * n * rel.y,
-                                            rel.vy - 2 * n * rel.x, rel.vz))
+        return lift(orbit, c, s, RelativeState(rel.x, rel.y, rel.z, rel.vx + 2 * n * rel.y,
+                                               rel.vy - 2 * n * rel.x, rel.vz))
 
-    def flipped_read(orbit, chaser):
-        rel, n = read(orbit, chaser), orbit.n
+    def flipped_read(orbit, c, s, position, velocity):
+        rel, n = read(orbit, c, s, position, velocity), orbit.n
         return RelativeState(rel.x, rel.y, rel.z, rel.vx - 2 * n * rel.y,
                              rel.vy + 2 * n * rel.x, rel.vz)
 
-    for module in (rpodsim.campaign, rpodsim.cli):
-        monkeypatch.setattr(module, "hill_to_eci", flipped_lift)
-        monkeypatch.setattr(module, "eci_to_hill", flipped_read)
+    for module in (rpodsim.frames, rpodsim.dynamics):
+        monkeypatch.setattr(module, "_to_eci", flipped_lift)
+        monkeypatch.setattr(module, "_to_hill", flipped_read)
     assert main(["validate"]) == 3
     stdout = capsys.readouterr().out
     assert "PASS  frame round trip" in stdout

@@ -1,3 +1,7 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,12 +16,17 @@ from rpodsim import (
     TargetOrbit,
     chief_state,
     cw_stm,
+    eci_to_hill,
+    hill_to_eci,
+    intercept_experiment,
     nmc_initial_state,
     propagate_cw,
     propagate_two_body,
     specific_energy,
+    sweep_circumnavigation,
 )
 from rpodsim.constants import MU_EARTH, R_EARTH
+from rpodsim.dynamics import two_body_coast
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
 
@@ -323,6 +332,67 @@ def test_kepler_bracket_search_gives_up_at_the_iteration_cap(monkeypatch):
     start = InertialState(0.0, np.array([7000.0, 0.0, 0.0]), np.array([0.0, 12.0, 0.0]))
     with pytest.raises(KeplerNonConvergence, match="no bracket for a coast of 5000 s"):
         propagate_two_body(start, 5000.0)
+
+
+def _outcome(call):
+    """A call's result as the bits of its floats, or its exception's type and text."""
+    try:
+        return tuple(map(float.hex, call()))
+    except Exception as exc:  # compared, never swallowed: the twin must raise alike
+        return type(exc), str(exc)
+
+
+def _two_body_cases():
+    """(relative state, leg length) pairs that every two-body leg map must fly alike."""
+    cases = []
+    # the arrival states of the 80-cell acceptance grid, on their own legs
+    for result in sweep_circumnavigation((1.0, 10.0, 50.0, 100.0, 250.0, 500.0, 750.0, 1000.0),
+                                         (4, 8, 16, 32, 64), 2000.0):
+        tau = ORBIT.period / result.config.impulse_count
+        cases += [(rel, tau) for _, rel in result.samples]
+    # signed zeros in every channel the lift carries through or multiplies,
+    # on a leg and on a zero-length one, which reads the lift straight back
+    for y, vy, z, vz, tau in itertools.product(*[(0.0, -0.0)] * 4, (ORBIT.period / 8, 0.0)):
+        cases.append((RelativeState(10.0, y, z, 1e-3, vy, vz), tau))
+        cases.append((RelativeState(-0.0, y, z, -0.0, vy, vz), tau))
+    # legs of 0.05 to 3 chief periods, past the chaser's own period and
+    # through the fmod reduction, for near and far chasers
+    for size in (1e-3, 10.0, 1000.0):
+        rel = RelativeState(*nmc_initial_state(size, ORBIT.n)[:4], 1e-4 * size, 0.0)
+        cases += [(rel, f * ORBIT.period) for f in (0.05, 0.3, 0.99, 1.0, 1.01, 2.5, 3.0)]
+    # the hyperbolic departures of a 3000 km intercept in 10 minutes
+    for result in intercept_experiment(3000.0, 600.0, [2], 2000.0):
+        tau = 600.0 / result.config.impulse_count
+        rel = result.samples[0][1]
+        dvx, dvy, _ = result.impulses[0].dv
+        cases.append((rel._replace(vx=rel.vx + dvx, vy=rel.vy + dvy), tau))
+    # legs that fail: through the Earth, escaping past the anomaly cap, a
+    # chaser at the Earth's center, and a state that is not finite
+    v = ORBIT.circular_speed
+    cases += [
+        (RelativeState(-3000.0, 0.0, 0.0, 0.0, 0.0, 0.0), ORBIT.period / 3),
+        (RelativeState(0.0, 0.0, 0.0, 0.0, -2.0, 0.0), ORBIT.period / 2),
+        (RelativeState(0.0, 0.0, 0.0, 0.0, 15.0 - v, 0.0), 1e300),
+        (RelativeState(-ORBIT.radius, 0.0, 0.0, 0.0, 0.0, 0.0), 100.0),
+        (RelativeState(1.0, math.nan, 0.0, 0.0, 0.0, 0.0), 100.0),
+    ]
+    return cases
+
+
+def test_two_body_coast_matches_the_library_round_trip():
+    # the per-campaign leg map flies the same operations as lifting the
+    # chaser at 0, coasting its inertial state and reading it back at tau:
+    # every output bit, signed zeros included, and every error is the same
+    legs, outcomes = {}, Counter()
+    for rel, tau in _two_body_cases():
+        leg = legs.setdefault(tau, two_body_coast(ORBIT, tau))
+        got = _outcome(lambda: leg(rel))
+        expected = _outcome(
+            lambda: eci_to_hill(ORBIT, propagate_two_body(hill_to_eci(ORBIT, 0.0, rel), tau)))
+        assert got == expected, (rel, tau)
+        outcomes[got[0] if isinstance(got[0], type) else "state"] += 1
+    assert outcomes[SingularRadius] == 2 and outcomes[KeplerNonConvergence] == 1
+    assert outcomes[ValueError] == 2 and outcomes["state"] > 2000
 
 
 # ---------------------------------------------------------------------------

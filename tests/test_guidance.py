@@ -213,10 +213,13 @@ def test_rejects_non_positive_transfer_time():
         (lambda: waypoints_line((np.nan, 0.0), (0.0, 0.0), 3), ValueError),
         (lambda: cw_stm(N, np.nan), ValueError),
         (lambda: propagate_cw(RelativeState(1.0, 0, 0, 0, 0, 0), N, np.nan), ValueError),
+        (lambda: cw_stm(1e10, 1e300), ValueError),
+        (lambda: drift_determinant(math.inf), ValueError),
     ],
     ids=["orbit-radius-nan", "stm-n-nan", "targeting-ts-nan",
          "targeting-n-nan", "targeting-n-inf", "targeting-angle-overflow", "targeting-ts-inf", "nmc-n-nan", "circle-radius-nan",
-         "nmc-x0-nan", "nmc-plan-x0-nan", "line-start-nan", "stm-dt-nan", "cw-coast-dt-nan"],
+         "nmc-x0-nan", "nmc-plan-x0-nan", "line-start-nan", "stm-dt-nan", "cw-coast-dt-nan",
+         "stm-angle-overflow", "determinant-angle-inf"],
 )
 def test_non_finite_inputs_are_rejected(call, error):
     # each raises with a message of its own, never NaN out or a bare math error
