@@ -147,8 +147,8 @@ class CampaignResult:
     duration: float
 
 
-# the truth model's coast of the chaser's Hill-frame state over one leg
-Coast = Callable[[RelativeState], RelativeState]
+# the truth model's coast over one leg: six Hill-frame floats in, a RelativeState out
+Coast = Callable[[Sequence[float]], RelativeState]
 
 
 def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
@@ -166,7 +166,7 @@ def _burn(rel: RelativeState, record: ImpulseRecord, cap: float) -> RelativeStat
     unchanged, so in Hill axes it adds dv to the relative velocity exactly.
     A burn at or above ``cap`` (the chief's circular speed) is not a
     relative-motion maneuver and raises UnphysicalBurn, as does a burn that
-    is not finite.
+    is not finite.  The leg loop adds dv itself, and calls this only to raise.
     """
     if not record.magnitude < cap:
         raise UnphysicalBurn(
@@ -212,22 +212,22 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     samples = [(0.0, rel)]
     impulses: List[ImpulseRecord] = []
     max_miss = 0.0
-
-    def steer(rel: RelativeState, k: int) -> RelativeState:
-        # burn at k tau toward the plan point due at (k + 1) tau
-        record, _ = cw_target_impulse(rel, plan[(k + 1) % len(plan)], k * tau, law)
-        impulses.append(record)
-        return _burn(rel, record, cap)
-
-    if not closed:  # the line departs from rest with its first burn
-        rel = steer(rel, 0)
-    for k in range(1, legs + 1):
-        rel = coast(rel)
-        x, y = plan[k % len(plan)]
-        max_miss = max(max_miss, math.hypot(rel.x - x, rel.y - y))
-        samples.append((k * tau, rel))
+    # leg k coasts into arrival k and burns at k tau toward the point due at
+    # (k + 1) tau; the line's leg 0 only burns, and its last arrival does not
+    for k in range(1 if closed else 0, legs + 1):
+        if k:
+            rel = coast(rel)
+            x, y = plan[k % len(plan)]
+            max_miss = max(max_miss, math.hypot(rel.x - x, rel.y - y))
+            samples.append((k * tau, rel))
         if closed or k < legs:
-            rel = steer(rel, k)
+            record, _ = cw_target_impulse(rel, plan[(k + 1) % len(plan)], k * tau, law)
+            _, (dx, dy, dz), magnitude = record
+            if not magnitude < cap:
+                _burn(rel, record, cap)
+            impulses.append(record)
+            x, y, z, vx, vy, vz = rel
+            rel = (x, y, z, vx + dx, vy + dy, vz + dz)  # six floats, which coast takes as is
 
     return CampaignResult(
         config=config,

@@ -315,7 +315,7 @@ def propagate_two_body(initial: InertialState, duration: float) -> InertialState
     return InertialState(initial.epoch + float(duration), position, velocity)
 
 
-def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[RelativeState], RelativeState]:
+def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]], RelativeState]:
     """Two-body motion over dt of a chaser's Hill state, the twin of :func:`cw_coast`.
 
     Two-body motion is invariant under rotation about the pole, so a leg
@@ -323,13 +323,14 @@ def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[RelativeState], R
     frame: the chaser is lifted at theta = 0, coasted, and read back in the
     frame at dt, whose basis is read once.  Each leg is ``eci_to_hill(orbit,
     propagate_two_body(hill_to_eci(orbit, 0.0, rel), dt))`` operation for
-    operation, with its checks, but builds no InertialState.
+    operation, with its checks, but builds no InertialState.  Like the CW
+    coast it takes any six floats and returns a RelativeState.
     """
     if not 0.0 <= dt < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {dt}")
     c, s = hill_basis(orbit, dt)
 
-    def coast(rel: RelativeState) -> RelativeState:
+    def coast(rel: Sequence[float]) -> RelativeState:
         position, velocity = _to_eci(orbit, 1.0, 0.0, rel)
         _check_state(position, velocity)
         if dt:
@@ -376,8 +377,8 @@ def cw_stm(n: float, dt: float) -> Tuple[Tuple[float, ...], ...]:
     )
 
 
-def cw_coast(n: float, dt: float) -> Callable[[RelativeState], RelativeState]:
-    """Uncontrolled CW motion over dt, as float arithmetic on a state.
+def cw_coast(n: float, dt: float) -> Callable[[Sequence[float]], RelativeState]:
+    """Uncontrolled CW motion over dt: any six floats in, a RelativeState out.
 
     The nonzero coefficients of :func:`cw_stm` are read out once (``ab``
     carries component b into a; u, v, w stand for vx, vy, vz), so a caller
@@ -387,11 +388,12 @@ def cw_coast(n: float, dt: float) -> Callable[[RelativeState], RelativeState]:
     (xx, _, _, xu, xv, _), (yx, yy, _, yu, yv, _), (_, _, zz, _, _, zw) = m[:3]
     (ux, _, _, uu, uv, _), (vx, _, _, vu, vv, _), (_, _, wz, _, _, ww) = m[3:]
 
-    def coast(rel: RelativeState) -> RelativeState:
+    def coast(rel: Sequence[float]) -> RelativeState:
         x, y, z, u, v, w = rel
-        return RelativeState(xx * x + xu * u + xv * v, yx * x + yy * y + yu * u + yv * v,
-                             zz * z + zw * w, ux * x + uu * u + uv * v,
-                             vx * x + vu * u + vv * v, wz * z + ww * w)
+        # tuple.__new__ builds the RelativeState without its Python-level __new__
+        return tuple.__new__(RelativeState, (
+            xx * x + xu * u + xv * v, yx * x + yy * y + yu * u + yv * v, zz * z + zw * w,
+            ux * x + uu * u + uv * v, vx * x + vu * u + vv * v, wz * z + ww * w))
 
     return coast
 

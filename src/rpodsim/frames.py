@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
 if TYPE_CHECKING:
     from .dynamics import TargetOrbit
@@ -95,17 +95,18 @@ def hill_basis(orbit: TargetOrbit, t: float) -> Tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def _to_eci(orbit: TargetOrbit, c: float, s: float, rel: RelativeState) -> Tuple[Vec3, Vec3]:
-    """The chaser's ECI position and velocity, given the chief's (cos, sin) theta.
+def _to_eci(orbit: TargetOrbit, c: float, s: float, rel: Sequence[float]) -> Tuple[Vec3, Vec3]:
+    """The ECI position and velocity of six Hill floats, given the chief's (cos, sin) theta.
 
     In the chief's frame at theta = 0 the chaser sits at (R + x, y, z) and
     moves at (vx - n y, V + vy + n x, vz), with R the chief's radius and V
     its circular speed; that state is turned through theta.
     """
+    x, y, z, vx, vy, vz = rel
     n = orbit.n
-    px, py = orbit.radius + rel.x, rel.y
-    qx, qy = rel.vx - n * rel.y, orbit.circular_speed + (rel.vy + n * rel.x)
-    return (c * px - s * py, s * px + c * py, rel.z), (c * qx - s * qy, s * qx + c * qy, rel.vz)
+    px, py = orbit.radius + x, y
+    qx, qy = vx - n * y, orbit.circular_speed + (vy + n * x)
+    return (c * px - s * py, s * px + c * py, z), (c * qx - s * qy, s * qx + c * qy, vz)
 
 
 def _to_hill(orbit: TargetOrbit, c: float, s: float, r: Vec3, v: Vec3) -> RelativeState:

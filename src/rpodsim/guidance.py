@@ -12,7 +12,6 @@ decides when each point is due.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .dynamics import cw_stm
@@ -37,18 +36,24 @@ class Vector3(NamedTuple):
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class ImpulseRecord:
-    """A time-stamped instantaneous velocity change in Hill axes."""
+class ImpulseRecord(NamedTuple("_Impulse", [("t", float), ("dv", Vector3), ("magnitude", float)])):
+    """A time-stamped instantaneous velocity change in Hill axes: the tuple
+    (t, dv, magnitude), whose magnitude every constructor derives from dv."""
 
-    t: float
-    dv: Vector3
-    magnitude: float = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.dv) is not Vector3:
-            object.__setattr__(self, "dv", Vector3(*map(float, self.dv)))
-        object.__setattr__(self, "magnitude", math.hypot(*self.dv))
+    def __new__(cls, t: float, dv: Sequence[float]) -> "ImpulseRecord":
+        if type(dv) is not Vector3:
+            dv = Vector3(*map(float, dv))
+        return tuple.__new__(cls, (t, dv, math.hypot(*dv)))
+
+    def __getnewargs__(self):  # so pickle and copy rebuild it from (t, dv)
+        return self[:2]
+
+    def _replace(self, **changes) -> "ImpulseRecord":
+        return ImpulseRecord(**{"t": self.t, "dv": self.dv, **changes})
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # from (t, dv) only
 
 
 def nmc_initial_state(x0: float, n: float) -> RelativeState:
@@ -134,7 +139,9 @@ def cw_target_impulse(
     x, y = rel_now.x, rel_now.y
     rx, ry = target[0] - (a00 * x + a01 * y), target[1] - (a10 * x + a11 * y)
     vx, vy = i00 * rx + i01 * ry, i10 * rx + i11 * ry
-    return ImpulseRecord(t, Vector3(vx - rel_now.vx, vy - rel_now.vy, 0.0)), (vx, vy)
+    # tuple.__new__ builds each NamedTuple without its Python-level __new__
+    dv = tuple.__new__(Vector3, (vx - rel_now.vx, vy - rel_now.vy, 0.0))
+    return tuple.__new__(ImpulseRecord, (t, dv, math.hypot(*dv))), (vx, vy)
 
 
 def _check_count(count: int, minimum: int) -> None:

@@ -294,6 +294,53 @@ def test_burn_schedule(config):
         assert result.insertion_dv == 0.0
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        forced(20.0, 8, truth="cw", laps=2),
+        CampaignConfig("intercept_unforced", 2000.0, 10.0, 1, duration=3600.0, truth_model="cw"),
+        CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0, truth_model="cw"),
+    ],
+    ids=lambda config: config.maneuver_kind,
+)
+def test_every_burn_flies_the_record_of_the_guidance_seam(config, monkeypatch):
+    # each burn calls rpodsim.campaign.cw_target_impulse once and flies the
+    # dv and magnitude of the record it returns; the benchmark's oracle check
+    # perturbs guidance through that one binding, as this test does
+    import rpodsim.campaign
+    from rpodsim.guidance import ImpulseRecord
+
+    clean = run_campaign(config)
+    original = rpodsim.campaign.cw_target_impulse
+    asked, flown = [], []
+
+    def off_by_a_thousandth(*args):
+        record, v_plus = original(*args)
+        asked.append(record)
+        flown.append(ImpulseRecord(record.t, record.dv * 1.001))
+        return flown[-1], v_plus
+
+    monkeypatch.setattr(rpodsim.campaign, "cw_target_impulse", off_by_a_thousandth)
+    result = run_campaign(config)
+    if config.maneuver_kind == "circle_forced":  # its insertion targets through the seam too
+        assert result.insertion_dv == flown.pop(0).magnitude
+        assert result.insertion_dv == pytest.approx(1.001 * clean.insertion_dv, rel=1e-14)
+        asked.pop(0)
+    assert len(flown) == len(clean.impulses) == config.laps * config.impulse_count
+    assert result.impulses == tuple(flown)
+    assert result.total_dv == sum(record.magnitude for record in flown)
+    assert result.total_dv == pytest.approx(1.001 * sum(r.magnitude for r in asked), rel=1e-14)
+    if config.maneuver_kind == "intercept_unforced":  # one burn: nothing corrects it
+        assert result.total_dv == pytest.approx(1.001 * clean.total_dv, rel=1e-14)
+    # each arrival is the truth coast of the sample before it plus the dv
+    # flown there (the circle's start sample is already past its insertion)
+    coast = _truth_coast(ORBIT, "cw", result.duration / (len(result.samples) - 1))
+    burns = {record.t: record.dv for record in flown}
+    for (t, rel), (_, arrival) in zip(result.samples, result.samples[1:]):
+        dx, dy, dz = burns.get(t, (0.0, 0.0, 0.0))
+        assert coast((*rel[:3], rel.vx + dx, rel.vy + dy, rel.vz + dz)) == arrival
+
+
 def test_cw_truth_never_builds_inertial_states(monkeypatch):
     # under CW truth the campaign stays in the Hill frame: no chief state and
     # no inertial chaser are built

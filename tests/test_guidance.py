@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from rpodsim import (
     waypoints_line,
     waypoints_nmc,
 )
+from rpodsim.guidance import Vector3
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
 N = ORBIT.n
@@ -79,6 +82,36 @@ def test_impulse_dv_is_a_float_triple_scaled_from_either_side():
     assert record.magnitude == math.hypot(*record.dv)
     # any three numbers make the same float triple
     assert ImpulseRecord(0.0, [1, np.float64(2.0), 3]).dv * 2.0 == (2.0, 4.0, 6.0)
+
+
+def test_impulse_record_is_a_tuple_whose_magnitude_is_derived_from_dv():
+    # the record is the tuple (t, dv, magnitude); every way to build one,
+    # copy one or change one derives the magnitude from dv, so none is stale
+    record = ImpulseRecord(12.5, [1, np.float64(2.0), 3])
+    assert isinstance(record, tuple) and len(record) == 3
+    t, dv, magnitude = record
+    assert (t, dv, magnitude) == (record.t, record.dv, record.magnitude)
+    assert type(dv) is Vector3 and [type(v) for v in dv] == [float] * 3
+    assert dv == (1.0, 2.0, 3.0)
+    assert magnitude.hex() == math.hypot(*dv).hex()
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(copied) is ImpulseRecord and copied == record
+    moved = record._replace(dv=(3e-3, -4e-3, 0.0))
+    assert moved.t == 12.5 and moved.magnitude == math.hypot(3e-3, -4e-3, 0.0)
+    assert record._replace(t=1.0) == (1.0, dv, magnitude)
+    assert ImpulseRecord._make((12.5, dv)) == record
+    with pytest.raises(TypeError):
+        record._replace(magnitude=1.0)
+    with pytest.raises(TypeError):
+        ImpulseRecord(12.5, dv, 1.0)
+    with pytest.raises(TypeError):
+        ImpulseRecord._make((12.5, dv, 1.0))
+    # the targeting solve builds its record without the constructor, and
+    # the same way: a float Vector3 with z = 0 and its hypot
+    rel = RelativeState(5.0, -3.0, 0.0, 1e-3, 0.0, 0.0)
+    solved, _ = cw_target_impulse(rel, (2.0, 7.0), 0.0, cw_targeting(N, PERIOD / 6))
+    assert type(solved) is ImpulseRecord and type(solved.dv) is Vector3
+    assert solved == ImpulseRecord(solved.t, solved.dv) and solved.dv.z == 0.0
 
 
 def test_zero_dv_when_already_on_course():
