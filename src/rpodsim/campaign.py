@@ -211,7 +211,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     coast = _truth_coast(orbit, config.truth_model, tau)
     samples = [(0.0, rel)]
     impulses: List[ImpulseRecord] = []
-    max_miss = 0.0
+    max_miss = total_dv = 0.0
     # leg k coasts into arrival k and burns at k tau toward the point due at
     # (k + 1) tau; the line's leg 0 only burns, and its last arrival does not
     for k in range(1 if closed else 0, legs + 1):
@@ -226,6 +226,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             if not magnitude < cap:
                 _burn(rel, record, cap)
             impulses.append(record)
+            total_dv += magnitude  # in burn order: sum() rounds otherwise from Python 3.12
             x, y, z, vx, vy, vz = rel
             rel = (x, y, z, vx + dx, vy + dy, vz + dz)  # six floats, which coast takes as is
 
@@ -233,7 +234,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         config=config,
         samples=tuple(samples),
         impulses=tuple(impulses),
-        total_dv=float(sum(rec.magnitude for rec in impulses)),
+        total_dv=total_dv,
         insertion_dv=insertion_dv,
         max_waypoint_miss=max_miss,
         duration=config.laps * lap,

@@ -105,10 +105,9 @@ def chief_state(orbit: TargetOrbit, t: float) -> InertialState:
     return InertialState(t, (r * c, r * s, 0.0), (-v * s, v * c, 0.0))
 
 
-# Taylor coefficients of C and S, (-1)^k / (2k+2)! and (-1)^k / (2k+3)!,
-# highest order first for Horner evaluation
-_C_SERIES = tuple((-1) ** k / math.factorial(2 * k + 2) for k in range(5, -1, -1))
-_S_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(5, -1, -1))
+# Taylor coefficients of C and S, (-1)^k / (2k+2)! and (-1)^k / (2k+3)!, k = 0..5
+_C0, _C1, _C2, _C3, _C4, _C5 = ((-1) ** k / math.factorial(2 * k + 2) for k in range(6))
+_S0, _S1, _S2, _S3, _S4, _S5 = ((-1) ** k / math.factorial(2 * k + 3) for k in range(6))
 
 
 def _stumpff(z: float) -> Tuple[float, float]:
@@ -116,14 +115,12 @@ def _stumpff(z: float) -> Tuple[float, float]:
     q = sqrt(z), continued to z < 0 through cosh and sinh.
 
     Near z = 0 both closed forms cancel catastrophically, so a Taylor series
-    is used there; its first omitted term is about 1e-17 at |z| = 0.1.
+    is used there, by Horner's rule; its first omitted term is about 1e-17
+    at |z| = 0.1.
     """
     if abs(z) < 0.1:
-        c = s = 0.0
-        for a, b in zip(_C_SERIES, _S_SERIES):
-            c = c * z + a
-            s = s * z + b
-        return c, s
+        return ((((((_C5 * z + _C4) * z + _C3) * z + _C2) * z + _C1) * z + _C0),
+                (((((_S5 * z + _S4) * z + _S3) * z + _S2) * z + _S1) * z + _S0))
     if z > 0.0:
         q = math.sqrt(z)
         return 2.0 * math.sin(0.5 * q) ** 2 / z, (q - math.sin(q)) / (q * z)
@@ -135,89 +132,79 @@ def _stumpff(z: float) -> Tuple[float, float]:
     return 2.0 * math.sinh(0.5 * q) ** 2 / -z, (math.sinh(q) - q) / (q * -z)
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-class _KeplerCoast:
-    """Unforced two-body motion about the Earth from one state, in closed form.
+def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
+    """End position and velocity of an unforced coast of duration > 0 s about
+    the Earth, checked against the surface over its whole arc.
 
     Universal-variable formulation (Curtis, *Orbital Mechanics for
     Engineering Students*, Alg. 3.3-3.4; Vallado, KEPLER): Newton's method
     on the universal anomaly chi, then the Lagrange coefficients f, g,
-    f-dot, g-dot map (r0, v0) to any later time.  The scalar work runs on
-    Python floats, which per call is several times cheaper than numpy
-    scalars at this size.
+    f-dot, g-dot map (r0, v0) to the end.  The lowest radius on the arc is
+    exact: the periapsis radius h^2 / (MU_EARTH (1 + e)) if the arc passes
+    periapsis, else the smaller end radius (r is monotone between apsides).
     """
-
-    def __init__(self, r0: Vec3, v0: Vec3):
-        self.r0, self.v0 = r0, v0
-        self.rn0 = math.hypot(*r0)
-        # sigma = (r . v) / sqrt(mu); alpha = 1/a (> 0 elliptic, < 0 hyperbolic)
-        self.sigma0 = _dot(self.r0, self.v0) / _SQRT_MU
-        self.alpha = 2.0 / self.rn0 - _dot(self.v0, self.v0) / MU_EARTH
-        # e cos E0 on an ellipse, e cosh F0 on a hyperbola
-        self.ecc_cos0 = 1.0 - self.alpha * self.rn0
-        self.period = (
-            2.0 * math.pi / (_SQRT_MU * self.alpha * math.sqrt(self.alpha))
-            if self.alpha > 0.0
-            else math.inf
-        )
-
-    def _kepler(self, chi: float, dt: float):
-        """Residual of the universal Kepler equation, and its chi-derivative r."""
-        z = self.alpha * chi * chi
-        c, s = _stumpff(z)
-        k = self.ecc_cos0
-        residual = (
-            self.sigma0 * chi * chi * c + k * chi * chi * chi * s + self.rn0 * chi
-            - _SQRT_MU * dt
-        )
-        radius = self.sigma0 * chi * (1.0 - z * s) + k * chi * chi * c + self.rn0
-        if not (math.isfinite(residual) and math.isfinite(radius)):
-            raise KeplerNonConvergence(
-                f"coast of {dt:.6g} s leaves double-precision range"
-            )
-        return residual, radius
-
-    def _anomaly(self, dt: float) -> float:
-        """Universal anomaly chi after dt (0 <= dt < period).
-
-        Newton's method inside a bracket, falling back to bisection when a
-        step would leave the bracket or fails to halve the last step, so a
-        poor start cannot diverge.  The residual rises monotonically in chi
-        (its derivative is the radius).
-        """
+    (x, y, z0), (u, v, w) = r0, v0
+    rn0 = math.hypot(x, y, z0)
+    rv, v2 = x * u + y * v + z0 * w, u * u + v * v + w * w
+    # sigma = (r . v) / sqrt(mu); alpha = 1/a (> 0 elliptic, < 0 hyperbolic)
+    sigma0 = rv / _SQRT_MU
+    alpha = 2.0 / rn0 - v2 / MU_EARTH
+    # e cos E0 on an ellipse, e cosh F0 on a hyperbola
+    k = 1.0 - alpha * rn0
+    period = 2.0 * math.pi / (_SQRT_MU * alpha * math.sqrt(alpha)) if alpha > 0.0 else math.inf
+    dt = math.fmod(duration, period)
+    if dt == 0.0:
+        position, velocity, rn = r0, v0, rn0
+    else:
+        # chi after dt (0 < dt < period), by Newton's method inside a bracket
+        # [lo, hi], falling back to bisection when a step would leave the
+        # bracket or fails to halve the last step, so a poor start cannot
+        # diverge; the residual rises monotonically in chi (its derivative
+        # is the radius).  An open orbit first grows hi until the residual
+        # there is not negative, from at most one unit of hyperbolic anomaly
+        # so the search cannot overshoot into sinh/cosh overflow.
+        mu_dt = _SQRT_MU * dt
         lo = 0.0
-        if self.alpha > 0.0:
-            # dt < period, so the eccentric anomaly advances less than 2 pi
-            hi = 2.0 * math.pi / math.sqrt(self.alpha)
+        bracketing = alpha <= 0.0
+        if bracketing:
+            hi = mu_dt / rn0
+            if alpha < 0.0:
+                hi = min(hi, 1.0 / math.sqrt(-alpha))
+            chi = hi
         else:
-            # grow the bracket from at most one unit of hyperbolic anomaly,
-            # so the search cannot overshoot into sinh/cosh overflow
-            hi = _SQRT_MU * dt / self.rn0
-            if self.alpha < 0.0:
-                hi = min(hi, 1.0 / math.sqrt(-self.alpha))
-            for _ in range(_KEPLER_MAX_ITER):
-                if self._kepler(hi, dt)[0] >= 0.0:
-                    break
-                hi *= 2.0
-            else:
-                raise KeplerNonConvergence(f"no bracket for a coast of {dt:.6g} s")
-        # Curtis's starting guess, kept inside the bracket
-        chi = min(_SQRT_MU * abs(self.alpha) * dt, 0.5 * hi) or 0.5 * hi
-        last_step = hi - lo
-        for _ in range(_KEPLER_MAX_ITER):
-            residual, radius = self._kepler(chi, dt)
+            # dt < period, so the eccentric anomaly advances less than 2 pi
+            hi = 2.0 * math.pi / math.sqrt(alpha)
+            # Curtis's starting guess, kept inside the bracket
+            chi = min(_SQRT_MU * abs(alpha) * dt, 0.5 * hi) or 0.5 * hi
+            last_step = hi - lo
+        left = _KEPLER_MAX_ITER
+        while left > 0:
+            left -= 1
+            z = alpha * chi * chi
+            c, s = _stumpff(z)
+            residual = sigma0 * chi * chi * c + k * chi * chi * chi * s + rn0 * chi - mu_dt
+            radius = sigma0 * chi * (1.0 - z * s) + k * chi * chi * c + rn0
+            if not (math.isfinite(residual) and math.isfinite(radius)):
+                raise KeplerNonConvergence(f"coast of {dt:.6g} s leaves double-precision range")
+            if bracketing:
+                if residual >= 0.0:  # bracketed: the Newton search starts afresh
+                    bracketing, left = False, _KEPLER_MAX_ITER
+                    chi = min(_SQRT_MU * abs(alpha) * dt, 0.5 * hi) or 0.5 * hi
+                    last_step = hi - lo
+                else:
+                    hi *= 2.0
+                    chi = hi
+                continue
             if residual == 0.0:
-                return chi
+                break
             if residual < 0.0:
                 lo = chi
             else:
                 hi = chi
             step = residual / radius
             if abs(step) <= _KEPLER_RTOL * chi:
-                return chi - step
+                chi -= step
+                break
             if lo < chi - step < hi and abs(step) <= 0.5 * abs(last_step):
                 chi -= step
                 last_step = step
@@ -225,70 +212,42 @@ class _KeplerCoast:
                 last_step = 0.5 * (hi - lo)
                 chi = lo + last_step
                 if last_step <= _KEPLER_RTOL * chi:
-                    return chi
-        raise KeplerNonConvergence(
-            f"universal Kepler solve for dt={dt:.6g} s did not converge in "
-            f"{_KEPLER_MAX_ITER} iterations"
-        )
-
-    def state(self, dt: float) -> Tuple[Vec3, Vec3, float]:
-        """Position, velocity and radius dt seconds after the initial state."""
-        dt = math.fmod(dt, self.period)
-        if dt == 0.0:
-            return self.r0, self.v0, self.rn0
-        chi = self._anomaly(dt)
-        z = self.alpha * chi * chi
-        c, s = _stumpff(z)
-        f = 1.0 - chi * chi * c / self.rn0
-        g = dt - chi * chi * chi * s / _SQRT_MU
-        (x, y, z0), (u, v, w) = self.r0, self.v0
-        position = (f * x + g * u, f * y + g * v, f * z0 + g * w)
-        rn = math.hypot(*position)
-        fdot = _SQRT_MU * chi * (z * s - 1.0) / (rn * self.rn0)
-        gdot = 1.0 - chi * chi * c / rn
-        return position, (fdot * x + gdot * u, fdot * y + gdot * v, fdot * z0 + gdot * w), rn
-
-    def lowest_radius(
-        self, duration: float, end_position: Vec3, end_velocity: Vec3, rn1: float
-    ) -> float:
-        """Smallest radius reached over [0, duration], given the end state
-        and its radius rn1.
-
-        Exact: periapsis radius h^2 / (MU_EARTH (1 + e)) if the arc passes
-        periapsis, else the smaller end radius (r is monotone between
-        apsides).
-        """
-        if duration >= self.period:
-            passes = True
-        elif self.alpha > 0.0:
-            # time from the start to the next periapsis, from the mean
-            # anomaly M0 = E0 - e sin E0, with e sin E0 = sigma0 sqrt(alpha)
-            e_sin = self.sigma0 * math.sqrt(self.alpha)
-            mean0 = math.atan2(e_sin, self.ecc_cos0) - e_sin
-            to_periapsis = (-mean0) % (2.0 * math.pi) / (2.0 * math.pi) * self.period
-            passes = duration >= to_periapsis
+                    break
         else:
-            # r . v rises monotonically on an open orbit
-            passes = self.sigma0 < 0.0 <= _dot(end_position, end_velocity)
-        if not passes:
-            return min(self.rn0, rn1)
-        r, v = self.r0, self.v0
-        h = (
-            r[1] * v[2] - r[2] * v[1],
-            r[2] * v[0] - r[0] * v[2],
-            r[0] * v[1] - r[1] * v[0],
-        )
-        radial = _dot(v, v) - MU_EARTH / self.rn0
-        rv = _dot(r, v)
-        ecc = [(radial * a - rv * b) / MU_EARTH for a, b in zip(r, v)]
-        return _dot(h, h) / (MU_EARTH * (1.0 + math.hypot(*ecc)))
-
-
-def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
-    """End position and velocity of a coast of duration > 0 s, checked against the surface."""
-    coast = _KeplerCoast(r0, v0)
-    position, velocity, radius = coast.state(duration)
-    lowest = coast.lowest_radius(duration, position, velocity, radius)
+            raise KeplerNonConvergence(
+                f"no bracket for a coast of {dt:.6g} s" if bracketing else
+                f"universal Kepler solve for dt={dt:.6g} s did not converge in "
+                f"{_KEPLER_MAX_ITER} iterations"
+            )
+        z = alpha * chi * chi
+        c, s = _stumpff(z)
+        f = 1.0 - chi * chi * c / rn0
+        g = dt - chi * chi * chi * s / _SQRT_MU
+        position = px, py, pz = f * x + g * u, f * y + g * v, f * z0 + g * w
+        rn = math.hypot(px, py, pz)
+        fdot = _SQRT_MU * chi * (z * s - 1.0) / (rn * rn0)
+        gdot = 1.0 - chi * chi * c / rn
+        velocity = fdot * x + gdot * u, fdot * y + gdot * v, fdot * z0 + gdot * w
+    if duration >= period:
+        passes = True
+    elif alpha > 0.0:
+        # time from the start to the next periapsis, from the mean anomaly
+        # M0 = E0 - e sin E0, with e sin E0 = sigma0 sqrt(alpha)
+        e_sin = sigma0 * math.sqrt(alpha)
+        mean0 = math.atan2(e_sin, k) - e_sin
+        passes = duration >= (-mean0) % (2.0 * math.pi) / (2.0 * math.pi) * period
+    else:
+        # r . v rises monotonically on an open orbit
+        (px, py, pz), (qx, qy, qz) = position, velocity
+        passes = sigma0 < 0.0 <= px * qx + py * qy + pz * qz
+    if not passes:
+        lowest = min(rn0, rn)
+    else:
+        hx, hy, hz = y * w - z0 * v, z0 * u - x * w, x * v - y * u
+        radial = v2 - MU_EARTH / rn0
+        lowest = (hx * hx + hy * hy + hz * hz) / (MU_EARTH * (1.0 + math.hypot(
+            (radial * x - rv * u) / MU_EARTH, (radial * y - rv * v) / MU_EARTH,
+            (radial * z0 - rv * w) / MU_EARTH)))
     if lowest < _SURFACE_RADIUS:
         raise SingularRadius(
             f"coast reaches radius {lowest:.6g} km, below the "
@@ -343,7 +302,8 @@ def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]],
 
 def specific_energy(state: InertialState) -> float:
     """Specific orbital energy v^2/2 - MU_EARTH/r, km^2/s^2."""
-    return 0.5 * _dot(state.velocity, state.velocity) - MU_EARTH / math.hypot(*state.position)
+    u, v, w = state.velocity
+    return 0.5 * (u * u + v * v + w * w) - MU_EARTH / math.hypot(*state.position)
 
 
 # ---------------------------------------------------------------------------

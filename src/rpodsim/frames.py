@@ -63,9 +63,12 @@ class InertialState:
 
 def _check_state(position: Vec3, velocity: Vec3) -> None:
     """An inertial state's checks on its float triples: finite, with a nonzero position."""
-    if not all(map(math.isfinite, position + velocity)):
+    (x, y, z), (u, v, w) = position, velocity
+    isfinite = math.isfinite
+    if not (isfinite(x) and isfinite(y) and isfinite(z)
+            and isfinite(u) and isfinite(v) and isfinite(w)):
         raise ValueError("state components must be finite")
-    if not any(position):
+    if not (x or y or z):
         raise ValueError("position magnitude must be positive")
 
 
@@ -120,7 +123,9 @@ def _to_hill(orbit: TargetOrbit, c: float, s: float, r: Vec3, v: Vec3) -> Relati
     (px, py, pz), (qx, qy, qz) = r, v
     px, py, qx, qy = px - radius * c, py - radius * s, qx + speed * s, qy - speed * c
     x, y = c * px + s * py, -s * px + c * py
-    return RelativeState(x, y, pz, c * qx + s * qy + n * y, -s * qx + c * qy - n * x, qz)
+    # tuple.__new__ builds the RelativeState without its Python-level __new__
+    return tuple.__new__(RelativeState, (x, y, pz, c * qx + s * qy + n * y,
+                                         -s * qx + c * qy - n * x, qz))
 
 
 def hill_to_eci(orbit: TargetOrbit, t: float, rel: RelativeState) -> InertialState:

@@ -341,6 +341,144 @@ def _outcome(call):
     except Exception as exc:  # compared, never swallowed: the twin must raise alike
         return type(exc), str(exc)
 
+# _coast inputs (r0, v0 and duration, as float.hex) and the float.hex bits of
+# its end state or its exception, pinned from the class-based solver that
+# _coast replaced; the cases cover both Stumpff branches, closed and open
+# orbits (the hyperbolic bracket growth and the bisection fallback among
+# them), arcs that do and do not pass periapsis, a whole number of periods,
+# and every error the core raises; the second field is _KEPLER_MAX_ITER
+_KEPLER_CORE_TABLE = [
+    ("near-circular-m-64-taylor", 100,
+     "0x1.05d91eb851eb8p+13 0x1.p+1 -0x1.p-1"
+     " 0x1.0624dd2f1a9fcp-10 0x1.b99249144a560p+2 -0x0.0p+0 0x1.dcfe52e68993dp+6",
+     "0x1.04976af6ba114p+13 0x1.9bb7161e3397ep+9 -0x1.fd891a64e3912p-2"
+     " -0x1.598a1e4b57ffep-1 0x1.b76f8d1fac3bep+2 0x1.52520500b6ba8p-15"),
+    ("near-circular-m-8-closed-form", 100,
+     "0x1.05d91eb851eb8p+13 0x1.p+1 -0x1.p-1"
+     " 0x1.0624dd2f1a9fcp-10 0x1.b99249144a560p+2 -0x0.0p+0 0x1.dcfe52e68993dp+9",
+     "0x1.7278a09bf0e2ap+12 0x1.727fed162f6a0p+12 -0x1.6a25044e8585cp-2"
+     " -0x1.37dcd3c59c9bep+2 0x1.38510962bb80ep+2 0x1.30f114b19630fp-12"),
+    ("grid-leg-m-4", 100,
+     "0x1.0da11eb851eb8p+13 -0x1.4000000000000p+5 0x1.8000000000000p+1"
+     " 0x1.47ae147ae147bp-6 0x1.99718478a472bp+2 0x1.0624dd2f1a9fcp-10 0x1.dcfe52e68993dp+10",
+     "0x1.fb1b5e513446dp+7 0x1.de6b7e1b0d2f8p+12 0x1.46c981d16b01cp+0"
+     " -0x1.cec19c9889f37p+2 -0x1.2b314cfc5373bp-1 -0x1.561824d4dfe65p-9"),
+    ("grid-leg-m-16", 100,
+     "0x1.ec623d70a3d70p+12 0x1.c200000000000p+9 -0x1.c000000000000p+2"
+     " -0x1.3333333333333p-2 0x1.eca4b7abd7a5ep+2 -0x1.0624dd2f1a9fcp-9 0x1.dcfe52e68993dp+8",
+     "0x1.b951b0e6d5cefp+12 0x1.126acafb8467dp+12 -0x1.d4c7899786ef2p+2"
+     " -0x1.81a127d890379p+1 0x1.b03318e51f4a4p+2 0x1.38aae5f3ef7d0p-11"),
+    ("grid-leg-m-32", 100,
+     "0x1.05d51eb851eb8p+13 -0x1.p+0 0x1.p-2"
+     " -0x1.a36e2eb1c432dp-12 0x1.b981e6c677646p+2 0x1.4f8b588e368f1p-16 0x1.dcfe52e68993dp+7",
+     "0x1.00cc9b062ab83p+13 0x1.98701a61d9db3p+10 0x1.ffdea478c87e6p-3"
+     " -0x1.588f82c4102a7p+0 0x1.b10907e13b590p+2 -0x1.5879f7c83c2e3p-16"),
+    ("ellipse-through-periapsis", 100,
+     "0x1.ee90b21642c88p+11 -0x1.ac4e58c63ba3bp+12 0x0.0p+0"
+     " 0x1.6ed32c1192af2p+2 0x1.52dbbad3320d0p+2 0x0.0p+0 0x1.7700000000000p+10",
+     "0x1.66fcd5dbd627bp+12 0x1.214e87698f5efp+12 0x0.0p+0"
+     " -0x1.09c9b44fc386cp+2 0x1.c8e044039d40cp+2 -0x0.0p+0"),
+    ("ellipse-short-of-periapsis", 100,
+     "0x1.86f954161981ep+12 0x1.c3753392f8591p+11 0x0.0p+0"
+     " -0x1.a792a987fe900p+1 0x1.ede59220c5740p+2 0x0.0p+0 0x1.2c00000000000p+9",
+     "0x1.9fc974648dc02p+11 0x1.cdbd35a5912e3p+12 0x0.0p+0"
+     " -0x1.823b038c5bb0ep+2 0x1.2cf7e57cc6af4p+2 0x0.0p+0"),
+    ("ellipse-over-2.5-periods", 100,
+     "0x1.05d91eb851eb8p+13 0x1.p+1 -0x1.p-1"
+     " 0x1.0624dd2f1a9fcp-10 0x1.b99249144a560p+2 -0x0.0p+0 0x1.2a1ef3d015fc6p+14",
+     "-0x1.06294a080652ep+13 0x1.58ef5a5d3e613p+7 0x1.004e93930c53ep-1"
+     " -0x1.1cd01be36bdc0p-3 -0x1.b8dc680054afcp+2 0x1.1473ef9f5bc82p-17"),
+    ("two-whole-periods", 100,
+     "0x1.05d11eb851eb8p+13 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.bddb9cd60240ap+2 0x0.0p+0 0x1.ebbeab95f91a5p+13",
+     "0x1.05d11eb851eb8p+13 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.bddb9cd60240ap+2 0x0.0p+0"),
+    ("hyperbola-bracket-growth", 100,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.8000000000000p+3 0x0.0p+0 0x1.3880000000000p+12",
+     "-0x1.bf73c345031b8p+13 0x1.2061d6fe0d5eap+15 0x0.0p+0"
+     " -0x1.1b23eb06e5ff9p+2 0x1.6279859223d56p+2 0x0.0p+0"),
+    ("hyperbola-bracket-growth-fewest-iterations", 7,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.8000000000000p+3 0x0.0p+0 0x1.3880000000000p+12",
+     "-0x1.bf73c345031b8p+13 0x1.2061d6fe0d5eap+15 0x0.0p+0"
+     " -0x1.1b23eb06e5ff9p+2 0x1.6279859223d56p+2 0x0.0p+0"),
+    ("hyperbola-through-periapsis", 100,
+     "0x1.2d5c0d3796aedp+11 -0x1.ab4615ed91e0ap+13 0x0.0p+0"
+     " 0x1.2ccd6a0fc2fbap+2 0x1.ff342711d9166p+2 0x0.0p+0 0x1.7700000000000p+11",
+     "0x1.212dc52b4e1c1p+10 0x1.eb53798778b09p+13 0x0.0p+0"
+     " -0x1.309e957be6bddp+2 0x1.e09346dd02032p+2 -0x0.0p+0"),
+    ("hyperbola-short-arc-taylor", 100,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.8000000000000p+3 0x0.0p+0 0x1.4000000000000p+4",
+     "0x1.b565f97e304dap+12 0x1.dff67bbc04811p+7 0x0.0p+0"
+     " -0x1.4d0da56ed9060p-3 0x1.7fe92a4c916e9p+3 0x0.0p+0"),
+    ("hyperbola-by-bisection", 100,
+     "0x1.eca0000000000p+13 0x0.0p+0 0x0.0p+0"
+     " 0x1.1eb851eb851ecp-2 0x1.de147ae147ae1p+2 0x0.0p+0 0x1.1000000000000p+5",
+     "0x1.ece4bf1506512p+13 0x1.fbf33695c086dp+7 0x0.0p+0"
+     " 0x1.cdd3dfdb296a2p-3 0x1.de0d4aa67c084p+2 0x0.0p+0"),
+    ("parabola", 100,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.557ed1cfb9c2ep+3 0x0.0p+0 0x1.f400000000000p+9",
+     "0x1.e8aa9432fd8c0p+11 0x1.22b4f6440eabdp+13 0x0.0p+0"
+     " -0x1.3ad3602987728p+2 0x1.d9cc32bde4e79p+2 0x0.0p+0"),
+    ("ellipse-climbing-from-below-the-floor", 100,
+     "0x1.729a29f69f51bp+12 0x1.05637fde38f8ep+10 0x0.0p+0"
+     " -0x1.3dc8a874564c1p+0 0x1.25e8278ea783cp+3 0x0.0p+0 0x1.2c00000000000p+8",
+     (SingularRadius, "coast reaches radius 6021.11 km, below the 6378.14 km floor")),
+    ("ellipse-through-periapsis-below-the-floor", 100,
+     "0x1.c68ba2e8ba2ebp+11 -0x1.89a5dd7ba06f9p+12 0x0.0p+0"
+     " 0x1.6c379fa90ac15p+2 0x1.b4bcc2be5d708p+2 0x0.0p+0 0x1.2c00000000000p+10",
+     (SingularRadius, "coast reaches radius 6000 km, below the 6378.14 km floor")),
+    ("hyperbola-through-periapsis-below-the-floor", 100,
+     "0x1.0aaaaaaaaaaacp+12 -0x1.cde155cb14fdcp+12 0x0.0p+0"
+     " 0x1.1ff0650e130d2p+2 0x1.4616e694ce1a4p+3 0x0.0p+0 0x1.e848000000000p+19",
+     (SingularRadius, "coast reaches radius 6000 km, below the 6378.14 km floor")),
+    ("anomaly-cap", 100,
+     "0x1.05d0000000000p+13 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.e000000000000p+3 0x0.0p+0 0x1.7e43c8800759cp+996",
+     (KeplerNonConvergence, "hyperbolic anomaly change 1.02e+03 exceeds 700")),
+    ("double-range", 100,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.557ed1cfb9c2ep+3 0x0.0p+0 0x1.7e43c8800759cp+996",
+     (KeplerNonConvergence, "coast of 1e+300 s leaves double-precision range")),
+    ("no-convergence", 100,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.557ed1cfb9c2ep+3 0x0.0p+0 0x1.249ad2594c37dp+332",
+     (KeplerNonConvergence, "universal Kepler solve for dt=1e+100 s"
+      " did not converge in 100 iterations")),
+    ("no-bracket", 1,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.8000000000000p+3 0x0.0p+0 0x1.3880000000000p+12",
+     (KeplerNonConvergence, "no bracket for a coast of 5000 s")),
+    ("newton-cap-after-the-bracket", 6,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.8000000000000p+3 0x0.0p+0 0x1.3880000000000p+12",
+     (KeplerNonConvergence, "universal Kepler solve for dt=5000 s"
+      " did not converge in 6 iterations")),
+    ("newton-cap", 1,
+     "0x1.05d91eb851eb8p+13 0x1.p+1 -0x1.p-1"
+     " 0x1.0624dd2f1a9fcp-10 0x1.b99249144a560p+2 -0x0.0p+0 0x1.dcfe52e68993dp+9",
+     (KeplerNonConvergence, "universal Kepler solve for dt=953.987 s"
+      " did not converge in 1 iterations")),
+]
+
+
+@pytest.mark.parametrize("max_iter, given, expected", [case[1:] for case in _KEPLER_CORE_TABLE],
+                         ids=[case[0] for case in _KEPLER_CORE_TABLE])
+def test_kepler_core_is_pinned_bit_for_bit(max_iter, given, expected, monkeypatch):
+    # the leg map and the library round trip share _coast, so only fixed
+    # bits can show a change inside it: every output bit and every message
+    import rpodsim.dynamics
+
+    monkeypatch.setattr(rpodsim.dynamics, "_KEPLER_MAX_ITER", max_iter)
+    x, y, z, u, v, w, duration = map(float.fromhex, given.split())
+    got = _outcome(lambda: sum(rpodsim.dynamics._coast((x, y, z), (u, v, w), duration), ()))
+    if isinstance(expected, str):
+        expected = tuple(float.fromhex(bits).hex() for bits in expected.split())
+    assert got == expected
+
 
 def _two_body_cases():
     """(relative state, leg length) pairs that every two-body leg map must fly alike."""
