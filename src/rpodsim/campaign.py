@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .dynamics import TargetOrbit, cw_coast, two_body_coast
@@ -67,8 +68,9 @@ TRUTH_MODELS = ("two_body", "cw")
 _MIN_IMPULSES = {"nmc_unforced": 3, "circle_forced": 3, "intercept_forced": 2}
 # most legs (laps x impulse_count) one campaign, and one run of campaigns,
 # may fly, so no input can make a run work without end: the benchmark's
-# largest run flies 19,840, and on a 2-vCPU VM 1e5 legs took 10 s under CW
-# truth, 37 s under two-body
+# largest run flies 19,840, and on a shared 2-vCPU VM (Python 3.11) a
+# 1e5-leg nmc_unforced campaign takes ~0.5 s of CPU under CW truth and
+# ~1.5 s under two-body, and its result holds ~26 MB
 MAX_LEGS = 100_000
 
 
@@ -133,18 +135,37 @@ class CampaignConfig:
 class CampaignResult:
     """Executed trajectory, impulse log, and Δv accounting for one run.
 
-    ``samples`` holds ``(t, RelativeState)`` pairs: the start, then each
-    waypoint arrival before its burn.  The chaser's inertial state at a
-    sample is ``hill_to_eci(orbit, t, rel)``.
+    The flight is kept as two flat tuples of floats, so a result holds no
+    Python object per leg: ``arrivals`` has six Hill floats per sample (the
+    start, then each waypoint arrival before its burn) and ``burns`` the
+    three dv floats of each correction burn, in burn order.  ``samples``
+    and ``impulses`` are built from them on first access and cached:
+    ``samples`` holds ``(k tau, RelativeState)`` pairs and ``impulses`` one
+    ImpulseRecord per burn.  The chaser's inertial state at a sample is
+    ``hill_to_eci(orbit, t, rel)``.
     """
 
     config: CampaignConfig
-    samples: Tuple[Tuple[float, RelativeState], ...]
-    impulses: Tuple[ImpulseRecord, ...]
+    arrivals: Tuple[float, ...]
+    burns: Tuple[float, ...]
+    tau: float
     total_dv: float
     insertion_dv: float
     max_waypoint_miss: float
     duration: float
+
+    @cached_property
+    def samples(self) -> Tuple[Tuple[float, RelativeState], ...]:
+        a, tau = self.arrivals, self.tau
+        return tuple((k * tau, tuple.__new__(RelativeState, a[6 * k:6 * k + 6]))
+                     for k in range(len(a) // 6))
+
+    @cached_property
+    def impulses(self) -> Tuple[ImpulseRecord, ...]:
+        # a closed plan burns at arrivals 1..L, the line at departures 0..m-1
+        first, b, tau = self.config.maneuver_kind in CIRCUMNAV_KINDS, self.burns, self.tau
+        return tuple(ImpulseRecord((first + j) * tau, b[3 * j:3 * j + 3])
+                     for j in range(len(b) // 3))
 
 
 # the truth model's coast over one leg: six Hill-frame floats in, a RelativeState out
@@ -209,8 +230,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         insertion_dv = insertion.magnitude
     legs = config.laps * m
     coast = _truth_coast(orbit, config.truth_model, tau)
-    samples = [(0.0, rel)]
-    impulses: List[ImpulseRecord] = []
+    arrivals, burns = list(rel), []
     max_miss = total_dv = 0.0
     # leg k coasts into arrival k and burns at k tau toward the point due at
     # (k + 1) tau; the line's leg 0 only burns, and its last arrival does not
@@ -219,21 +239,23 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             rel = coast(rel)
             x, y = plan[k % len(plan)]
             max_miss = max(max_miss, math.hypot(rel.x - x, rel.y - y))
-            samples.append((k * tau, rel))
+            arrivals += rel
         if closed or k < legs:
             record, _ = cw_target_impulse(rel, plan[(k + 1) % len(plan)], k * tau, law)
-            _, (dx, dy, dz), magnitude = record
+            _, dv, magnitude = record
             if not magnitude < cap:
                 _burn(rel, record, cap)
-            impulses.append(record)
+            burns += dv
             total_dv += magnitude  # in burn order: sum() rounds otherwise from Python 3.12
+            dx, dy, dz = dv
             x, y, z, vx, vy, vz = rel
             rel = (x, y, z, vx + dx, vy + dy, vz + dz)  # six floats, which coast takes as is
 
     return CampaignResult(
         config=config,
-        samples=tuple(samples),
-        impulses=tuple(impulses),
+        arrivals=tuple(arrivals),
+        burns=tuple(burns),
+        tau=tau,
         total_dv=total_dv,
         insertion_dv=insertion_dv,
         max_waypoint_miss=max_miss,

@@ -1,4 +1,7 @@
+import copy
+import gc
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -22,6 +25,7 @@ from rpodsim import (
 )
 from rpodsim.campaign import MAX_LEGS, _truth_coast
 from rpodsim.dynamics import two_body_coast
+from rpodsim.guidance import ImpulseRecord, Vector3
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
 
@@ -359,6 +363,101 @@ def test_every_burn_flies_the_record_of_the_guidance_seam(config, monkeypatch):
         dx, dy, dz = burns.get(t, (0.0, 0.0, 0.0))
         assert coast((*rel[:3], rel.vx + dx, rel.vy + dy, rel.vz + dz)) == arrival
 
+
+def _tracked_below(root):
+    """Objects the garbage collector tracks among those reachable from root,
+    classes left out, since every instance reaches its class."""
+    seen, stack, tracked = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        tracked += gc.is_tracked(obj)
+        stack.extend(gc.get_referents(obj))
+    return tracked
+
+
+def test_a_result_keeps_no_tracked_object_per_leg():
+    # every collection rescans each tracked object that survives it; a result
+    # keeps its flight as tuples of floats, which the first collection
+    # untracks, so ten laps leave the collector no more to scan than one
+    results = [run_campaign(unforced(10.0, 8, truth="cw", laps=laps)) for laps in (1, 10)]
+    gc.collect()
+    one_lap, ten_laps = map(_tracked_below, results)
+    assert one_lap == ten_laps
+    assert not any({"samples", "impulses"} & vars(result).keys() for result in results)
+
+
+# float.hex of (t, x, y, z, vx, vy, vz) for each sample and of
+# (t, dvx, dvy, dvz, magnitude) for each impulse, as the views read before
+# the flight was kept in flat logs
+_VIEW_BITS = {
+    "nmc_unforced": (
+        [
+            "0x0.0p+0 0x1.0000000000000p+0 -0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.afa2ce44febc4p-10"
+            " 0x0.0p+0",
+            "0x1.3dfed6bd7d16cp+11 -0x1.0023317fed8ccp-1 -0x1.bb5e59caecab2p+0 0x0.0p+0"
+            " -0x1.75cec4b24939ep-11 0x1.afc079db5ed17p-11 -0x0.0p+0",
+            "0x1.3dfed6bd7d16cp+12 -0x1.ff96661707d98p-2 0x1.bb4ea517e1906p+0 0x0.0p+0"
+            " 0x1.75d489e144269p-11 0x1.af3a23af7cab0p-11 -0x0.0p+0",
+            "0x1.dcfe421c3ba22p+12 0x1.002bff9b0916ap+0 -0x1.1af20ef1b1a00p-10 0x0.0p+0"
+            " 0x1.008ca1022da29p-21 -0x1.afd12d928b5a7p-10 -0x0.0p+0",
+        ],
+        [
+            "0x1.3dfed6bd7d16cp+11 0x1.2898203b1d000p-22 0x1.c0a2b47f24000p-24 0x0.0p+0"
+            " 0x1.3d17b935864bbp-22",
+            "0x1.3dfed6bd7d16cp+12 -0x1.17a16b8601c00p-21 0x1.4c9a6eb3d9000p-22 0x0.0p+0"
+            " 0x1.45585c72220ccp-21",
+            "0x1.dcfe421c3ba22p+12 -0x1.82d1928947d14p-20 -0x1.7c6015b9c8000p-25 0x0.0p+0"
+            " 0x1.830050f8991f4p-20",
+        ],
+    ),
+    "intercept_forced": (
+        [
+            "0x0.0p+0 0x1.4000000000000p+3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.c200000000000p+10 0x1.4000000000000p+2 -0x1.8000000000000p-48 0x0.0p+0"
+            " 0x1.a9683a6778374p-8 -0x1.820887cf8bc00p-12 0x0.0p+0",
+            "0x1.c200000000000p+11 0x0.0p+0 -0x1.8000000000000p-49 0x0.0p+0"
+            " 0x1.5c0e95ed50ce0p-11 0x1.579ca63b83ca4p-9 0x0.0p+0",
+        ],
+        [
+            "0x0.0p+0 -0x1.68257e4af9112p-7 -0x1.19d605299b93ep-7 0x0.0p+0 0x1.c950a40107467p-7",
+            "0x1.c200000000000p+10 -0x1.7de667a9ce1dep-7 -0x1.579ca63b83ca4p-8 0x0.0p+0"
+            " 0x1.a2c41489cf927p-7",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        unforced(1.0, 3),
+        CampaignConfig("intercept_forced", 2000.0, 10.0, 2, duration=3600.0, truth_model="cw"),
+    ],
+    ids=lambda config: f"{config.maneuver_kind}-{config.truth_model}",
+)
+def test_samples_and_impulses_are_cached_views_of_the_flight(config):
+    # the views are built on first access, bit for bit and type for type as
+    # a result held them when it kept one object per leg; building them
+    # changes neither the hash nor equality, copies or pickles
+    result = run_campaign(config)
+    samples, impulses = result.samples, result.impulses
+    assert result.samples is samples and result.impulses is impulses
+    assert type(samples) is tuple and type(impulses) is tuple
+    assert {type(pair) for pair in samples} == {tuple}
+    assert {(type(t), type(rel)) for t, rel in samples} == {(float, RelativeState)}
+    assert {(type(record), type(record.dv)) for record in impulses} == {(ImpulseRecord, Vector3)}
+    sample_bits, impulse_bits = _VIEW_BITS[config.maneuver_kind]
+    assert [" ".join(v.hex() for v in (t, *rel)) for t, rel in samples] == sample_bits
+    assert [" ".join(v.hex() for v in (r.t, *r.dv, r.magnitude)) for r in impulses] == impulse_bits
+    fresh = run_campaign(config)
+    for twin in (fresh, pickle.loads(pickle.dumps(result)), copy.deepcopy(result),
+                 pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)):
+        assert twin == result and hash(twin) == hash(result)
+        assert twin.samples == samples and twin.impulses == impulses
+    assert run_campaign(unforced(1.0, 4)) != result
 
 def test_cw_truth_never_builds_inertial_states(monkeypatch):
     # under CW truth the campaign stays in the Hill frame: no chief state and

@@ -344,9 +344,10 @@ def _outcome(call):
 # _coast inputs (r0, v0 and duration, as float.hex) and the float.hex bits of
 # its end state or its exception, pinned from the class-based solver that
 # _coast replaced; the cases cover both Stumpff branches, closed and open
-# orbits (the hyperbolic bracket growth and the bisection fallback among
-# them), arcs that do and do not pass periapsis, a whole number of periods,
-# and every error the core raises; the second field is _KEPLER_MAX_ITER
+# orbits (the hyperbolic bracket growth, the bisection fallback and its own
+# exit among them), arcs that do and do not pass periapsis, a whole number
+# of periods, and every error the core raises; the second field is
+# _KEPLER_MAX_ITER
 _KEPLER_CORE_TABLE = [
     ("near-circular-m-64-taylor", 100,
      "0x1.05d91eb851eb8p+13 0x1.p+1 -0x1.p-1"
@@ -418,6 +419,14 @@ _KEPLER_CORE_TABLE = [
      " 0x1.1eb851eb851ecp-2 0x1.de147ae147ae1p+2 0x0.0p+0 0x1.1000000000000p+5",
      "0x1.ece4bf1506512p+13 0x1.fbf33695c086dp+7 0x0.0p+0"
      " 0x1.cdd3dfdb296a2p-3 0x1.de0d4aa67c084p+2 0x0.0p+0"),
+    # a fall from 1e6 km to a 6,833 km pass on an e ~ 5 hyperbola, where the
+    # residual's rounding outgrows the Newton tolerance, so the bracket
+    # collapses and the solve leaves through the bisection's own exit
+    ("hyperbola-bisection-exit", 100,
+     "0x1.e848000000000p+19 0x0.0p+0 0x0.0p+0"
+     " -0x1.f5fa43fe5c91dp+3 0x1.feb18116ebd4dp-4 0x0.0p+0 0x1.f018000000000p+15",
+     "-0x1.b4fdac2eb6800p+11 0x1.6eeea1717ed13p+12 0x0.0p+0"
+     " -0x1.26f03d4e849e0p+4 -0x1.2d4ed72aa3d92p+2 -0x0.0p+0"),
     ("parabola", 100,
      "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
      " 0x0.0p+0 0x1.557ed1cfb9c2ep+3 0x0.0p+0 0x1.f400000000000p+9",
