@@ -1,8 +1,10 @@
 """Closed-loop maneuver campaigns.
 
 A campaign flies a waypoint plan against a truth model.  The chaser's
-state is always its Hill-frame relative state; the truth model is only
-the coast that carries it from one burn to the next.  Guidance is always
+state is always its Hill-frame relative state, flown as a plain tuple of
+six floats from insertion to output (a RelativeState is built only when a
+result's ``samples`` view is read); the truth model is only the coast that
+carries it from one burn to the next.  Guidance is always
 the CW model: at each waypoint arrival a CW targeting impulse toward the
 next waypoint is computed from the truth state and added to its velocity.
 When the truth model is itself CW the corrections vanish identically; when
@@ -69,8 +71,8 @@ _MIN_IMPULSES = {"nmc_unforced": 3, "circle_forced": 3, "intercept_forced": 2}
 # most legs (laps x impulse_count) one campaign, and one run of campaigns,
 # may fly, so no input can make a run work without end: the benchmark's
 # largest run flies 19,840, and on a shared 2-vCPU VM (Python 3.11) a
-# 1e5-leg nmc_unforced campaign takes ~0.5 s of CPU under CW truth and
-# ~1.5 s under two-body, and its result holds ~26 MB
+# 1e5-leg nmc_unforced campaign takes ~0.23 s of CPU under CW truth and
+# ~0.8 s under two-body, and its result holds ~26 MB
 MAX_LEGS = 100_000
 
 
@@ -168,8 +170,9 @@ class CampaignResult:
                      for j in range(len(b) // 3))
 
 
-# the truth model's coast over one leg: six Hill-frame floats in, a RelativeState out
-Coast = Callable[[Sequence[float]], RelativeState]
+# the truth model's coast over one leg: six Hill-frame floats in, a plain
+# tuple of six floats out, so no leg builds a RelativeState
+Coast = Callable[[Sequence[float]], Tuple[float, ...]]
 
 
 def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
@@ -180,15 +183,10 @@ def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
     return two_body_coast(orbit, tau)
 
 
-def _burn(rel: RelativeState, record: ImpulseRecord, cap: float) -> RelativeState:
-    """The state just after an impulse, under either truth model.
-
-    An impulse leaves the position, and with it the frame term omega x rho,
-    unchanged, so in Hill axes it adds dv to the relative velocity exactly.
-    A burn at or above ``cap`` (the chief's circular speed) is not a
-    relative-motion maneuver and raises UnphysicalBurn, as does a burn that
-    is not finite.  The leg loop adds dv itself, and calls this only to raise.
-    """
+def _check_burn(record: ImpulseRecord, cap: float) -> None:
+    """Raise UnphysicalBurn for a burn at or above ``cap`` (the chief's
+    circular speed), which is not a relative-motion maneuver, or for one
+    that is not finite."""
     if not record.magnitude < cap:
         raise UnphysicalBurn(
             f"burn of {record.magnitude:.6g} km/s at t = {record.t:.6g} s reaches "
@@ -196,8 +194,6 @@ def _burn(rel: RelativeState, record: ImpulseRecord, cap: float) -> RelativeStat
             if math.isfinite(record.magnitude) else
             f"burn at t = {record.t:.6g} s is not finite: the targeting solve overflowed"
         )
-    dx, dy, dz = record.dv
-    return RelativeState(rel.x, rel.y, rel.z, rel.vx + dx, rel.vy + dy, rel.vz + dz)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -218,7 +214,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         lap, plan = float(config.duration), waypoints_line((config.size, 0.0), (0.0, 0.0), m + 1)
     tau = lap / m
     law = cw_targeting(n, tau)
-    rel = RelativeState(*plan[0], 0.0, 0.0, 0.0, 0.0)  # at rest at the plan's start
+    rel = (*plan[0], 0.0, 0.0, 0.0, 0.0)  # at rest at the plan's start
     cap = orbit.circular_speed
     insertion_dv = 0.0
     if closed:  # inserted by a burn at 0: onto the NMC, or along the first leg from rest
@@ -226,25 +222,37 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             insertion = ImpulseRecord(0.0, nmc_initial_state(config.size, n)[3:])
         else:
             insertion, _ = cw_target_impulse(rel, plan[1], 0.0, law)
-        rel = _burn(rel, insertion, cap)
+        _check_burn(insertion, cap)
         insertion_dv = insertion.magnitude
-    legs = config.laps * m
+        # an impulse leaves the position, and with it the frame term
+        # omega x rho, unchanged, so under either truth model it adds its
+        # dv to the Hill-frame velocity exactly, here as in the loop below
+        dx, dy, dz = insertion.dv
+        x, y, z, vx, vy, vz = rel
+        rel = (x, y, z, vx + dx, vy + dy, vz + dz)
+    legs, points = config.laps * m, len(plan)
     coast = _truth_coast(orbit, config.truth_model, tau)
+    # local names, looked up once: the loop below runs once per leg
+    hypot, target_impulse = math.hypot, cw_target_impulse
     arrivals, burns = list(rel), []
     max_miss = total_dv = 0.0
-    # leg k coasts into arrival k and burns at k tau toward the point due at
+    aim = plan[1]  # the point arrival 1 is due at
+    # leg k coasts into arrival k, whose miss is taken against the point the
+    # burn before it aimed at, and burns at k tau toward the point due at
     # (k + 1) tau; the line's leg 0 only burns, and its last arrival does not
     for k in range(1 if closed else 0, legs + 1):
         if k:
             rel = coast(rel)
-            x, y = plan[k % len(plan)]
-            max_miss = max(max_miss, math.hypot(rel.x - x, rel.y - y))
+            miss = hypot(rel[0] - aim[0], rel[1] - aim[1])
+            if miss > max_miss:  # so, as with max(), a NaN miss is never kept
+                max_miss = miss
             arrivals += rel
         if closed or k < legs:
-            record, _ = cw_target_impulse(rel, plan[(k + 1) % len(plan)], k * tau, law)
+            aim = plan[(k + 1) % points]
+            record, _ = target_impulse(rel, aim, k * tau, law)
             _, dv, magnitude = record
             if not magnitude < cap:
-                _burn(rel, record, cap)
+                _check_burn(record, cap)
             burns += dv
             total_dv += magnitude  # in burn order: sum() rounds otherwise from Python 3.12
             dx, dy, dz = dv

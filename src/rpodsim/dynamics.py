@@ -274,7 +274,7 @@ def propagate_two_body(initial: InertialState, duration: float) -> InertialState
     return InertialState(initial.epoch + float(duration), position, velocity)
 
 
-def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]], RelativeState]:
+def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]], Tuple[float, ...]]:
     """Two-body motion over dt of a chaser's Hill state, the twin of :func:`cw_coast`.
 
     Two-body motion is invariant under rotation about the pole, so a leg
@@ -282,14 +282,15 @@ def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]],
     frame: the chaser is lifted at theta = 0, coasted, and read back in the
     frame at dt, whose basis is read once.  Each leg is ``eci_to_hill(orbit,
     propagate_two_body(hill_to_eci(orbit, 0.0, rel), dt))`` operation for
-    operation, with its checks, but builds no InertialState.  Like the CW
-    coast it takes any six floats and returns a RelativeState.
+    operation, with its checks, but builds no InertialState and no
+    RelativeState.  Like the CW coast it takes any six floats and returns
+    a plain tuple of six floats.
     """
     if not 0.0 <= dt < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {dt}")
     c, s = hill_basis(orbit, dt)
 
-    def coast(rel: Sequence[float]) -> RelativeState:
+    def coast(rel: Sequence[float]) -> Tuple[float, ...]:
         position, velocity = _to_eci(orbit, 1.0, 0.0, rel)
         _check_state(position, velocity)
         if dt:
@@ -337,8 +338,9 @@ def cw_stm(n: float, dt: float) -> Tuple[Tuple[float, ...], ...]:
     )
 
 
-def cw_coast(n: float, dt: float) -> Callable[[Sequence[float]], RelativeState]:
-    """Uncontrolled CW motion over dt: any six floats in, a RelativeState out.
+def cw_coast(n: float, dt: float) -> Callable[[Sequence[float]], Tuple[float, ...]]:
+    """Uncontrolled CW motion over dt: any six floats in, a plain tuple of
+    six floats out.
 
     The nonzero coefficients of :func:`cw_stm` are read out once (``ab``
     carries component b into a; u, v, w stand for vx, vy, vz), so a caller
@@ -348,16 +350,14 @@ def cw_coast(n: float, dt: float) -> Callable[[Sequence[float]], RelativeState]:
     (xx, _, _, xu, xv, _), (yx, yy, _, yu, yv, _), (_, _, zz, _, _, zw) = m[:3]
     (ux, _, _, uu, uv, _), (vx, _, _, vu, vv, _), (_, _, wz, _, _, ww) = m[3:]
 
-    def coast(rel: Sequence[float]) -> RelativeState:
+    def coast(rel: Sequence[float]) -> Tuple[float, ...]:
         x, y, z, u, v, w = rel
-        # tuple.__new__ builds the RelativeState without its Python-level __new__
-        return tuple.__new__(RelativeState, (
-            xx * x + xu * u + xv * v, yx * x + yy * y + yu * u + yv * v, zz * z + zw * w,
-            ux * x + uu * u + uv * v, vx * x + vu * u + vv * v, wz * z + ww * w))
+        return (xx * x + xu * u + xv * v, yx * x + yy * y + yu * u + yv * v, zz * z + zw * w,
+                ux * x + uu * u + uv * v, vx * x + vu * u + vv * v, wz * z + ww * w)
 
     return coast
 
 
 def propagate_cw(rel: RelativeState, n: float, dt: float) -> RelativeState:
     """Uncontrolled CW propagation by the closed-form transition matrix."""
-    return cw_coast(n, dt)(rel)
+    return RelativeState._make(cw_coast(n, dt)(rel))

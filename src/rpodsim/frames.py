@@ -112,8 +112,8 @@ def _to_eci(orbit: TargetOrbit, c: float, s: float, rel: Sequence[float]) -> Tup
     return (c * px - s * py, s * px + c * py, z), (c * qx - s * qy, s * qx + c * qy, vz)
 
 
-def _to_hill(orbit: TargetOrbit, c: float, s: float, r: Vec3, v: Vec3) -> RelativeState:
-    """The chaser's Hill-frame state from its ECI floats, given the chief's (cos, sin) theta.
+def _to_hill(orbit: TargetOrbit, c: float, s: float, r: Vec3, v: Vec3) -> Tuple[float, ...]:
+    """The chaser's six Hill floats from its ECI floats, given the chief's (cos, sin) theta.
 
     Exact inverse of :func:`_to_eci`: the chief's state is taken off, the
     rest is turned back through -theta, and the frame term omega x rho is
@@ -123,9 +123,7 @@ def _to_hill(orbit: TargetOrbit, c: float, s: float, r: Vec3, v: Vec3) -> Relati
     (px, py, pz), (qx, qy, qz) = r, v
     px, py, qx, qy = px - radius * c, py - radius * s, qx + speed * s, qy - speed * c
     x, y = c * px + s * py, -s * px + c * py
-    # tuple.__new__ builds the RelativeState without its Python-level __new__
-    return tuple.__new__(RelativeState, (x, y, pz, c * qx + s * qy + n * y,
-                                         -s * qx + c * qy - n * x, qz))
+    return x, y, pz, c * qx + s * qy + n * y, -s * qx + c * qy - n * x, qz
 
 
 def hill_to_eci(orbit: TargetOrbit, t: float, rel: RelativeState) -> InertialState:
@@ -135,4 +133,5 @@ def hill_to_eci(orbit: TargetOrbit, t: float, rel: RelativeState) -> InertialSta
 
 def eci_to_hill(orbit: TargetOrbit, chaser: InertialState) -> RelativeState:
     """The chaser's Hill-frame state at its own epoch: the inverse of :func:`hill_to_eci`."""
-    return _to_hill(orbit, *hill_basis(orbit, chaser.epoch), chaser.position, chaser.velocity)
+    return RelativeState._make(
+        _to_hill(orbit, *hill_basis(orbit, chaser.epoch), chaser.position, chaser.velocity))

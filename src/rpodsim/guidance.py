@@ -120,13 +120,14 @@ def cw_targeting(n: float, ts: float) -> Tuple[Matrix2, Matrix2]:
 
 
 def cw_target_impulse(
-    rel_now: RelativeState, target: Sequence[float], t: float,
+    rel_now: Sequence[float], target: Sequence[float], t: float,
     law: Tuple[Matrix2, Matrix2],
 ) -> Tuple[ImpulseRecord, Tuple[float, float]]:
     """Single-impulse transfer to an in-plane target under a targeting law.
 
     Solves the 2x2 linear system  B v0+ = p_f - A p0  for the departure
     velocity v0+, where ``law = (A, B^-1)`` comes from :func:`cw_targeting`.
+    ``rel_now`` is any six Hill floats (x, y, z, vx, vy, vz), read by position.
     The impulse, stamped ``t``, is the in-plane velocity change v0+ - v0-;
     the cross-track channel is left untouched.
 
@@ -136,12 +137,13 @@ def cw_target_impulse(
         The impulse and the post-impulse in-plane velocity.
     """
     (a00, a01, a10, a11), (i00, i01, i10, i11) = law
-    x, y = rel_now.x, rel_now.y
+    x, y, _, u, v, _ = rel_now
     rx, ry = target[0] - (a00 * x + a01 * y), target[1] - (a10 * x + a11 * y)
     vx, vy = i00 * rx + i01 * ry, i10 * rx + i11 * ry
+    dvx, dvy = vx - u, vy - v
     # tuple.__new__ builds each NamedTuple without its Python-level __new__
-    dv = tuple.__new__(Vector3, (vx - rel_now.vx, vy - rel_now.vy, 0.0))
-    return tuple.__new__(ImpulseRecord, (t, dv, math.hypot(*dv))), (vx, vy)
+    return tuple.__new__(ImpulseRecord, (t, tuple.__new__(Vector3, (dvx, dvy, 0.0)),
+                                         math.hypot(dvx, dvy, 0.0))), (vx, vy)
 
 
 def _check_count(count: int, minimum: int) -> None:

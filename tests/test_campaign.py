@@ -16,8 +16,11 @@ from rpodsim import (
     RelativeState,
     TargetOrbit,
     chief_state,
+    eci_to_hill,
+    hill_to_eci,
     intercept_experiment,
     nmc_initial_state,
+    propagate_cw,
     propagate_two_body,
     run_campaign,
     sweep_circumnavigation,
@@ -362,6 +365,60 @@ def test_every_burn_flies_the_record_of_the_guidance_seam(config, monkeypatch):
     for (t, rel), (_, arrival) in zip(result.samples, result.samples[1:]):
         dx, dy, dz = burns.get(t, (0.0, 0.0, 0.0))
         assert coast((*rel[:3], rel.vx + dx, rel.vy + dy, rel.vz + dz)) == arrival
+
+
+@pytest.mark.parametrize("model", ["cw", "two_body"])
+def test_truth_coasts_return_six_plain_floats(model):
+    # the coast a campaign flies returns a plain tuple of six floats, so no
+    # leg builds a RelativeState; the library's coasts, which fly the same
+    # operations, still return one, and every bit agrees, signed zeros too
+    tau = ORBIT.period / 7
+    coast = _truth_coast(ORBIT, model, tau)
+    states = [
+        RelativeState(10.0, -0.0, 0.0, 1e-3, -0.0, 2e-4),
+        RelativeState(-0.0, 3.0, -1.0, -0.0, 1e-3, -0.0),
+        nmc_initial_state(25.0, ORBIT.n),
+    ]
+    for rel in states:
+        if model == "cw":
+            library = propagate_cw(rel, ORBIT.n, tau)
+        else:
+            library = eci_to_hill(ORBIT, propagate_two_body(hill_to_eci(ORBIT, 0.0, rel), tau))
+        assert type(library) is RelativeState
+        for state in (rel, tuple(rel)):
+            leg = coast(state)
+            assert type(leg) is tuple and [type(v) for v in leg] == [float] * 6
+            assert [v.hex() for v in leg] == [v.hex() for v in library], (model, state)
+
+
+def test_campaigns_fly_without_relative_states(monkeypatch):
+    # from insertion to output the flown state is six plain floats: with the
+    # name RelativeState gone from every module a leg runs through, both
+    # truths fly every kind, to the same result, until a view is built
+    import rpodsim.campaign
+    import rpodsim.dynamics
+    import rpodsim.frames
+
+    configs = [
+        config
+        for truth in ("cw", "two_body")
+        for config in (
+            forced(20.0, 5, truth=truth, laps=2),
+            unforced(20.0, 5, truth=truth, laps=2),
+            CampaignConfig("intercept_unforced", 2000.0, 10.0, 1, duration=3600.0,
+                           truth_model=truth),
+            CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0,
+                           truth_model=truth),
+        )
+    ]
+    for module in (rpodsim.frames, rpodsim.dynamics, rpodsim.campaign):
+        monkeypatch.setattr(module, "RelativeState", None)
+    results = [run_campaign(config) for config in configs]
+    monkeypatch.undo()
+    for config, result in zip(configs, results):
+        assert not {"samples", "impulses"} & vars(result).keys()
+        assert result == run_campaign(config)
+        assert {type(rel) for _, rel in result.samples} == {RelativeState}
 
 
 def _tracked_below(root):

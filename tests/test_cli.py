@@ -7,6 +7,7 @@ from dataclasses import asdict
 
 import pytest
 
+from pins import _PINNED_BYTES
 from rpodsim import CampaignConfig
 from rpodsim.cli import (
     CSV_HEADER, RunManifest, _execute, emit_results, main, parse_args, validate_suite,
@@ -176,25 +177,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-_GRID = ["sweep", "--sizes-km", "1,10,50,100,250,500,750,1000", "--impulses", "4,8,16,32,64"]
-_PAIR = ["intercept", "--impulses", "2,3,4,8,16"]
-# sha256 of the CSV and of stdout, as written since the float leg loop; the
-# digits come from libm's cos, sin and hypot, and were taken with glibc on
-# x86-64 Linux.  A change that means to move bytes re-pins these and says why.
-_PINNED_BYTES = {
-    "grid": (_GRID, "e93f748b759285f8e75e77a7612d6cd62d65e06fc1cf7a075d0cb449b5bd35c3",
-             "8236285dd4edfceed23f6f9faa7cf258009b766ca8aa6729000f595e93c994c1"),
-    "grid-cw-10-laps": (_GRID + ["--truth", "cw", "--laps", "10"],
-                        "c27219bed7f16ccb2b5be0dd08390fcc86ad071661aad9367beb92f72b87c302",
-                        "4685f6b7baa826d7f4db95dc3e355c3d58feb3b71164218ded1247d79f4a1849"),
-    "intercept": (_PAIR, "1219f5e027c711043994029601375a819944b9c9256a6249a17ee7990e6c284a",
-                  "4f8659893c458982132eff87151ae54c2842bccaba8c949c4b89f89d9156c649"),
-    "intercept-cw": (_PAIR + ["--truth", "cw"],
-                     "359ae0db986b6bb43ea4471815960e3d50dd3168bd244710c4446a14ab37bb76",
-                     "17b25f1e12c98f1c296604631045b87f354a5b4d1b046fcced0798d4f738f2f7"),
-}
-
-
 @pytest.mark.parametrize("argv, csv_sha, stdout_sha", _PINNED_BYTES.values(),
                          ids=_PINNED_BYTES.keys())
 def test_output_bytes_are_pinned(argv, csv_sha, stdout_sha, tmp_path, capsys):
@@ -343,9 +325,8 @@ def test_validate_detects_flipped_frame_term(monkeypatch, capsys):
                                                rel.vy - 2 * n * rel.x, rel.vz))
 
     def flipped_read(orbit, c, s, position, velocity):
-        rel, n = read(orbit, c, s, position, velocity), orbit.n
-        return RelativeState(rel.x, rel.y, rel.z, rel.vx - 2 * n * rel.y,
-                             rel.vy + 2 * n * rel.x, rel.vz)
+        (x, y, z, vx, vy, vz), n = read(orbit, c, s, position, velocity), orbit.n
+        return x, y, z, vx - 2 * n * y, vy + 2 * n * x, vz
 
     for module in (rpodsim.frames, rpodsim.dynamics):
         monkeypatch.setattr(module, "_to_eci", flipped_lift)

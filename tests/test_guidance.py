@@ -114,6 +114,25 @@ def test_impulse_record_is_a_tuple_whose_magnitude_is_derived_from_dv():
     assert solved == ImpulseRecord(solved.t, solved.dv) and solved.dv.z == 0.0
 
 
+def test_targeting_reads_any_six_floats_by_position():
+    # the leg loop hands targeting the plain six-float tuple its truth coast
+    # returns; a RelativeState of the same floats, or a list of them, gives
+    # the same record and post-burn velocity, bit for bit, signed zeros too
+    law = cw_targeting(N, PERIOD / 6)
+
+    def bits(record, v_plus):
+        return [v.hex() for v in (record.t, *record.dv, record.magnitude, *v_plus)]
+
+    for floats in [(5.0, -3.0, 0.0, 1e-3, -0.0, 0.0), (-0.0, 0.0, 2.0, -0.0, 2e-3, -1e-3)]:
+        named = RelativeState(*floats)
+        for target in [(2.0, 7.0), [-0.0, 0.0], np.array([1.5, -4.0])]:
+            expected = bits(*cw_target_impulse(named, target, 42.0, law))
+            for plain in (floats, list(floats)):
+                record, v_plus = cw_target_impulse(plain, target, 42.0, law)
+                assert type(record) is ImpulseRecord and type(record.dv) is Vector3
+                assert bits(record, v_plus) == expected, (plain, target)
+
+
 def test_zero_dv_when_already_on_course():
     # waypoint placed at the free-drift image of the current state
     rel = RelativeState(4.0, -2.0, 0.0, 1e-3, -2e-3, 0.0)
