@@ -13,14 +13,7 @@ from .campaign import (
     sweep_circumnavigation,
 )
 from .constants import MU_EARTH, R_EARTH
-from .dynamics import (
-    TargetOrbit,
-    chief_state,
-    cw_stm,
-    propagate_cw,
-    propagate_two_body,
-    specific_energy,
-)
+from .dynamics import TargetOrbit, cw_stm, propagate_cw
 from .errors import (
     KeplerNonConvergence,
     RpodError,
@@ -62,7 +55,6 @@ __all__ = [
     "SingularTransferTime",
     "TargetOrbit",
     "UnphysicalBurn",
-    "chief_state",
     "cw_stm",
     "cw_target_impulse",
     "cw_targeting",
@@ -73,9 +65,7 @@ __all__ = [
     "intercept_experiment",
     "nmc_initial_state",
     "propagate_cw",
-    "propagate_two_body",
     "run_campaign",
-    "specific_energy",
     "sweep_circumnavigation",
     "waypoints_circle",
     "waypoints_line",

@@ -32,14 +32,8 @@ from .campaign import (
     run_campaign,
     sweep_circumnavigation,
 )
-from .dynamics import (
-    TargetOrbit,
-    chief_state,
-    cw_stm,
-    propagate_cw,
-    propagate_two_body,
-    specific_energy,
-)
+from .constants import MU_EARTH
+from .dynamics import TargetOrbit, cw_stm, propagate_cw
 from .errors import RpodError
 from .frames import RelativeState, eci_to_hill, hill_to_eci
 from .guidance import nmc_initial_state
@@ -258,31 +252,36 @@ def validate_suite():
         return max(_max_gap(row, [float(i == j) for j in range(6)])
                    for i, row in enumerate(cw_stm(orbit.n, 0.0))), 1e-12
 
-    # a whole number of periods would reduce to a zero-length coast, so the
-    # two-body checks fly a fractional number to exercise the Kepler solve
-    coast_periods = 2.37
-
-    def circular_coast():
-        t = coast_periods * orbit.period
-        end = propagate_two_body(chief_state(orbit, 0.0), t)
-        return math.dist(end.position, chief_state(orbit, t).position), 1e-6
-
-    def energy_drift():
-        start = chief_state(orbit, 0.0)
-        end = propagate_two_body(start, coast_periods * orbit.period)
-        e0 = specific_energy(start)
-        return abs((specific_energy(end) - e0) / e0), 1e-10
-
     def nmc_at(phase):
         # the 1 km NMC at phase n t, x = cos and y = -2 sin, with a 1 km
         # cross-track swing z = cos, and their rates
         c, s, n = math.cos(phase), math.sin(phase), orbit.n
         return RelativeState(c, -2.0 * s, c, -n * s, -2.0 * n * c, -n * s)
 
+    # a whole number of periods would reduce to a zero-length coast, so the
+    # coasts below fly a fractional number, which exercises the Kepler solve
+    # and keeps every sin(nt) term of the transition matrix
+    t = 2.37 * orbit.period
+    leg = _truth_coast(orbit, "two_body", t)  # the two-body leg campaigns fly
+
+    def co_orbital_leg():
+        # a chaser 1e-3 rad (~8.4 km) ahead on the chief's circle, at the
+        # ranges campaigns fly, is at rest in the Hill frame
+        phase, r = 1e-3, orbit.radius
+        rel = (r * (math.cos(phase) - 1.0), r * math.sin(phase), 0.0, 0.0, 0.0, 0.0)
+        return _max_gap(leg(rel), rel), 1e-9
+
+    def leg_energy_drift():
+        def energy(epoch, rel):
+            chaser = hill_to_eci(orbit, epoch, rel)
+            u, v, w = chaser.velocity
+            return 0.5 * (u * u + v * v + w * w) - MU_EARTH / math.hypot(*chaser.position)
+
+        e0 = energy(0.0, nmc_at(1.0))
+        return abs((energy(t, leg(nmc_at(1.0))) - e0) / e0), 1e-10
+
     def closed_relative_orbit():
-        # from phase 1 rad over a fractional number of periods, so no term
-        # of the transition matrix vanishes, sin(nt) ones included
-        t = coast_periods * orbit.period
+        # from phase 1 rad, so no term of the transition matrix vanishes
         after = propagate_cw(nmc_at(1.0), orbit.n, t)
         return _max_gap(after, nmc_at(1.0 + orbit.n * t)), 1e-9
 
@@ -305,8 +304,8 @@ def validate_suite():
     checks = [
         ("frame round trip", frame_round_trip),
         ("transition matrix identity", stm_identity),
-        ("two-body circular coast", circular_coast),
-        ("two-body energy drift", energy_drift),
+        ("two-body leg co-orbital", co_orbital_leg),
+        ("two-body leg energy drift", leg_energy_drift),
         ("closed relative orbit", closed_relative_orbit),
         ("zero-mismatch campaign", zero_mismatch_campaign),
         ("two-body leg departs from CW as ρ²", leg_departs_as_rho_squared),

@@ -284,7 +284,8 @@ def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]],
     propagate_two_body(hill_to_eci(orbit, 0.0, rel), dt))`` operation for
     operation, with its checks, but builds no InertialState and no
     RelativeState.  Like the CW coast it takes any six floats and returns
-    a plain tuple of six floats.
+    a plain tuple of six floats.  ``rpodsim validate`` checks this leg: a
+    co-orbital chaser must come back unchanged, and an NMC keep its energy.
     """
     if not 0.0 <= dt < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {dt}")
@@ -299,12 +300,6 @@ def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]],
         return _to_hill(orbit, c, s, position, velocity)
 
     return coast
-
-
-def specific_energy(state: InertialState) -> float:
-    """Specific orbital energy v^2/2 - MU_EARTH/r, km^2/s^2."""
-    u, v, w = state.velocity
-    return 0.5 * (u * u + v * v + w * w) - MU_EARTH / math.hypot(*state.position)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,25 @@
 """The tests' independent references: general ECI <-> Hill transforms,
-the CW equations in ODE form, and the specific angular momentum.
+the CW equations in ODE form, and the specific energy and angular momentum.
 
 The program's transforms (``rpodsim.frames``) hold only for its circular
 equatorial chief, whose Hill frame is a rotation about the pole.  These
 build the Hill frame of any target state from r and v, and map relative
 velocity with the transport theorem, so they share no arithmetic with the
 program beyond the state types.  Tests apply them to
-``chief_state(orbit, t)`` to check what the program flies.  Integrating
-:func:`cw_derivative` checks the closed-form ``cw_stm``, and
-:func:`specific_angular_momentum` checks that two-body coasts conserve h.
+``dynamics.chief_state(orbit, t)`` to check what the program flies.
+Integrating :func:`cw_derivative` checks the closed-form ``cw_stm``, and
+:func:`specific_energy` and :func:`specific_angular_momentum` check that
+two-body coasts conserve the energy and h.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
 
-from rpodsim import InertialState, RelativeState
+from rpodsim import MU_EARTH, InertialState, RelativeState
 
 _EPOCH_TOL = 1e-9  # seconds
 
@@ -99,6 +101,12 @@ def hill_to_eci(target: InertialState, rel: RelativeState) -> InertialState:
         [rel.vx - w * rel.y, rel.vy + w * rel.x, rel.vz]
     )
     return InertialState(epoch=target.epoch, position=position, velocity=velocity)
+
+
+def specific_energy(state: InertialState) -> float:
+    """Specific orbital energy v^2/2 - MU_EARTH/r, km^2/s^2."""
+    u, v, w = state.velocity
+    return 0.5 * (u * u + v * v + w * w) - MU_EARTH / math.hypot(*state.position)
 
 
 def specific_angular_momentum(state: InertialState) -> float:

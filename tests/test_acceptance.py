@@ -25,24 +25,22 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import reference
-from reference import cw_derivative, specific_angular_momentum
+from reference import cw_derivative, specific_angular_momentum, specific_energy
 from rpodsim import (
     CampaignConfig,
     RelativeState,
     TargetOrbit,
-    chief_state,
     cw_stm,
     cw_target_impulse,
     cw_targeting,
     intercept_experiment,
     nmc_initial_state,
     propagate_cw,
-    propagate_two_body,
     run_campaign,
-    specific_energy,
     sweep_circumnavigation,
 )
 from rpodsim.cli import main
+from rpodsim.dynamics import chief_state, propagate_two_body
 
 ALTITUDE = 2000.0
 SIZES = (1.0, 10.0, 50.0, 100.0, 250.0, 500.0, 750.0, 1000.0)

@@ -15,19 +15,17 @@ from rpodsim import (
     MU_EARTH,
     RelativeState,
     TargetOrbit,
-    chief_state,
     eci_to_hill,
     hill_to_eci,
     intercept_experiment,
     nmc_initial_state,
     propagate_cw,
-    propagate_two_body,
     run_campaign,
     sweep_circumnavigation,
     waypoints_nmc,
 )
 from rpodsim.campaign import MAX_LEGS, _truth_coast
-from rpodsim.dynamics import two_body_coast
+from rpodsim.dynamics import chief_state, propagate_two_body, two_body_coast
 from rpodsim.guidance import ImpulseRecord, Vector3
 
 ORBIT = TargetOrbit.from_altitude(2000.0)

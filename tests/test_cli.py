@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import time
 import warnings
 from dataclasses import asdict
@@ -293,9 +294,17 @@ def test_validate_passes(capsys):
     assert "residual=" in stdout
 
 
-def test_validate_detects_scaled_stumpff_c(monkeypatch, capsys):
-    # a 1e-9 relative error in the two-body coast's Stumpff C moves a leg by
-    # ~1e-5 km, which swamps the rho^2 departure at 10 m
+def _assert_fails_on_its_residual(stdout, name):
+    # validate prints FAIL with residual=nan and an exception note in
+    # brackets when a check raises; a mutation must fail the check itself,
+    # on a finite residual above the line's tolerance
+    line = next(line for line in stdout.splitlines() if line.startswith(f"FAIL  {name} "))
+    assert " [" not in line, line
+    residual, tol = map(float, re.fullmatch(r".* residual=(\S+) tol=(\S+)", line).groups())
+    assert math.isfinite(residual) and residual > tol, line
+
+
+def _scale_stumpff_c(monkeypatch):
     import rpodsim.dynamics
 
     stumpff = rpodsim.dynamics._stumpff
@@ -305,8 +314,51 @@ def test_validate_detects_scaled_stumpff_c(monkeypatch, capsys):
         return c * (1.0 + 1e-9), s
 
     monkeypatch.setattr(rpodsim.dynamics, "_stumpff", scaled)
+
+
+def _scale_sqrt_mu(monkeypatch):
+    import rpodsim.dynamics
+
+    monkeypatch.setattr(rpodsim.dynamics, "_SQRT_MU", rpodsim.dynamics._SQRT_MU * (1.0 + 1e-9))
+
+
+def _flip_frame_term_in_the_leg_readout(monkeypatch):
+    import rpodsim.dynamics
+
+    read = rpodsim.dynamics._to_hill
+
+    def flipped_read(orbit, c, s, position, velocity):
+        (x, y, z, vx, vy, vz), n = read(orbit, c, s, position, velocity), orbit.n
+        return x, y, z, vx - 2 * n * y, vy + 2 * n * x, vz
+
+    monkeypatch.setattr(rpodsim.dynamics, "_to_hill", flipped_read)
+
+
+def test_validate_detects_scaled_stumpff_c(monkeypatch, capsys):
+    # a 1e-9 relative error in the two-body coast's Stumpff C moves a leg by
+    # ~1e-5 km, which swamps the rho^2 departure at 10 m
+    _scale_stumpff_c(monkeypatch)
     assert main(["validate"]) == 3
-    assert "FAIL  two-body leg departs from CW as ρ²" in capsys.readouterr().out
+    _assert_fails_on_its_residual(capsys.readouterr().out, "two-body leg departs from CW as ρ²")
+
+
+# faults inside the flown two-body leg, with what its co-orbital and energy
+# checks read at 2000 km over 2.37 periods (unmutated ~2e-12 km and ~3e-16)
+_LEG_MUTATIONS = {
+    "stumpff_c_scaled": _scale_stumpff_c,  # ~1e-5 km, ~7e-10
+    "sqrt_mu_scaled": _scale_sqrt_mu,  # ~1e-4 km, ~2e-9
+    # ~1e-2 km, ~5e-4; the departure-as-rho^2 check reads positions only and passes
+    "frame_term_flipped_in_readout": _flip_frame_term_in_the_leg_readout,
+}
+
+
+@pytest.mark.parametrize("mutation", _LEG_MUTATIONS)
+def test_validate_leg_checks_detect_a_fault_in_the_flown_leg(mutation, monkeypatch, capsys):
+    _LEG_MUTATIONS[mutation](monkeypatch)
+    assert main(["validate"]) == 3
+    stdout = capsys.readouterr().out
+    _assert_fails_on_its_residual(stdout, "two-body leg co-orbital")
+    _assert_fails_on_its_residual(stdout, "two-body leg energy drift")
 
 
 def test_validate_detects_flipped_frame_term(monkeypatch, capsys):
@@ -334,7 +386,7 @@ def test_validate_detects_flipped_frame_term(monkeypatch, capsys):
     assert main(["validate"]) == 3
     stdout = capsys.readouterr().out
     assert "PASS  frame round trip" in stdout
-    assert "FAIL  two-body leg departs from CW as ρ²" in stdout
+    _assert_fails_on_its_residual(stdout, "two-body leg departs from CW as ρ²")
 
 
 # every nonzero term of the flown CW leg, named by what it carries into what
@@ -372,25 +424,27 @@ def test_validate_detects_a_sign_flip_in_the_flown_cw_leg(term, monkeypatch, cap
         monkeypatch.setattr(module, "cw_coast", namespace["cw_coast"])
     assert main(["validate"]) == 3
     stdout = capsys.readouterr().out
-    assert "FAIL  closed relative orbit" in stdout
+    _assert_fails_on_its_residual(stdout, "closed relative orbit")
+    # some in-plane flips fail the campaign through its burn cap, not a residual
     in_plane = not set(term) & {"z", "w"}
     assert f"{'FAIL' if in_plane else 'PASS'}  zero-mismatch campaign" in stdout
 
 
 def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
-    import rpodsim.cli
+    import rpodsim.dynamics
     from rpodsim import KeplerNonConvergence
 
     def raising(*args):
         raise KeplerNonConvergence("injected")
 
-    monkeypatch.setattr(rpodsim.cli, "propagate_two_body", raising)
+    monkeypatch.setattr(rpodsim.dynamics, "_coast", raising)
     assert main(["validate"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 7
-    coast = next(line for line in lines if line.startswith("FAIL  two-body circular coast"))
+    coast = next(line for line in lines if line.startswith("FAIL  two-body leg co-orbital"))
     assert coast.endswith("[injected]")
-    assert any(line.startswith("PASS  zero-mismatch campaign") for line in lines)
+    for check in ("transition matrix identity", "closed relative orbit", "zero-mismatch campaign"):
+        assert any(line.startswith(f"PASS  {check}") for line in lines)
 
 
 def test_validate_fails_a_nan_in_any_component(monkeypatch, capsys):

@@ -7,26 +7,23 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from reference import cw_derivative, specific_angular_momentum
+from reference import cw_derivative, specific_angular_momentum, specific_energy
 from rpodsim import (
     InertialState,
     KeplerNonConvergence,
     RelativeState,
     SingularRadius,
     TargetOrbit,
-    chief_state,
     cw_stm,
     eci_to_hill,
     hill_to_eci,
     intercept_experiment,
     nmc_initial_state,
     propagate_cw,
-    propagate_two_body,
-    specific_energy,
     sweep_circumnavigation,
 )
 from rpodsim.constants import MU_EARTH, R_EARTH
-from rpodsim.dynamics import two_body_coast
+from rpodsim.dynamics import chief_state, propagate_two_body, two_body_coast
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
 

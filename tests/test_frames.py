@@ -15,13 +15,13 @@ from rpodsim import (
     InertialState,
     RelativeState,
     TargetOrbit,
-    chief_state,
     eci_to_hill,
     hill_basis,
     hill_to_eci,
     nmc_initial_state,
 )
 from rpodsim.constants import MU_EARTH
+from rpodsim.dynamics import chief_state
 
 R_CHIEF = 8378.137
 VC = np.sqrt(MU_EARTH / R_CHIEF)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import rpodsim.dynamics
 
 SRC = Path(rpodsim.__file__).resolve().parents[1]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_every_export_has_a_caller_in_the_package():
@@ -90,6 +92,21 @@ def test_dynamics_binds_solve_ivp_on_first_look_up():
     assert rpodsim.dynamics.solve_ivp is scipy.integrate.solve_ivp
     with pytest.raises(AttributeError, match="no_such_name"):
         rpodsim.dynamics.no_such_name
+
+
+def test_every_binding_the_benchmark_tracer_wraps_resolves():
+    # the tracer raises on a binding that does not resolve, so a cleanup that
+    # deletes one of these names breaks every traced benchmark run; its two
+    # tables are read as literals, without running the benchmark's code
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(SPANS.read_text()).body
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and getattr(node.targets[0], "id", None) in ("BINDINGS", "COUNTED")}
+    assert tables["BINDINGS"]
+    bindings = [entry[:2] for entry in tables["BINDINGS"]] + list(tables["COUNTED"])
+    unresolved = [(module, name) for module, name in bindings
+                  if not hasattr(importlib.import_module(module), name)]
+    assert unresolved == []
 
 
 def test_scipy_is_a_test_dependency_only():
