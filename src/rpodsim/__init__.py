@@ -19,6 +19,7 @@ from .errors import (
     RpodError,
     SingularRadius,
     SingularTransferTime,
+    UnboundOrbit,
     UnphysicalBurn,
 )
 from .frames import (
@@ -54,6 +55,7 @@ __all__ = [
     "SingularRadius",
     "SingularTransferTime",
     "TargetOrbit",
+    "UnboundOrbit",
     "UnphysicalBurn",
     "cw_stm",
     "cw_target_impulse",

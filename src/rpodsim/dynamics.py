@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Sequence, Tuple
 
 from .constants import MU_EARTH, R_EARTH
-from .errors import KeplerNonConvergence, SingularRadius
+from .errors import KeplerNonConvergence, SingularRadius, UnboundOrbit
 from .frames import InertialState, RelativeState, Vec3, _check_state, _to_eci, _to_hill, hill_basis
 from .frames import eci_to_hill  # noqa: F401  wrapped by perfbench/spans.py
 
@@ -31,9 +31,6 @@ _KEPLER_MAX_ITER = 100
 # relative size of the last Newton step; quadratic convergence leaves the
 # root itself at rounding level
 _KEPLER_RTOL = 1e-12
-# sinh/cosh overflow a double just above 710; an arc whose hyperbolic anomaly
-# changes by more than this has left any physically meaningful range
-_MAX_HYPERBOLIC_ANOMALY = 700.0
 # km; the mean motion needs radius**3, which leaves double range above this
 _MAX_RADIUS = sys.float_info.max ** (1.0 / 3.0)
 _SQRT_MU = math.sqrt(MU_EARTH)
@@ -112,29 +109,23 @@ _S0, _S1, _S2, _S3, _S4, _S5 = ((-1) ** k / math.factorial(2 * k + 3) for k in r
 
 def _stumpff(z: float) -> Tuple[float, float]:
     """Stumpff functions C(z) = (1 - cos q) / q^2 and S(z) = (q - sin q) / q^3,
-    q = sqrt(z), continued to z < 0 through cosh and sinh.
+    q = sqrt(z), for z >= 0.
 
     Near z = 0 both closed forms cancel catastrophically, so a Taylor series
     is used there, by Horner's rule; its first omitted term is about 1e-17
-    at |z| = 0.1.
+    at z = 0.1.
     """
-    if abs(z) < 0.1:
+    if z < 0.1:
         return ((((((_C5 * z + _C4) * z + _C3) * z + _C2) * z + _C1) * z + _C0),
                 (((((_S5 * z + _S4) * z + _S3) * z + _S2) * z + _S1) * z + _S0))
-    if z > 0.0:
-        q = math.sqrt(z)
-        return 2.0 * math.sin(0.5 * q) ** 2 / z, (q - math.sin(q)) / (q * z)
-    q = math.sqrt(-z)
-    if q > _MAX_HYPERBOLIC_ANOMALY:
-        raise KeplerNonConvergence(
-            f"hyperbolic anomaly change {q:.3g} exceeds {_MAX_HYPERBOLIC_ANOMALY:g}"
-        )
-    return 2.0 * math.sinh(0.5 * q) ** 2 / -z, (math.sinh(q) - q) / (q * -z)
+    q = math.sqrt(z)
+    return 2.0 * math.sin(0.5 * q) ** 2 / z, (q - math.sin(q)) / (q * z)
 
 
 def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
     """End position and velocity of an unforced coast of duration > 0 s about
-    the Earth, checked against the surface over its whole arc.
+    the Earth, checked against the surface over its whole arc; a start at or
+    above the escape speed raises UnboundOrbit.
 
     Universal-variable formulation (Curtis, *Orbital Mechanics for
     Engineering Students*, Alg. 3.3-3.4; Vallado, KEPLER): Newton's method
@@ -146,12 +137,17 @@ def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
     (x, y, z0), (u, v, w) = r0, v0
     rn0 = math.hypot(x, y, z0)
     rv, v2 = x * u + y * v + z0 * w, u * u + v * v + w * w
-    # sigma = (r . v) / sqrt(mu); alpha = 1/a (> 0 elliptic, < 0 hyperbolic)
+    # sigma = (r . v) / sqrt(mu); alpha = 1/a, positive on a bound orbit
     sigma0 = rv / _SQRT_MU
     alpha = 2.0 / rn0 - v2 / MU_EARTH
-    # e cos E0 on an ellipse, e cosh F0 on a hyperbola
+    if alpha <= 0.0:
+        raise UnboundOrbit(
+            f"chaser at radius {rn0:.6g} km moves at {math.sqrt(v2):.6g} km/s, at or "
+            f"above the escape speed {math.sqrt(2.0 * MU_EARTH / rn0):.6g} km/s"
+        )
+    # e cos E0
     k = 1.0 - alpha * rn0
-    period = 2.0 * math.pi / (_SQRT_MU * alpha * math.sqrt(alpha)) if alpha > 0.0 else math.inf
+    period = 2.0 * math.pi / (_SQRT_MU * alpha * math.sqrt(alpha))
     dt = math.fmod(duration, period)
     if dt == 0.0:
         position, velocity, rn = r0, v0, rn0
@@ -160,41 +156,21 @@ def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
         # [lo, hi], falling back to bisection when a step would leave the
         # bracket or fails to halve the last step, so a poor start cannot
         # diverge; the residual rises monotonically in chi (its derivative
-        # is the radius).  An open orbit first grows hi until the residual
-        # there is not negative, from at most one unit of hyperbolic anomaly
-        # so the search cannot overshoot into sinh/cosh overflow.
+        # is the radius)
         mu_dt = _SQRT_MU * dt
         lo = 0.0
-        bracketing = alpha <= 0.0
-        if bracketing:
-            hi = mu_dt / rn0
-            if alpha < 0.0:
-                hi = min(hi, 1.0 / math.sqrt(-alpha))
-            chi = hi
-        else:
-            # dt < period, so the eccentric anomaly advances less than 2 pi
-            hi = 2.0 * math.pi / math.sqrt(alpha)
-            # Curtis's starting guess, kept inside the bracket
-            chi = min(_SQRT_MU * abs(alpha) * dt, 0.5 * hi) or 0.5 * hi
-            last_step = hi - lo
-        left = _KEPLER_MAX_ITER
-        while left > 0:
-            left -= 1
+        # dt < period, so the eccentric anomaly advances less than 2 pi
+        hi = 2.0 * math.pi / math.sqrt(alpha)
+        # Curtis's starting guess, kept inside the bracket
+        chi = min(_SQRT_MU * alpha * dt, 0.5 * hi) or 0.5 * hi
+        last_step = hi - lo
+        for _ in range(_KEPLER_MAX_ITER):
             z = alpha * chi * chi
             c, s = _stumpff(z)
             residual = sigma0 * chi * chi * c + k * chi * chi * chi * s + rn0 * chi - mu_dt
             radius = sigma0 * chi * (1.0 - z * s) + k * chi * chi * c + rn0
             if not (math.isfinite(residual) and math.isfinite(radius)):
                 raise KeplerNonConvergence(f"coast of {dt:.6g} s leaves double-precision range")
-            if bracketing:
-                if residual >= 0.0:  # bracketed: the Newton search starts afresh
-                    bracketing, left = False, _KEPLER_MAX_ITER
-                    chi = min(_SQRT_MU * abs(alpha) * dt, 0.5 * hi) or 0.5 * hi
-                    last_step = hi - lo
-                else:
-                    hi *= 2.0
-                    chi = hi
-                continue
             if residual == 0.0:
                 break
             if residual < 0.0:
@@ -215,7 +191,6 @@ def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
                     break
         else:
             raise KeplerNonConvergence(
-                f"no bracket for a coast of {dt:.6g} s" if bracketing else
                 f"universal Kepler solve for dt={dt:.6g} s did not converge in "
                 f"{_KEPLER_MAX_ITER} iterations"
             )
@@ -228,19 +203,12 @@ def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
         fdot = _SQRT_MU * chi * (z * s - 1.0) / (rn * rn0)
         gdot = 1.0 - chi * chi * c / rn
         velocity = fdot * x + gdot * u, fdot * y + gdot * v, fdot * z0 + gdot * w
-    if duration >= period:
-        passes = True
-    elif alpha > 0.0:
-        # time from the start to the next periapsis, from the mean anomaly
-        # M0 = E0 - e sin E0, with e sin E0 = sigma0 sqrt(alpha)
-        e_sin = sigma0 * math.sqrt(alpha)
-        mean0 = math.atan2(e_sin, k) - e_sin
-        passes = duration >= (-mean0) % (2.0 * math.pi) / (2.0 * math.pi) * period
-    else:
-        # r . v rises monotonically on an open orbit
-        (px, py, pz), (qx, qy, qz) = position, velocity
-        passes = sigma0 < 0.0 <= px * qx + py * qy + pz * qz
-    if not passes:
+    # the arc passes periapsis if it lasts at least the time from the start
+    # to the next periapsis, from the mean anomaly M0 = E0 - e sin E0, with
+    # e sin E0 = sigma0 sqrt(alpha); a whole period always does
+    e_sin = sigma0 * math.sqrt(alpha)
+    mean0 = math.atan2(e_sin, k) - e_sin
+    if duration < (-mean0) % (2.0 * math.pi) / (2.0 * math.pi) * period:
         lowest = min(rn0, rn)
     else:
         hx, hy, hz = y * w - z0 * v, z0 * u - x * w, x * v - y * u
@@ -261,10 +229,11 @@ def propagate_two_body(initial: InertialState, duration: float) -> InertialState
 
     The coast is solved in closed form (universal-variable Kepler equation
     with Lagrange f and g), so its cost does not grow with the duration.
-    The end state's epoch is advanced by ``duration``.  Raises SingularRadius
-    if the coast passes below the Earth's surface anywhere on its arc, not
-    only at its end, and KeplerNonConvergence if its Kepler solve does not
-    converge or leaves double-precision range.
+    The end state's epoch is advanced by ``duration``.  Raises UnboundOrbit
+    if the state is at or above the escape speed, SingularRadius if the
+    coast passes below the Earth's surface anywhere on its arc, not only at
+    its end, and KeplerNonConvergence if its Kepler solve does not converge
+    or leaves double-precision range.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {duration}")

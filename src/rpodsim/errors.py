@@ -12,8 +12,12 @@ class SingularRadius(RpodError):
 class KeplerNonConvergence(RpodError):
     """Raised when a closed-form two-body coast cannot be solved: the
     universal Kepler iteration hits its cap, or the coast leaves the range
-    of double precision (e.g. an escape over an astronomically long
-    window)."""
+    of double precision."""
+
+
+class UnboundOrbit(RpodError):
+    """Raised when a two-body coast starts at or above the escape speed: an
+    escaping chaser is not flying a relative-motion maneuver."""
 
 
 class SingularTransferTime(RpodError):

@@ -515,15 +515,18 @@ def test_samples_and_impulses_are_cached_views_of_the_flight(config):
     assert run_campaign(unforced(1.0, 4)) != result
 
 def test_cw_truth_never_builds_inertial_states(monkeypatch):
-    # under CW truth the campaign stays in the Hill frame: no chief state and
-    # no inertial chaser are built
-    import rpodsim.campaign
+    # under CW truth the campaign stays in the Hill frame: no chaser is lifted
+    # to inertial floats, no Kepler coast is solved and no InertialState is
+    # built.  These are the names the two-body leg flies, so a CW campaign
+    # routed through it fails here
+    import rpodsim.dynamics
 
     def refuse(*args, **kwargs):
         raise AssertionError("CW truth built an inertial state")
 
-    monkeypatch.setattr(rpodsim.campaign, "chief_state", refuse)
-    monkeypatch.setattr(rpodsim.campaign, "hill_to_eci", refuse)
+    monkeypatch.setattr(rpodsim.dynamics, "_to_eci", refuse)
+    monkeypatch.setattr(rpodsim.dynamics, "_coast", refuse)
+    monkeypatch.setattr(InertialState, "__post_init__", refuse)
     assert run_campaign(forced(25.0, 8, truth="cw")).max_waypoint_miss < 1e-9
     for kind, count in (("intercept_unforced", 1), ("intercept_forced", 4)):
         result = run_campaign(

@@ -594,6 +594,19 @@ def test_subsurface_leg_is_physics_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_escaping_leg_is_physics_error(tmp_path, capsys):
+    # a 3000 km intercept in 10 minutes departs at 8.9 km/s from 11,378 km,
+    # above the escape speed there; no result is written for it
+    out = tmp_path / "escape.csv"
+    code = main(["intercept", "--offset-km", "3000", "--duration-min", "10", "--impulses", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: chaser at radius 11378.1 km moves at 8.87745 km/s, at or above the escape "
+        "speed 8.37044 km/s\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, truth", [("forced", "two-body"), ("unforced", "cw")])
 def test_insertion_at_orbital_speed_is_physics_error(kind, truth, tmp_path, capsys):
     # a 9000 km circle or ellipse about a chief at 2000 km altitude needs an
