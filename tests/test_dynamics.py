@@ -300,6 +300,45 @@ def test_rejects_negative_or_non_finite_duration(duration):
         propagate_two_body(chief_state(ORBIT, 0.0), duration)
 
 
+# The next three tests keep the names of the open-orbit failures these inputs
+# once met (the hyperbolic anomaly cap, the Kepler solve, the bracket search).
+# Those limits are gone with the open-orbit code: each input is now refused
+# as an escape before any iteration, through the library's public coast.
+
+
+def test_escape_over_an_absurd_window_stops_at_the_anomaly_cap():
+    # 15 km/s at 8378 km escapes, however long the window
+    start = InertialState(0.0, np.array([8378.0, 0.0, 0.0]), np.array([0.0, 15.0, 0.0]))
+    with pytest.raises(UnboundOrbit, match="chaser at radius 8378 km moves at 15 km/s, "
+                                           "at or above the escape speed 9.7547 km/s"):
+        propagate_two_body(start, 1e300)
+
+
+# the ids name the Kepler failure each window met before the escape check
+@pytest.mark.parametrize("duration", [1e100, 1e300], ids=[
+    "1e+100-universal Kepler solve for dt=1e\\+100 s did not converge in 100 iterations",
+    "1e+300-coast of 1e\\+300 s leaves double-precision range",
+])
+def test_parabolic_escape_over_an_absurd_window_is_a_kepler_failure(duration):
+    # exactly escape speed at 7000 km: alpha reads 0, which is no bound orbit
+    speed = np.sqrt(2.0 * MU_EARTH / 7000.0)
+    start = InertialState(0.0, np.array([7000.0, 0.0, 0.0]), np.array([0.0, speed, 0.0]))
+    with pytest.raises(UnboundOrbit, match="chaser at radius 7000 km moves at 10.6717 km/s, "
+                                           "at or above the escape speed 10.6717 km/s"):
+        propagate_two_body(start, duration)
+
+
+def test_kepler_bracket_search_gives_up_at_the_iteration_cap(monkeypatch):
+    # a cap of one iteration changes nothing: the escape is refused first
+    import rpodsim.dynamics
+
+    monkeypatch.setattr(rpodsim.dynamics, "_KEPLER_MAX_ITER", 1)
+    start = InertialState(0.0, np.array([7000.0, 0.0, 0.0]), np.array([0.0, 12.0, 0.0]))
+    with pytest.raises(UnboundOrbit, match="chaser at radius 7000 km moves at 12 km/s, "
+                                           "at or above the escape speed 10.6717 km/s"):
+        propagate_two_body(start, 5000.0)
+
+
 def _outcome(call):
     """A call's result as the bits of its floats, or its exception's type and text."""
     try:
