@@ -123,16 +123,16 @@ def _stumpff(z: float) -> Tuple[float, float]:
 
 
 def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
-    """End position and velocity of an unforced coast of duration > 0 s about
-    the Earth, checked against the surface over its whole arc; a start at or
-    above the escape speed raises UnboundOrbit.
+    """End position and velocity of an unforced coast of duration >= 0 s
+    about the Earth, checked against the surface over its whole arc; a start
+    at or above the escape speed raises UnboundOrbit.
 
     Universal-variable formulation (Curtis, *Orbital Mechanics for
     Engineering Students*, Alg. 3.3-3.4; Vallado, KEPLER): Newton's method
     on the universal anomaly chi, then the Lagrange coefficients f, g,
     f-dot, g-dot map (r0, v0) to the end.  The lowest radius on the arc is
-    exact: the periapsis radius h^2 / (MU_EARTH (1 + e)) if the arc passes
-    periapsis, else the smaller end radius (r is monotone between apsides).
+    exact: the periapsis radius a (1 - e) if the arc passes periapsis, else
+    the smaller end radius (r is monotone between apsides).
     """
     (x, y, z0), (u, v, w) = r0, v0
     rn0 = math.hypot(x, y, z0)
@@ -145,12 +145,16 @@ def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
             f"chaser at radius {rn0:.6g} km moves at {math.sqrt(v2):.6g} km/s, at or "
             f"above the escape speed {math.sqrt(2.0 * MU_EARTH / rn0):.6g} km/s"
         )
-    # e cos E0
-    k = 1.0 - alpha * rn0
-    period = 2.0 * math.pi / (_SQRT_MU * alpha * math.sqrt(alpha))
+    root = math.sqrt(alpha)
+    if alpha * root == 0.0:
+        raise KeplerNonConvergence(
+            f"orbit through radius {rn0:.6g} km leaves double-precision range")
+    # e cos E0 and e sin E0, E0 the eccentric anomaly at the start
+    k, e_sin = 1.0 - alpha * rn0, sigma0 * root
+    period = 2.0 * math.pi / (_SQRT_MU * alpha * root)
     dt = math.fmod(duration, period)
     if dt == 0.0:
-        position, velocity, rn = r0, v0, rn0
+        position, velocity, rn, chi = r0, v0, rn0, 0.0
     else:
         # chi after dt (0 < dt < period), by Newton's method inside a bracket
         # [lo, hi], falling back to bisection when a step would leave the
@@ -160,7 +164,7 @@ def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
         mu_dt = _SQRT_MU * dt
         lo = 0.0
         # dt < period, so the eccentric anomaly advances less than 2 pi
-        hi = 2.0 * math.pi / math.sqrt(alpha)
+        hi = 2.0 * math.pi / root
         # Curtis's starting guess, kept inside the bracket
         chi = min(_SQRT_MU * alpha * dt, 0.5 * hi) or 0.5 * hi
         last_step = hi - lo
@@ -203,19 +207,13 @@ def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
         fdot = _SQRT_MU * chi * (z * s - 1.0) / (rn * rn0)
         gdot = 1.0 - chi * chi * c / rn
         velocity = fdot * x + gdot * u, fdot * y + gdot * v, fdot * z0 + gdot * w
-    # the arc passes periapsis if it lasts at least the time from the start
-    # to the next periapsis, from the mean anomaly M0 = E0 - e sin E0, with
-    # e sin E0 = sigma0 sqrt(alpha); a whole period always does
-    e_sin = sigma0 * math.sqrt(alpha)
-    mean0 = math.atan2(e_sin, k) - e_sin
-    if duration < (-mean0) % (2.0 * math.pi) / (2.0 * math.pi) * period:
+    # no arc goes below periapsis, a (1 - e); one that ends short of it (in
+    # its first period, with the eccentric anomaly E0 + chi sqrt(alpha) below
+    # 2 pi) goes no lower than its lower end
+    lowest = (1.0 - math.hypot(k, e_sin)) / alpha
+    if lowest < _SURFACE_RADIUS and duration < period and (
+            math.atan2(e_sin, k) % (2.0 * math.pi) + chi * root < 2.0 * math.pi):
         lowest = min(rn0, rn)
-    else:
-        hx, hy, hz = y * w - z0 * v, z0 * u - x * w, x * v - y * u
-        radial = v2 - MU_EARTH / rn0
-        lowest = (hx * hx + hy * hy + hz * hz) / (MU_EARTH * (1.0 + math.hypot(
-            (radial * x - rv * u) / MU_EARTH, (radial * y - rv * v) / MU_EARTH,
-            (radial * z0 - rv * w) / MU_EARTH)))
     if lowest < _SURFACE_RADIUS:
         raise SingularRadius(
             f"coast reaches radius {lowest:.6g} km, below the "
@@ -228,17 +226,16 @@ def propagate_two_body(initial: InertialState, duration: float) -> InertialState
     """Coast on a two-body orbit about the Earth for ``duration`` seconds (>= 0).
 
     The coast is solved in closed form (universal-variable Kepler equation
-    with Lagrange f and g), so its cost does not grow with the duration.
-    The end state's epoch is advanced by ``duration``.  Raises UnboundOrbit
-    if the state is at or above the escape speed, SingularRadius if the
-    coast passes below the Earth's surface anywhere on its arc, not only at
-    its end, and KeplerNonConvergence if its Kepler solve does not converge
-    or leaves double-precision range.
+    with Lagrange f and g), so its cost does not grow with the duration; a
+    zero duration takes the same kernel and checks, and no solve.  The end
+    state's epoch is advanced by ``duration``.  Raises UnboundOrbit if the
+    state is at or above the escape speed, SingularRadius if the coast
+    passes below the Earth's surface anywhere on its arc, not only at its
+    end, and KeplerNonConvergence if its Kepler solve does not converge or
+    leaves double-precision range.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {duration}")
-    if duration == 0.0:
-        return InertialState(initial.epoch, initial.position, initial.velocity)
     position, velocity = _coast(initial.position, initial.velocity, duration)
     return InertialState(initial.epoch + float(duration), position, velocity)
 
@@ -249,12 +246,13 @@ def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]],
     Two-body motion is invariant under rotation about the pole, so a leg
     flown from any epoch is the leg flown from 0 turned with the chief's
     frame: the chaser is lifted at theta = 0, coasted, and read back in the
-    frame at dt, whose basis is read once.  Each leg is ``eci_to_hill(orbit,
-    propagate_two_body(hill_to_eci(orbit, 0.0, rel), dt))`` operation for
-    operation, with its checks, but builds no InertialState and no
-    RelativeState.  Like the CW coast it takes any six floats and returns
-    a plain tuple of six floats.  ``rpodsim validate`` checks this leg: a
-    co-orbital chaser must come back unchanged, and an NMC keep its energy.
+    frame at dt, whose basis is read once.  Each leg, of any dt >= 0, is
+    ``eci_to_hill(orbit, propagate_two_body(hill_to_eci(orbit, 0.0, rel), dt))``
+    operation for operation, with its checks, but builds no InertialState
+    and no RelativeState.  Like the CW coast it takes any six floats and
+    returns a plain tuple of six floats.  ``rpodsim validate`` checks this
+    leg: a co-orbital chaser must come back unchanged, and an NMC keep its
+    energy.
     """
     if not 0.0 <= dt < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {dt}")
@@ -263,9 +261,8 @@ def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]],
     def coast(rel: Sequence[float]) -> Tuple[float, ...]:
         position, velocity = _to_eci(orbit, 1.0, 0.0, rel)
         _check_state(position, velocity)
-        if dt:
-            position, velocity = _coast(position, velocity, dt)
-            _check_state(position, velocity)
+        position, velocity = _coast(position, velocity, dt)
+        _check_state(position, velocity)
         return _to_hill(orbit, c, s, position, velocity)
 
     return coast

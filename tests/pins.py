@@ -1,14 +1,17 @@
-"""The CLI's pinned output bytes, and a check of them that needs no pytest.
+"""The CLI's pinned output bytes and the Kepler kernel's pinned bits, and a
+check of both that needs no pytest.
 
-``test_cli.py::test_output_bytes_are_pinned`` reads the table below.  Run as
-a script from the repository root,
+``test_cli.py::test_output_bytes_are_pinned`` reads the first table below
+and ``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the second.
+Run as a script from the repository root,
 
     python tests/pins.py
 
-it flies every pinned argv through ``rpodsim.cli.main`` (from ``src/``),
-prints one PASS or FAIL line per pin and exits 1 if any exit code, CSV,
-stdout or stderr differs, so the pins can be checked on an interpreter that
-has no pytest installed.
+it flies every pinned argv through ``rpodsim.cli.main`` (from ``src/``) and
+every Kepler row through ``rpodsim.dynamics._coast``, prints one PASS or FAIL
+line per pin and one for the Kepler table, and exits 1 if any exit code,
+CSV, stdout, stderr, end-state bit or error message differs, so the pins can
+be checked on an interpreter that has no pytest installed.
 """
 
 import contextlib
@@ -38,12 +41,187 @@ _PINNED_BYTES = {
 }
 
 
+# dynamics._coast inputs (r0, v0 and duration, as float.hex) and the float.hex
+# bits of its end state or its exception's class name and message, pinned
+# from the class-based solver that _coast replaced; the cases cover both
+# Stumpff branches, arcs that do and do not pass periapsis, a whole number of
+# periods, and every error the core raises; the second field is
+# _KEPLER_MAX_ITER.  The rows named for open orbits and their errors
+# (hyperbola-*, parabola, anomaly-cap, double-range, no-convergence,
+# no-bracket, newton-cap-after-the-bracket) keep their inputs and pin the
+# escape error, for alpha < 0 and for alpha read as exactly 0, raised before
+# any iteration whatever the cap.  The errors are named by string, so this
+# table loads before src/ is on the path
+_KEPLER_CORE_TABLE = [
+    ("near-circular-m-64-taylor", 100,
+     "0x1.05d91eb851eb8p+13 0x1.p+1 -0x1.p-1"
+     " 0x1.0624dd2f1a9fcp-10 0x1.b99249144a560p+2 -0x0.0p+0 0x1.dcfe52e68993dp+6",
+     "0x1.04976af6ba114p+13 0x1.9bb7161e3397ep+9 -0x1.fd891a64e3912p-2"
+     " -0x1.598a1e4b57ffep-1 0x1.b76f8d1fac3bep+2 0x1.52520500b6ba8p-15"),
+    ("near-circular-m-8-closed-form", 100,
+     "0x1.05d91eb851eb8p+13 0x1.p+1 -0x1.p-1"
+     " 0x1.0624dd2f1a9fcp-10 0x1.b99249144a560p+2 -0x0.0p+0 0x1.dcfe52e68993dp+9",
+     "0x1.7278a09bf0e2ap+12 0x1.727fed162f6a0p+12 -0x1.6a25044e8585cp-2"
+     " -0x1.37dcd3c59c9bep+2 0x1.38510962bb80ep+2 0x1.30f114b19630fp-12"),
+    ("grid-leg-m-4", 100,
+     "0x1.0da11eb851eb8p+13 -0x1.4000000000000p+5 0x1.8000000000000p+1"
+     " 0x1.47ae147ae147bp-6 0x1.99718478a472bp+2 0x1.0624dd2f1a9fcp-10 0x1.dcfe52e68993dp+10",
+     "0x1.fb1b5e513446dp+7 0x1.de6b7e1b0d2f8p+12 0x1.46c981d16b01cp+0"
+     " -0x1.cec19c9889f37p+2 -0x1.2b314cfc5373bp-1 -0x1.561824d4dfe65p-9"),
+    ("grid-leg-m-16", 100,
+     "0x1.ec623d70a3d70p+12 0x1.c200000000000p+9 -0x1.c000000000000p+2"
+     " -0x1.3333333333333p-2 0x1.eca4b7abd7a5ep+2 -0x1.0624dd2f1a9fcp-9 0x1.dcfe52e68993dp+8",
+     "0x1.b951b0e6d5cefp+12 0x1.126acafb8467dp+12 -0x1.d4c7899786ef2p+2"
+     " -0x1.81a127d890379p+1 0x1.b03318e51f4a4p+2 0x1.38aae5f3ef7d0p-11"),
+    ("grid-leg-m-32", 100,
+     "0x1.05d51eb851eb8p+13 -0x1.p+0 0x1.p-2"
+     " -0x1.a36e2eb1c432dp-12 0x1.b981e6c677646p+2 0x1.4f8b588e368f1p-16 0x1.dcfe52e68993dp+7",
+     "0x1.00cc9b062ab83p+13 0x1.98701a61d9db3p+10 0x1.ffdea478c87e6p-3"
+     " -0x1.588f82c4102a7p+0 0x1.b10907e13b590p+2 -0x1.5879f7c83c2e3p-16"),
+    ("ellipse-through-periapsis", 100,
+     "0x1.ee90b21642c88p+11 -0x1.ac4e58c63ba3bp+12 0x0.0p+0"
+     " 0x1.6ed32c1192af2p+2 0x1.52dbbad3320d0p+2 0x0.0p+0 0x1.7700000000000p+10",
+     "0x1.66fcd5dbd627bp+12 0x1.214e87698f5efp+12 0x0.0p+0"
+     " -0x1.09c9b44fc386cp+2 0x1.c8e044039d40cp+2 -0x0.0p+0"),
+    ("ellipse-short-of-periapsis", 100,
+     "0x1.86f954161981ep+12 0x1.c3753392f8591p+11 0x0.0p+0"
+     " -0x1.a792a987fe900p+1 0x1.ede59220c5740p+2 0x0.0p+0 0x1.2c00000000000p+9",
+     "0x1.9fc974648dc02p+11 0x1.cdbd35a5912e3p+12 0x0.0p+0"
+     " -0x1.823b038c5bb0ep+2 0x1.2cf7e57cc6af4p+2 0x0.0p+0"),
+    ("ellipse-over-2.5-periods", 100,
+     "0x1.05d91eb851eb8p+13 0x1.p+1 -0x1.p-1"
+     " 0x1.0624dd2f1a9fcp-10 0x1.b99249144a560p+2 -0x0.0p+0 0x1.2a1ef3d015fc6p+14",
+     "-0x1.06294a080652ep+13 0x1.58ef5a5d3e613p+7 0x1.004e93930c53ep-1"
+     " -0x1.1cd01be36bdc0p-3 -0x1.b8dc680054afcp+2 0x1.1473ef9f5bc82p-17"),
+    ("two-whole-periods", 100,
+     "0x1.05d11eb851eb8p+13 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.bddb9cd60240ap+2 0x0.0p+0 0x1.ebbeab95f91a5p+13",
+     "0x1.05d11eb851eb8p+13 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.bddb9cd60240ap+2 0x0.0p+0"),
+    # e = 0.51 from 20,000 km over 0.9 of its period: Curtis's start is poor
+    # enough that one step falls back to bisection
+    ("ellipse-by-bisection", 100,
+     "0x1.3880000000000p+14 0x0.0p+0 0x0.0p+0"
+     " 0x1.0b4f95b31e94ap+1 0x1.cefefb4db3bd8p+1 0x0.0p+0 0x1.4be0000000000p+14",
+     "0x1.6f35a1c284a6ap+13 -0x1.ee96854a74389p+12 0x0.0p+0"
+     " 0x1.4aa12a844abbcp+2 0x1.56b647951b00ap+1 0x0.0p+0"),
+    ("hyperbola-bracket-growth", 100,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.8000000000000p+3 0x0.0p+0 0x1.3880000000000p+12",
+     ("UnboundOrbit", "chaser at radius 7000 km moves at 12 km/s, at or above "
+      "the escape speed 10.6717 km/s")),
+    ("hyperbola-bracket-growth-fewest-iterations", 7,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.8000000000000p+3 0x0.0p+0 0x1.3880000000000p+12",
+     ("UnboundOrbit", "chaser at radius 7000 km moves at 12 km/s, at or above "
+      "the escape speed 10.6717 km/s")),
+    ("hyperbola-through-periapsis", 100,
+     "0x1.2d5c0d3796aedp+11 -0x1.ab4615ed91e0ap+13 0x0.0p+0"
+     " 0x1.2ccd6a0fc2fbap+2 0x1.ff342711d9166p+2 0x0.0p+0 0x1.7700000000000p+11",
+     ("UnboundOrbit", "chaser at radius 13883.7 km moves at 9.26776 km/s, at or above "
+      "the escape speed 7.5776 km/s")),
+    ("hyperbola-short-arc-taylor", 100,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.8000000000000p+3 0x0.0p+0 0x1.4000000000000p+4",
+     ("UnboundOrbit", "chaser at radius 7000 km moves at 12 km/s, at or above "
+      "the escape speed 10.6717 km/s")),
+    ("hyperbola-by-bisection", 100,
+     "0x1.eca0000000000p+13 0x0.0p+0 0x0.0p+0"
+     " 0x1.1eb851eb851ecp-2 0x1.de147ae147ae1p+2 0x0.0p+0 0x1.1000000000000p+5",
+     ("UnboundOrbit", "chaser at radius 15764 km moves at 7.47525 km/s, at or above "
+      "the escape speed 7.11133 km/s")),
+    # a fall from 1e6 km to a 6,833 km pass on an e ~ 5 hyperbola
+    ("hyperbola-bisection-exit", 100,
+     "0x1.e848000000000p+19 0x0.0p+0 0x0.0p+0"
+     " -0x1.f5fa43fe5c91dp+3 0x1.feb18116ebd4dp-4 0x0.0p+0 0x1.f018000000000p+15",
+     ("UnboundOrbit", "chaser at radius 1e+06 km moves at 15.6873 km/s, at or above "
+      "the escape speed 0.892861 km/s")),
+    ("parabola", 100,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.557ed1cfb9c2ep+3 0x0.0p+0 0x1.f400000000000p+9",
+     ("UnboundOrbit", "chaser at radius 7000 km moves at 10.6717 km/s, at or above "
+      "the escape speed 10.6717 km/s")),
+    ("ellipse-climbing-from-below-the-floor", 100,
+     "0x1.729a29f69f51bp+12 0x1.05637fde38f8ep+10 0x0.0p+0"
+     " -0x1.3dc8a874564c1p+0 0x1.25e8278ea783cp+3 0x0.0p+0 0x1.2c00000000000p+8",
+     ("SingularRadius", "coast reaches radius 6021.11 km, below the 6378.14 km floor")),
+    ("ellipse-through-periapsis-below-the-floor", 100,
+     "0x1.c68ba2e8ba2ebp+11 -0x1.89a5dd7ba06f9p+12 0x0.0p+0"
+     " 0x1.6c379fa90ac15p+2 0x1.b4bcc2be5d708p+2 0x0.0p+0 0x1.2c00000000000p+10",
+     ("SingularRadius", "coast reaches radius 6000 km, below the 6378.14 km floor")),
+    ("hyperbola-through-periapsis-below-the-floor", 100,
+     "0x1.0aaaaaaaaaaacp+12 -0x1.cde155cb14fdcp+12 0x0.0p+0"
+     " 0x1.1ff0650e130d2p+2 0x1.4616e694ce1a4p+3 0x0.0p+0 0x1.e848000000000p+19",
+     ("UnboundOrbit", "chaser at radius 8533.33 km moves at 11.1393 km/s, at or above "
+      "the escape speed 9.6655 km/s")),
+    ("anomaly-cap", 100,
+     "0x1.05d0000000000p+13 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.e000000000000p+3 0x0.0p+0 0x1.7e43c8800759cp+996",
+     ("UnboundOrbit", "chaser at radius 8378 km moves at 15 km/s, at or above "
+      "the escape speed 9.7547 km/s")),
+    ("double-range", 100,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.557ed1cfb9c2ep+3 0x0.0p+0 0x1.7e43c8800759cp+996",
+     ("UnboundOrbit", "chaser at radius 7000 km moves at 10.6717 km/s, at or above "
+      "the escape speed 10.6717 km/s")),
+    ("no-convergence", 100,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.557ed1cfb9c2ep+3 0x0.0p+0 0x1.249ad2594c37dp+332",
+     ("UnboundOrbit", "chaser at radius 7000 km moves at 10.6717 km/s, at or above "
+      "the escape speed 10.6717 km/s")),
+    ("no-bracket", 1,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.8000000000000p+3 0x0.0p+0 0x1.3880000000000p+12",
+     ("UnboundOrbit", "chaser at radius 7000 km moves at 12 km/s, at or above "
+      "the escape speed 10.6717 km/s")),
+    ("newton-cap-after-the-bracket", 6,
+     "0x1.b580000000000p+12 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x1.8000000000000p+3 0x0.0p+0 0x1.3880000000000p+12",
+     ("UnboundOrbit", "chaser at radius 7000 km moves at 12 km/s, at or above "
+      "the escape speed 10.6717 km/s")),
+    ("newton-cap", 1,
+     "0x1.05d91eb851eb8p+13 0x1.p+1 -0x1.p-1"
+     " 0x1.0624dd2f1a9fcp-10 0x1.b99249144a560p+2 -0x0.0p+0 0x1.dcfe52e68993dp+9",
+     ("KeplerNonConvergence", "universal Kepler solve for dt=953.987 s"
+      " did not converge in 1 iterations")),
+    # an orbit so wide that its alpha**1.5, and so its period's denominator,
+    # underflows to zero
+    ("period-beyond-double-range", 100,
+     "0x1.485ce9e7a065fp+963 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0",
+     ("KeplerNonConvergence", "orbit through radius 1e+290 km leaves double-precision range")),
+]
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def fly_kepler_row(max_iter: int, given: str) -> tuple:
+    """One Kepler row's outcome under its iteration cap, which is restored
+    after: the float.hex bits of ``_coast``'s end state, or its exception's
+    class name and message."""
+    from rpodsim import dynamics
+
+    x, y, z, u, v, w, duration = map(float.fromhex, given.split())
+    saved, dynamics._KEPLER_MAX_ITER = dynamics._KEPLER_MAX_ITER, max_iter
+    try:
+        return tuple(map(float.hex, sum(dynamics._coast((x, y, z), (u, v, w), duration), ())))
+    except Exception as exc:  # compared, never swallowed: a row pins its error
+        return type(exc).__name__, str(exc)
+    finally:
+        dynamics._KEPLER_MAX_ITER = saved
+
+
+def pinned_outcome(expected) -> tuple:
+    """A row's pinned outcome in the form :func:`fly_kepler_row` returns."""
+    if isinstance(expected, tuple):
+        return expected
+    return tuple(float.fromhex(bits).hex() for bits in expected.split())
+
+
 def check() -> int:
-    """Fly each pinned argv and compare its bytes; 0 if every pin holds, else 1."""
+    """Fly each pinned argv and Kepler row and compare; 0 if every pin holds, else 1."""
     from rpodsim.cli import main
 
     failed = 0
@@ -59,6 +237,11 @@ def check() -> int:
             ok = got == (0, csv_sha, stdout_sha, "")
             failed += not ok
             print(f"{'PASS' if ok else 'FAIL'}  {name}" + ("" if ok else f"  got {got}"))
+    moved = [name for name, max_iter, given, expected in _KEPLER_CORE_TABLE
+             if fly_kepler_row(max_iter, given) != pinned_outcome(expected)]
+    failed += bool(moved)
+    print(f"{'FAIL' if moved else 'PASS'}  kepler-core ({len(_KEPLER_CORE_TABLE)} coasts)"
+          + (f"  moved: {', '.join(moved)}" if moved else ""))
     return 1 if failed else 0
 
 

@@ -1,5 +1,6 @@
 """The tests' independent references: general ECI <-> Hill transforms,
-the CW equations in ODE form, and the specific energy and angular momentum.
+the CW equations in ODE form, the specific energy and angular momentum, and
+the lowest radius on a two-body arc.
 
 The program's transforms (``rpodsim.frames``) hold only for its circular
 equatorial chief, whose Hill frame is a rotation about the pole.  These
@@ -9,7 +10,8 @@ program beyond the state types.  Tests apply them to
 ``dynamics.chief_state(orbit, t)`` to check what the program flies.
 Integrating :func:`cw_derivative` checks the closed-form ``cw_stm``, and
 :func:`specific_energy` and :func:`specific_angular_momentum` check that
-two-body coasts conserve the energy and h.
+two-body coasts conserve the energy and h.  :func:`lowest_radius` checks
+the kernel's surface test with general-conic formulas that it does not use.
 """
 
 from __future__ import annotations
@@ -112,6 +114,29 @@ def specific_energy(state: InertialState) -> float:
 def specific_angular_momentum(state: InertialState) -> float:
     """Magnitude of r x v, km^2/s."""
     return float(np.linalg.norm(np.cross(np.asarray(state.position), np.asarray(state.velocity))))
+
+
+def lowest_radius(state: InertialState, duration: float, end_radius: float) -> float:
+    """Lowest radius on a bound two-body coast of ``duration`` s from ``state``
+    that ends at ``end_radius``, by the general-conic formulas.
+
+    The arc passes periapsis if it lasts at least the time from the start to
+    the next periapsis, from the mean anomaly M0 = E0 - e sin E0; its lowest
+    radius is then h^2 / (MU_EARTH (1 + e)), from the angular-momentum and
+    eccentricity vectors, and otherwise the lower end radius (r is monotone
+    between apsides).
+    """
+    r, v = np.asarray(state.position), np.asarray(state.velocity)
+    rn, rv, v2 = np.linalg.norm(r), r @ v, v @ v
+    alpha = 2.0 / rn - v2 / MU_EARTH
+    period = 2.0 * math.pi / (math.sqrt(MU_EARTH) * alpha * math.sqrt(alpha))
+    e_sin = rv / math.sqrt(MU_EARTH) * math.sqrt(alpha)
+    mean0 = math.atan2(e_sin, 1.0 - alpha * rn) - e_sin
+    if duration < (-mean0) % (2.0 * math.pi) / (2.0 * math.pi) * period:
+        return min(rn, end_radius)
+    h = np.cross(r, v)
+    ecc = ((v2 - MU_EARTH / rn) * r - rv * v) / MU_EARTH
+    return float(h @ h / (MU_EARTH * (1.0 + np.linalg.norm(ecc))))
 
 
 def cw_derivative(rel: RelativeState, n: float) -> np.ndarray:
