@@ -40,9 +40,9 @@ Accounting conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import operator
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dynamics import TargetOrbit, cw_coast, two_body_coast
 from .errors import UnphysicalBurn
@@ -78,23 +78,35 @@ _MIN_IMPULSES = {"nmc_unforced": 3, "circle_forced": 3, "intercept_forced": 2}
 MAX_LEGS = 100_000
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Full description of one campaign run (deterministic; no seeds)."""
+def _whole(name: str, value) -> int:
+    """``value`` as an int, for any integer type (numpy's too); else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
-    maneuver_kind: str
-    chief_altitude: float
-    size: float
-    impulse_count: int
-    duration: Optional[float] = None
-    truth_model: str = "two_body"
-    laps: int = 1
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+class CampaignConfig(NamedTuple("_Config", [
+    ("maneuver_kind", str), ("chief_altitude", float), ("size", float), ("impulse_count", int),
+    ("duration", Optional[float]), ("truth_model", str), ("laps", int),
+])):
+    """Full description of one campaign run (deterministic; no seeds).
+
+    Every constructor, ``_make``, ``_replace``, pickle and copy included,
+    checks the fields, and reads ``impulse_count`` and ``laps`` as ints.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, maneuver_kind: str, chief_altitude: float, size: float, impulse_count: int,
+                duration: Optional[float] = None, truth_model: str = "two_body",
+                laps: int = 1) -> "CampaignConfig":
+        self = tuple.__new__(cls, (
+            maneuver_kind, chief_altitude, size, _whole("impulse_count", impulse_count),
+            duration, truth_model, _whole("laps", laps)))
+        for name, value in zip(self._fields, self):
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.maneuver_kind not in MANEUVER_KINDS:
             raise ValueError(f"unknown maneuver kind {self.maneuver_kind!r}")
         if self.truth_model not in TRUTH_MODELS:
@@ -107,9 +119,7 @@ class CampaignConfig:
             raise ValueError("size must be positive for circumnavigation")
         minimum = _MIN_IMPULSES.get(self.maneuver_kind, 1)
         if self.impulse_count < minimum:
-            raise ValueError(
-                f"{self.maneuver_kind} needs impulse_count >= {minimum}"
-            )
+            raise ValueError(f"{self.maneuver_kind} needs impulse_count >= {minimum}")
         if self.maneuver_kind == "intercept_unforced" and self.impulse_count != 1:
             raise ValueError("intercept_unforced flies one burn: impulse_count must be 1")
         if self.laps < 1:
@@ -133,10 +143,16 @@ class CampaignConfig:
                 f"size {self.size:.6g} km is below 1e7 ulps of the {orbit.radius:.6g} km "
                 f"chief radius, which two-body truth cannot resolve"
             )
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(NamedTuple("_Result", [
+    ("config", CampaignConfig), ("arrivals", Tuple[float, ...]), ("burns", Tuple[float, ...]),
+    ("tau", float), ("total_dv", float), ("insertion_dv", float),
+    ("max_waypoint_miss", float), ("duration", float),
+])):
     """Executed trajectory, impulse log, and Δv accounting for one run.
 
     The flight is kept as two flat tuples of floats, so a result holds no
@@ -146,17 +162,9 @@ class CampaignResult:
     and ``impulses`` are built from them on first access and cached:
     ``samples`` holds ``(k tau, RelativeState)`` pairs and ``impulses`` one
     ImpulseRecord per burn.  The chaser's inertial state at a sample is
-    ``hill_to_eci(orbit, t, rel)``.
+    ``hill_to_eci(orbit, t, rel)``.  The class declares no ``__slots__``, so
+    each result keeps the instance dict those caches live in.
     """
-
-    config: CampaignConfig
-    arrivals: Tuple[float, ...]
-    burns: Tuple[float, ...]
-    tau: float
-    total_dv: float
-    insertion_dv: float
-    max_waypoint_miss: float
-    duration: float
 
     @cached_property
     def samples(self) -> Tuple[Tuple[float, RelativeState], ...]:

@@ -21,8 +21,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .campaign import (
     CampaignConfig,
@@ -48,8 +47,7 @@ CSV_HEADER = (
 _DV_ROUND_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Validated description of one CLI invocation.
 
     ``params`` are exactly the keyword arguments of the subcommand's library

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence, Tuple
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 from .constants import MU_EARTH, R_EARTH
 from .errors import KeplerNonConvergence, SingularRadius, UnboundOrbit
@@ -51,41 +49,43 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class TargetOrbit:
-    """Circular chief orbit about the Earth, of radius above its surface, km.
+class TargetOrbit(NamedTuple("_Orbit", [("radius", float), ("n", float),
+                                          ("circular_speed", float)])):
+    """Circular chief orbit about the Earth, of radius above its surface, km:
+    the tuple (radius, n, circular_speed).
 
-    The mean motion and circular speed are derived from (MU_EARTH, radius)
-    on first use and cached; the orbit is frozen, so they cannot drift out
-    of consistency with it.
+    The mean motion n = sqrt(MU_EARTH / radius^3), rad/s, and the circular
+    speed n * radius, km/s, are derived from the radius by every
+    constructor, so they cannot drift out of consistency with it.
     """
 
-    radius: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.radius > _SURFACE_RADIUS:
-            raise ValueError(f"orbit radius {self.radius:.6g} km is not above the Earth surface")
-        if self.radius > _MAX_RADIUS:
-            raise ValueError(f"orbit radius {self.radius} km is too large: its cube leaves "
+    def __new__(cls, radius: float) -> "TargetOrbit":
+        if not radius > _SURFACE_RADIUS:
+            raise ValueError(f"orbit radius {radius:.6g} km is not above the Earth surface")
+        if radius > _MAX_RADIUS:
+            raise ValueError(f"orbit radius {radius} km is too large: its cube leaves "
                              f"double range above {_MAX_RADIUS:.3g} km")
+        n = math.sqrt(MU_EARTH / radius**3)
+        return tuple.__new__(cls, (radius, n, n * radius))
+
+    def __getnewargs__(self):  # so pickle and copy rebuild it from the radius
+        return self[:1]
+
+    def _replace(self, **changes) -> "TargetOrbit":
+        return TargetOrbit(**{"radius": self.radius, **changes})
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # from (radius,) only
 
     @classmethod
     def from_altitude(cls, altitude: float) -> "TargetOrbit":
         return cls(radius=R_EARTH + altitude)
 
-    @cached_property
-    def n(self) -> float:
-        """Mean motion sqrt(MU_EARTH / radius^3), rad/s."""
-        return math.sqrt(MU_EARTH / self.radius**3)
-
     @property
     def period(self) -> float:
         """Orbital period 2*pi/n, s."""
         return 2.0 * math.pi / self.n
-
-    @cached_property
-    def circular_speed(self) -> float:
-        return self.n * self.radius
 
 
 def chief_state(orbit: TargetOrbit, t: float) -> InertialState:

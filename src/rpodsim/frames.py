@@ -16,7 +16,6 @@ km/s, rad/s throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -37,9 +36,10 @@ def _vec3(value) -> Vec3:
     return out
 
 
-@dataclass(frozen=True)
-class InertialState:
-    """Position and velocity of a satellite in the ECI frame.
+class InertialState(NamedTuple("_Inertial", [("epoch", float), ("position", Vec3),
+                                              ("velocity", Vec3)])):
+    """Position and velocity of a satellite in the ECI frame: the tuple
+    (epoch, position, velocity).
 
     Attributes
     ----------
@@ -49,16 +49,19 @@ class InertialState:
         ECI position, km.
     velocity : (float, float, float)
         ECI velocity, km/s.
+
+    Every constructor, ``_make``, ``_replace``, pickle and copy included,
+    reads both vectors as float triples and checks them.
     """
 
-    epoch: float
-    position: Vec3
-    velocity: Vec3
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", _vec3(self.position))
-        object.__setattr__(self, "velocity", _vec3(self.velocity))
-        _check_state(self.position, self.velocity)
+    def __new__(cls, epoch: float, position: Vec3, velocity: Vec3) -> "InertialState":
+        position, velocity = _vec3(position), _vec3(velocity)
+        _check_state(position, velocity)
+        return tuple.__new__(cls, (epoch, position, velocity))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _check_state(position: Vec3, velocity: Vec3) -> None:

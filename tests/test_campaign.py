@@ -74,6 +74,39 @@ def test_config_rejects_bad_values():
         unforced(10.0, MAX_LEGS // 4 + 1, laps=4)
 
 
+def test_config_counts_are_integers():
+    # a float count would pass every comparison and fail only in the leg
+    # loop's range(); numpy integers are read as ints
+    for bad in (dict(impulse_count=4.0), dict(impulse_count=4, laps=2.0),
+                dict(impulse_count="4"), dict(impulse_count=4, laps=None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            CampaignConfig("nmc_unforced", 2000.0, 10.0, **bad)
+    config = unforced(10.0, np.int64(4), laps=np.int32(2))
+    assert (config.impulse_count, config.laps) == (4, 2)
+    assert type(config.impulse_count) is type(config.laps) is int
+    assert len(run_campaign(config).impulses) == 8
+
+
+def test_config_copies_and_changes_are_checked():
+    # _make, _replace, pickle and copy all build through the constructor, so
+    # none of them can make a config that skipped its checks
+    config = unforced(10.0, 4)
+    for twin in (CampaignConfig._make(config), config._replace(), copy.copy(config),
+                 copy.deepcopy(config), pickle.loads(pickle.dumps(config))):
+        assert type(twin) is CampaignConfig and twin == config
+    assert config._replace(size=20.0, laps=np.int64(3)) == unforced(20.0, 4, laps=3)
+    for changes in (dict(size=-1.0), dict(laps=0), dict(impulse_count=4.0),
+                    dict(duration=60.0), dict(chief_altitude=math.inf)):
+        with pytest.raises(ValueError):
+            config._replace(**changes)
+    with pytest.raises(ValueError):
+        CampaignConfig._make(("nmc_unforced", 2000.0, -1.0, 4, None, "two_body", 1))
+    unchecked = tuple.__new__(CampaignConfig, (*config[:2], -1.0, *config[3:]))
+    for rebuild in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+        with pytest.raises(ValueError, match="size must be non-negative"):
+            rebuild(unchecked)
+
+
 @pytest.mark.parametrize("count", [0, 2, 5])
 def test_unforced_intercept_flies_one_burn(count):
     # the unforced arm is one targeting burn and a coast; any other count
@@ -526,7 +559,7 @@ def test_cw_truth_never_builds_inertial_states(monkeypatch):
 
     monkeypatch.setattr(rpodsim.dynamics, "_to_eci", refuse)
     monkeypatch.setattr(rpodsim.dynamics, "_coast", refuse)
-    monkeypatch.setattr(InertialState, "__post_init__", refuse)
+    monkeypatch.setattr(InertialState, "__new__", refuse)
     assert run_campaign(forced(25.0, 8, truth="cw")).max_waypoint_miss < 1e-9
     for kind, count in (("intercept_unforced", 1), ("intercept_forced", 4)):
         result = run_campaign(
@@ -569,7 +602,7 @@ def test_two_body_leg_flies_one_transform_each_way(monkeypatch):
     for name in ("hill_to_eci", "eci_to_hill", "propagate_two_body", "chief_state"):
         monkeypatch.setattr(rpodsim.campaign, name, refuse)
     monkeypatch.setattr(rpodsim.dynamics, "chief_state", refuse)
-    monkeypatch.setattr(InertialState, "__post_init__", refuse)
+    monkeypatch.setattr(InertialState, "__new__", refuse)
     monkeypatch.setattr(rpodsim.frames, "math", FrameMath())
     assert run_campaign(forced(25.0, 8)).max_waypoint_miss > 0.0
     assert run_campaign(unforced(25.0, 8, laps=2)).total_dv > 0.0

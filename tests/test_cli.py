@@ -4,7 +4,6 @@ import math
 import re
 import time
 import warnings
-from dataclasses import asdict
 
 import pytest
 
@@ -81,7 +80,7 @@ def test_manifest_round_trip():
     manifest = parse_args(
         ["sweep", "--sizes-km", "1,10", "--impulses", "4,8", "--out", "r.csv"]
     )
-    rebuilt = RunManifest(**json.loads(json.dumps(asdict(manifest))))
+    rebuilt = RunManifest(**json.loads(json.dumps(manifest._asdict())))
     assert rebuilt == manifest
 
 

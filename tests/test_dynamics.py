@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -42,6 +44,40 @@ def test_target_orbit_mean_motion_consistency():
 def test_target_orbit_rejects_subsurface_radius():
     with pytest.raises(ValueError):
         TargetOrbit(radius=6000.0)
+
+
+def test_target_orbit_derives_its_rates_from_the_radius_alone():
+    # n and circular_speed are fields, computed once by every constructor:
+    # _make, _replace, pickle and copy take the radius alone and derive them
+    # again, so none is stale and a bad radius is refused on each path
+    r, r2 = ORBIT.radius, R_EARTH + 500.0
+    n = math.sqrt(MU_EARTH / r**3)
+    assert ORBIT == (r, n, n * r) and ORBIT.circular_speed == ORBIT.n * r
+    assert ORBIT.n.hex() == n.hex()
+    other = TargetOrbit(r2)
+    for moved in (ORBIT._replace(radius=r2), TargetOrbit._make((r2,))):
+        assert type(moved) is TargetOrbit and moved == other
+        assert moved.n.hex() == other.n.hex()
+        assert moved.circular_speed.hex() == other.circular_speed.hex()
+    for twin in (copy.copy(ORBIT), copy.deepcopy(ORBIT), pickle.loads(pickle.dumps(ORBIT))):
+        assert type(twin) is TargetOrbit and twin == ORBIT
+    with pytest.raises(ValueError):
+        ORBIT._replace(radius=1.0)
+    with pytest.raises(ValueError):
+        TargetOrbit._make((1.0,))
+    with pytest.raises(TypeError):
+        ORBIT._replace(n=1.0)
+    with pytest.raises(TypeError):
+        TargetOrbit._make(ORBIT)
+    with pytest.raises(TypeError):
+        TargetOrbit(r, n, n * r)
+    stale = tuple.__new__(TargetOrbit, (r, 1.0, 1.0))
+    for twin in (copy.copy(stale), copy.deepcopy(stale), pickle.loads(pickle.dumps(stale))):
+        assert twin == ORBIT
+    below = tuple.__new__(TargetOrbit, (1.0, n, n))
+    for rebuild in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
+        with pytest.raises(ValueError, match="not above the Earth surface"):
+            rebuild(below)
 
 
 def test_chief_state_is_circular():

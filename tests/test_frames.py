@@ -6,6 +6,9 @@ theorem.  The reference's own tests come first, then the program's
 transforms against it.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -236,6 +239,29 @@ def test_inertial_state_validation():
     state = InertialState(0.0, np.array([1, 0, 0]), [np.float64(1), 0, 0])
     assert state.position == state.velocity == (1.0, 0.0, 0.0)
     assert {type(v) for v in state.position + state.velocity} == {float}
+
+
+def test_inertial_state_copies_and_changes_are_checked():
+    # _make, _replace, pickle and copy all build through the constructor:
+    # each reads its vectors as float triples and refuses a bad state
+    state = InertialState(1.0, [R_CHIEF, 0, 0], [0, 7, 0])
+    assert state == (1.0, (R_CHIEF, 0.0, 0.0), (0.0, 7.0, 0.0))
+    for twin in (InertialState._make(state), state._replace(), copy.copy(state),
+                 copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert type(twin) is InertialState and twin == state
+    moved = state._replace(velocity=np.array([0, 6, 1]))
+    assert moved.velocity == (0.0, 6.0, 1.0) and type(moved.velocity[0]) is float
+    assert InertialState._make((1.0, [R_CHIEF, 0, 0], [0, 7, 0])) == state
+    with pytest.raises(ValueError):
+        state._replace(position=(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        state._replace(velocity=(np.nan, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        InertialState._make((1.0, [1, 2], [0, 7, 0]))
+    unchecked = tuple.__new__(InertialState, (1.0, (0.0, 0.0, 0.0), (0.0, 7.0, 0.0)))
+    for rebuild in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        with pytest.raises(ValueError, match="position magnitude must be positive"):
+            rebuild(unchecked)
 
 
 def test_relative_state_vector_round_trip():

@@ -50,7 +50,8 @@ def test_every_exported_exception_is_raised_in_the_package():
 
 
 # Imports the CLI and flies every subcommand under both truths in one fresh
-# process, then prints the numpy and scipy modules that process loaded.
+# process, then prints the numpy, scipy, dataclasses and inspect modules that
+# process loaded.
 _FLY_EVERY_SUBCOMMAND = """
 import contextlib, io, json, sys
 import rpodsim.cli as cli
@@ -68,14 +69,17 @@ for truth in ("two-body", "cw"):
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
 loaded = {name: sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
-          for name in ("numpy", "scipy")}
+          for name in ("numpy", "scipy", "dataclasses", "inspect")}
 print(json.dumps({"codes": codes, **loaded}))
 """
 
 
 def test_the_flown_path_loads_no_scipy(tmp_path):
     # numpy and scipy are test dependencies only: importing the program and
-    # running every subcommand must load neither, not even on first use
+    # running every subcommand must load neither, not even on first use.  Nor
+    # may it load dataclasses or inspect, whose import (and the ast, dis and
+    # tokenize it pulls in) would cost every start of the CLI more than the
+    # rest of its import
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _FLY_EVERY_SUBCOMMAND, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
@@ -83,6 +87,8 @@ def test_the_flown_path_loads_no_scipy(tmp_path):
     assert report["codes"] == [0] * 7
     assert report["numpy"] == []
     assert report["scipy"] == []
+    assert report["dataclasses"] == []
+    assert report["inspect"] == []
 
 
 def test_dynamics_binds_solve_ivp_on_first_look_up():
