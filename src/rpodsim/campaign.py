@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -86,6 +87,18 @@ def _whole(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a finite float, for any real type (numpy's too); else ValueError."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # an int beyond double range
+        raise ValueError(f"{name} must be finite, got an int beyond double range") from None
+    raise ValueError(f"{name} must be finite, got {value}")
+
+
 class CampaignConfig(NamedTuple("_Config", [
     ("maneuver_kind", str), ("chief_altitude", float), ("size", float), ("impulse_count", int),
     ("duration", Optional[float]), ("truth_model", str), ("laps", int),
@@ -93,7 +106,9 @@ class CampaignConfig(NamedTuple("_Config", [
     """Full description of one campaign run (deterministic; no seeds).
 
     Every constructor, ``_make``, ``_replace``, pickle and copy included,
-    checks the fields, and reads ``impulse_count`` and ``laps`` as ints.
+    checks the fields and reads the counts as ints, the rest as finite floats.
+    The size, km, is positive (-0.0 is not) and at least what its truth resolves:
+    1e7 ulps of the chief radius under two-body, float_info.min / n**2 under CW.
     """
 
     __slots__ = ()
@@ -102,21 +117,16 @@ class CampaignConfig(NamedTuple("_Config", [
                 duration: Optional[float] = None, truth_model: str = "two_body",
                 laps: int = 1) -> "CampaignConfig":
         self = tuple.__new__(cls, (
-            maneuver_kind, chief_altitude, size, _whole("impulse_count", impulse_count),
-            duration, truth_model, _whole("laps", laps)))
-        for name, value in zip(self._fields, self):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            maneuver_kind, _real("chief_altitude", chief_altitude), _real("size", size),
+            _whole("impulse_count", impulse_count),
+            None if duration is None else _real("duration", duration), truth_model,
+            _whole("laps", laps)))
         if self.maneuver_kind not in MANEUVER_KINDS:
             raise ValueError(f"unknown maneuver kind {self.maneuver_kind!r}")
         if self.truth_model not in TRUTH_MODELS:
             raise ValueError(f"unknown truth model {self.truth_model!r}")
-        if self.size < 0:
-            raise ValueError("size must be non-negative")
-        # a zero offset is a legal (null) intercept but a degenerate shape
-        # for circumnavigation plans
-        if self.size == 0 and self.maneuver_kind in CIRCUMNAV_KINDS:
-            raise ValueError("size must be positive for circumnavigation")
+        if not self.size > 0:
+            raise ValueError(f"size must be positive, got {self.size:g}")
         minimum = _MIN_IMPULSES.get(self.maneuver_kind, 1)
         if self.impulse_count < minimum:
             raise ValueError(f"{self.maneuver_kind} needs impulse_count >= {minimum}")
@@ -137,11 +147,18 @@ class CampaignConfig(NamedTuple("_Config", [
         elif self.duration is not None:
             raise ValueError("circumnavigation duration is derived; leave it unset")
         orbit = TargetOrbit.from_altitude(self.chief_altitude)
-        if self.truth_model == "two_body" and 0 < self.size < 1e7 * math.ulp(orbit.radius):
+        if self.truth_model == "two_body" and self.size < 1e7 * math.ulp(orbit.radius):
             # the leg lifts the chaser to R + x: an offset this small is rounding
             raise ValueError(
                 f"size {self.size:.6g} km is below 1e7 ulps of the {orbit.radius:.6g} km "
                 f"chief radius, which two-body truth cannot resolve"
+            )
+        # CW is linear in the size until its n^2 x accelerations leave the normal floats
+        floor = sys.float_info.min / orbit.n**2
+        if self.truth_model == "cw" and self.size < floor:
+            raise ValueError(
+                f"size {self.size:.6g} km is below float_info.min / n**2 = {floor:.6g} km, "
+                f"which CW truth cannot resolve"
             )
         return self
 
@@ -221,7 +238,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         lap = orbit.period
         plan = (waypoints_nmc if kind == "nmc_unforced" else waypoints_circle)(config.size, m)
     else:
-        lap, plan = float(config.duration), waypoints_line((config.size, 0.0), (0.0, 0.0), m + 1)
+        lap, plan = config.duration, waypoints_line((config.size, 0.0), (0.0, 0.0), m + 1)
     tau = lap / m
     law = cw_targeting(n, tau)
     rel = (*plan[0], 0.0, 0.0, 0.0, 0.0)  # at rest at the plan's start
@@ -303,8 +320,8 @@ def sweep_circumnavigation(
     if not sizes or not impulse_counts:
         raise ValueError("sweep grids must be non-empty")
     return _run_all([
-        CampaignConfig(maneuver_kind=kind, chief_altitude=chief_altitude, size=float(size),
-                       impulse_count=int(count), **settings)
+        CampaignConfig(maneuver_kind=kind, chief_altitude=chief_altitude, size=size,
+                       impulse_count=count, **settings)
         for size in sizes
         for count in impulse_counts
         for kind in ("circle_forced", "nmc_unforced")
@@ -325,8 +342,7 @@ def intercept_experiment(
     Returns the unforced arm, then one forced arm per count in the given
     order.
     """
-    common = dict(chief_altitude=chief_altitude, size=float(offset), duration=float(duration),
-                  **settings)
+    common = dict(chief_altitude=chief_altitude, size=offset, duration=duration, **settings)
     configs = [CampaignConfig(maneuver_kind="intercept_unforced", impulse_count=1, **common)]
     configs += [
         CampaignConfig(maneuver_kind="intercept_forced", impulse_count=count, **common)

@@ -1,25 +1,29 @@
-"""The CLI's pinned output bytes and the Kepler kernel's pinned bits, and a
-check of both that needs no pytest.
+"""The CLI's pinned output bytes, its documented exits and the Kepler
+kernel's pinned bits, and a check of all three that needs no pytest.
 
-``test_cli.py::test_output_bytes_are_pinned`` reads the first table below
-and ``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the second.
+``test_cli.py::test_output_bytes_are_pinned`` reads the first table below,
+``test_cli.py::test_documented_exit`` the second and
+``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the third.
 Run as a script from the repository root,
 
-    python tests/pins.py
+    python -W error tests/pins.py
 
-it flies every pinned argv through ``rpodsim.cli.main`` (from ``src/``) and
-every Kepler row through ``rpodsim.dynamics._coast``, prints one PASS or FAIL
-line per pin and one for the Kepler table, and exits 1 if any exit code,
-CSV, stdout, stderr, end-state bit or error message differs, so the pins can
-be checked on an interpreter that has no pytest installed.
+it flies every pinned argv and every exits row through ``rpodsim.cli.main``
+(from ``src/``) and every Kepler row through ``rpodsim.dynamics._coast``,
+prints one PASS or FAIL line per pin, one for the exits table and one for
+the Kepler table, and exits 1 if any exit code, CSV, stdout, stderr,
+end-state bit or error message differs, so the pins can be checked on an
+interpreter that has no pytest installed.
 """
 
 import contextlib
 import hashlib
 import io
 import platform
+import shlex
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 _GRID = ["sweep", "--sizes-km", "1,10,50,100,250,500,750,1000", "--impulses", "4,8,16,32,64"]
@@ -38,6 +42,118 @@ _PINNED_BYTES = {
     "intercept-cw": (_PAIR + ["--truth", "cw"],
                      "359ae0db986b6bb43ea4471815960e3d50dd3168bd244710c4446a14ab37bb76",
                      "17b25f1e12c98f1c296604631045b87f354a5b4d1b046fcced0798d4f738f2f7"),
+}
+
+
+# Every documented exit short of a result: the shell-quoted argv, {out} where
+# it takes an output path; the exit code (1 usage, 2 physics); and the exact
+# stderr line.  Flown with warnings as errors, no row prints to stdout or
+# writes its file.  CW truth checks no surface: `sweep --sizes-km 2500
+# --impulses 4 --truth cw` flies through the Earth to exit 0, and is no row
+_CIRCLE = "circumnav --kind forced --size-km 10 --impulses 4"
+_SWEEP = "sweep --sizes-km 10 --impulses 4"
+_NEAR_CAP = ",".join(str(99999 - i) for i in range(40))  # under the campaign cap, over the run's
+_SPEED = "reaches the chief's circular speed 6.89755 km/s"
+_RANGE = "km is too large: its cube leaves double range above 5.64e+102 km"
+_ULPS = ("usage error: size 10 km is below 1e7 ulps of the {} km chief radius, which two-body"
+         " truth cannot resolve")
+_SURFACE = "usage error: orbit radius 6378.14 km is not above the Earth surface"
+_LEGS = "exceeds the 100000 legs a campaign may fly"
+_RUN_LEGS = "legs exceed the 100000 legs a run may fly"
+_NOT_FINITE = "error: burn at t = 0 s is not finite: the targeting solve overflowed"
+_CW_FLOOR = ("usage error: size 4.94066e-324 km is below float_info.min / n**2 = 3.28283e-302 km,"
+             " which CW truth cannot resolve")
+_EXITS = {
+    "bad-float-list": ("sweep --sizes-km 1,banana --impulses 4 --out {out}", 1,
+                       "usage error: argument --sizes-km: bad float list '1,banana'"),
+    "empty-float-list": ("sweep --sizes-km '' --impulses 4 --out {out}", 1,
+                         "usage error: argument --sizes-km: empty float list ''"),
+    "empty-int-list": ("intercept --impulses '' --out {out}", 1,
+                       "usage error: argument --impulses: empty int list ''"),
+    "comma-int-list": ("intercept --impulses , --out {out}", 1,
+                       "usage error: argument --impulses: empty int list ','"),
+    "missing-out": ("sweep --sizes-km 1 --impulses 4", 1,
+                    "usage error: the following arguments are required: --out"),
+    "unknown-flag": ("validate --frob", 1, "usage error: unrecognized arguments: --frob"),
+    # the CSV row is the one output, and the forced circle flies the chief's period
+    **{f"retired-{sub.split()[0]}{flags.replace('--', '-').replace(' ', '-')}": (
+        f"{sub} {flags} --out {{out}}", 1, f"usage error: unrecognized arguments: {flags}")
+       for sub in ("circumnav --kind forced --size-km 5 --impulses 4",
+                   "sweep --sizes-km 5 --impulses 4")
+       for flags in ("--format json", "--format csv", "--count-insertion-dv",
+                     "--circle-period-factor 1.0")},
+    "intercept-count": ("intercept --impulses 1 --out {out}", 1,
+                        "usage error: intercept_forced needs impulse_count >= 2"),
+    "circle-count": ("sweep --sizes-km 10 --impulses 2 --out {out}", 1,
+                     "usage error: circle_forced needs impulse_count >= 3"),
+    # legs of ~1e6 chief periods, where CW targeting asks for more than orbital speed
+    "burn-at-circular-speed": ("intercept --duration-min 1e9 --out {out}", 2,
+                               f"error: burn of 31.964 km/s at t = 7.5e+09 s {_SPEED}"),
+    "singular-window": ("intercept --duration-min 1e300 --out {out}", 2,
+                        "error: transfer angle n*ts = 4.93968e+298 rad is a targeting "
+                        "singularity"),
+    "altitude-inf": (f"{_CIRCLE} --altitude-km inf --out {{out}}", 1,
+                     "usage error: chief_altitude must be finite, got inf"),
+    "altitude-cube-overflow": (f"{_CIRCLE} --altitude-km 1e300 --out {{out}}", 1,
+                               f"usage error: orbit radius 1e+300 {_RANGE}"),
+    "sweep-altitude-cube-overflow": (f"{_SWEEP} --altitude-km 1e154 --out {{out}}", 1,
+                                     f"usage error: orbit radius 1e+154 {_RANGE}"),
+    # a 10 km offset added to these radii is lost to rounding
+    "size-below-ulps": (f"{_CIRCLE} --altitude-km 1e25 --out {{out}}", 1,
+                        _ULPS.format("1e+25")),
+    "sweep-size-below-ulps": (f"{_SWEEP} --altitude-km 1e100 --out {{out}}", 1,
+                              _ULPS.format("1e+100")),
+    "altitude-rounds-to-surface": (f"{_CIRCLE} --altitude-km 1e-300 --out {{out}}", 1, _SURFACE),
+    "altitude-zero": (f"{_CIRCLE} --altitude-km 0 --out {{out}}", 1, _SURFACE),
+    # each overflows to a finite burn far beyond the cap before any coast
+    "overflow-intercept": ("intercept --offset-km 1e300 --out {out}", 2,
+                           f"error: burn of 1.51905e+297 km/s at t = 0 s {_SPEED}"),
+    "overflow-intercept-cw": ("intercept --offset-km 1e300 --truth cw --out {out}", 2,
+                              f"error: burn of 1.51905e+297 km/s at t = 0 s {_SPEED}"),
+    "overflow-circumnav": ("circumnav --kind unforced --size-km 1e300 --impulses 4 --out {out}",
+                           2, f"error: burn of 1.64656e+297 km/s at t = 0 s {_SPEED}"),
+    "overflow-sweep-cw": ("sweep --sizes-km 1e200 --impulses 4 --truth cw --out {out}", 2,
+                          f"error: burn of 1.48326e+197 km/s at t = 0 s {_SPEED}"),
+    # the targeting solve reaches inf - inf, once read as "burn of nan km/s"
+    "non-finite-burn-intercept": ("intercept --offset-km 1e308 --out {out}", 2, _NOT_FINITE),
+    "non-finite-burn-intercept-cw": ("intercept --offset-km 1e308 --truth cw --out {out}", 2,
+                                     _NOT_FINITE),
+    "non-finite-burn-circumnav-forced-cw": ("circumnav --kind forced --size-km 1e308 --impulses 4 "
+                                            "--truth cw --out {out}", 2, _NOT_FINITE),
+    # a 3000 km circle in three legs about a chief at 2000 km dips ~600 km underground
+    "subsurface-leg": ("circumnav --kind forced --size-km 3000 --impulses 3 --out {out}", 2,
+                       "error: coast reaches radius 5779.21 km, below the 6378.14 km floor"),
+    "escaping-leg": ("intercept --offset-km 3000 --duration-min 10 --impulses 2 --out {out}", 2,
+                     "error: chaser at radius 11378.1 km moves at 8.87745 km/s, at or above "
+                     "the escape speed 8.37044 km/s"),
+    # a 9000 km circle or ellipse needs an insertion faster than the chief
+    "insertion-forced-two-body": ("circumnav --kind forced --size-km 9000 --impulses 4 "
+                                  "--truth two-body --out {out}", 2,
+                                  f"error: burn of 13.3493 km/s at t = 0 s {_SPEED}"),
+    "insertion-unforced-cw": ("circumnav --kind unforced --size-km 9000 --impulses 4 --truth cw "
+                              "--out {out}", 2, f"error: burn of 14.819 km/s at t = 0 s {_SPEED}"),
+    "leg-cap-circumnav": ("circumnav --kind unforced --size-km 10 --impulses 10000000 --truth cw "
+                          "--out {out}", 1,
+                          f"usage error: laps x impulse_count = 10000000 {_LEGS}"),
+    "leg-cap-laps": (f"{_SWEEP} --laps 100000000 --truth cw --out {{out}}", 1,
+                     f"usage error: laps x impulse_count = 400000000 {_LEGS}"),
+    "leg-cap-intercept": ("intercept --impulses 10000000 --out {out}", 1,
+                          f"usage error: laps x impulse_count = 10000000 {_LEGS}"),
+    "run-cap-sweep": (f"sweep --sizes-km 10 --impulses {_NEAR_CAP} --truth cw --out {{out}}", 1,
+                      f"usage error: the run's 7998360 {_RUN_LEGS}"),
+    "run-cap-intercept": (f"intercept --impulses {_NEAR_CAP} --out {{out}}", 1,
+                          f"usage error: the run's 3999181 {_RUN_LEGS}"),
+    # no size is a null transfer: zero, -0 and sizes below CW truth's floor
+    "zero-offset": ("intercept --offset-km 0 --impulses 4 --out {out}", 1,
+                    "usage error: size must be positive, got 0"),
+    "zero-offset-cw": ("intercept --offset-km 0 --impulses 4 --truth cw --out {out}", 1,
+                       "usage error: size must be positive, got 0"),
+    "negative-zero-offset-cw": ("intercept --offset-km=-0 --truth cw --impulses 2 --out {out}", 1,
+                                "usage error: size must be positive, got -0"),
+    "subnormal-size-cw": ("circumnav --kind unforced --size-km 5e-324 --impulses 4 --truth cw "
+                          "--out {out}", 1, _CW_FLOOR),
+    "subnormal-offset-cw": ("intercept --offset-km 5e-324 --truth cw --impulses 2 --out {out}", 1,
+                            _CW_FLOOR),
 }
 
 
@@ -213,6 +329,23 @@ def fly_kepler_row(max_iter: int, given: str) -> tuple:
         dynamics._KEPLER_MAX_ITER = saved
 
 
+def fly_exit_row(name: str, directory) -> tuple:
+    """An exits row flown through ``rpodsim.cli.main`` with warnings as
+    errors, {out} naming a file in ``directory``: its exit code, stdout,
+    stderr and whether the file was written, as flown and as documented."""
+    from rpodsim.cli import main
+
+    command, code, line = _EXITS[name]
+    out = Path(directory) / f"{name}.csv"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        flown = main([arg.format(out=out) for arg in shlex.split(command)])
+    return ((flown, stdout.getvalue(), stderr.getvalue(), out.exists()),
+            (code, "", line + "\n", False))
+
+
 def pinned_outcome(expected) -> tuple:
     """A row's pinned outcome in the form :func:`fly_kepler_row` returns."""
     if isinstance(expected, tuple):
@@ -221,7 +354,8 @@ def pinned_outcome(expected) -> tuple:
 
 
 def check() -> int:
-    """Fly each pinned argv and Kepler row and compare; 0 if every pin holds, else 1."""
+    """Fly each pinned argv, exits row and Kepler row and compare; 0 if every pin
+    holds, else 1."""
     from rpodsim.cli import main
 
     failed = 0
@@ -237,6 +371,12 @@ def check() -> int:
             ok = got == (0, csv_sha, stdout_sha, "")
             failed += not ok
             print(f"{'PASS' if ok else 'FAIL'}  {name}" + ("" if ok else f"  got {got}"))
+    with tempfile.TemporaryDirectory() as tmp:
+        exits = {name: fly_exit_row(name, tmp) for name in _EXITS}
+    moved = [name for name, (flown, documented) in exits.items() if flown != documented]
+    failed += bool(moved)
+    print(f"{'FAIL' if moved else 'PASS'}  exits ({len(_EXITS)} rows)"
+          + (f"  moved: {', '.join(moved)}" if moved else ""))
     moved = [name for name, max_iter, given, expected in _KEPLER_CORE_TABLE
              if fly_kepler_row(max_iter, given) != pinned_outcome(expected)]
     failed += bool(moved)

@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import pickle
+import sys
 from collections import Counter
 
 import numpy as np
@@ -81,6 +82,11 @@ def test_config_counts_are_integers():
                 dict(impulse_count="4"), dict(impulse_count=4, laps=None)):
         with pytest.raises(ValueError, match="must be an integer"):
             CampaignConfig("nmc_unforced", 2000.0, 10.0, **bad)
+    # the fan-outs once cast with int(): a 4.7 count flew 4 burns
+    with pytest.raises(ValueError, match="impulse_count must be an integer, got 4.7"):
+        sweep_circumnavigation([10.0], [4.7], 2000.0)
+    with pytest.raises(ValueError, match="impulse_count must be an integer, got 2.9"):
+        intercept_experiment(10.0, 3600.0, [2.9], 2000.0)
     config = unforced(10.0, np.int64(4), laps=np.int32(2))
     assert (config.impulse_count, config.laps) == (4, 2)
     assert type(config.impulse_count) is type(config.laps) is int
@@ -103,8 +109,23 @@ def test_config_copies_and_changes_are_checked():
         CampaignConfig._make(("nmc_unforced", 2000.0, -1.0, 4, None, "two_body", 1))
     unchecked = tuple.__new__(CampaignConfig, (*config[:2], -1.0, *config[3:]))
     for rebuild in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
-        with pytest.raises(ValueError, match="size must be non-negative"):
+        with pytest.raises(ValueError, match="size must be positive, got -1"):
             rebuild(unchecked)
+
+
+def test_config_reads_its_floats_once():
+    # a size beyond double range, or no altitude, once raised a bare
+    # OverflowError or TypeError; the fan-outs cast with float()
+    for bad, message in ((dict(size=10**400), "size must be finite, got an int beyond"),
+                         (dict(chief_altitude=None), "chief_altitude must be a real number"),
+                         (dict(size="10"), "size must be a real number, got '10'"),
+                         (dict(duration=math.nan), "duration must be finite, got nan")):
+        with pytest.raises(ValueError, match=message):
+            unforced(10.0, 4)._replace(**bad)
+    # any real type is stored, and flown, as a float
+    config = CampaignConfig("intercept_forced", 2000, 10, 4, duration=np.float32(3600.0))
+    assert {type(config.chief_altitude), type(config.size), type(config.duration)} == {float}
+    assert run_campaign(config) == intercept_experiment(10.0, 3600.0, [4], 2000.0)[1]
 
 
 @pytest.mark.parametrize("count", [0, 2, 5])
@@ -654,11 +675,39 @@ def test_free_drift_divergence_small_at_small_separation():
 
 
 def test_intercept_null_transfer_is_free():
-    unforced_arm, forced_arm = intercept_experiment(0.0, 3600.0, [4], 2000.0)
-    assert unforced_arm.total_dv == 0.0
-    # the legs are closed form; the forced arm's ~1e-14 km/s is the rounding
-    # of lifting the chaser at rest at the chief to R + x and reading it back
-    assert forced_arm.total_dv < 1e-9
+    # a transfer from the chief to the chief is no comparison of arms: a zero
+    # offset, -0.0 too, is refused under either truth
+    for offset, truth in ((0.0, "two_body"), (0.0, "cw"), (-0.0, "cw")):
+        with pytest.raises(ValueError, match="size must be positive"):
+            intercept_experiment(offset, 3600.0, [4], 2000.0, truth_model=truth)
+
+
+@pytest.mark.parametrize("altitude", [300.0, 2000.0, 35786.0])
+def test_cw_floor_scales_every_arm_exactly(altitude):
+    # CW truth is linear in the size: from the smallest size it accepts up,
+    # every arm costs size x its 1 km cost, where a subnormal 1e-310 km once
+    # flew 3.6e-10 off; the unforced NMC's total is rounding at every size,
+    # so its insertion carries its cost
+    floor = sys.float_info.min / TargetOrbit.from_altitude(altitude).n ** 2
+    with pytest.raises(ValueError, match="which CW truth cannot resolve"):
+        intercept_experiment(math.nextafter(floor, 0.0), 3600.0, [2], altitude, truth_model="cw")
+
+    def arms(size):
+        configs = [CampaignConfig(kind, altitude, size, m, truth_model="cw")
+                   for m in (3, 4, 64) for kind in ("circle_forced", "nmc_unforced")]
+        return [run_campaign(config) for config in configs] + intercept_experiment(
+            size, 3600.0, [2, 3, 4, 8, 16], altitude, truth_model="cw")
+
+    for size in (floor, 10.0 * floor):
+        for arm, one_km in zip(arms(size), arms(1.0)):
+            assert arm.max_waypoint_miss < 1e-13 * size
+            costs = [(arm.insertion_dv, one_km.insertion_dv)]
+            if arm.config.maneuver_kind == "nmc_unforced":
+                assert arm.total_dv < 1e-12 * arm.insertion_dv
+            else:
+                costs.append((arm.total_dv, one_km.total_dv))
+            for cost, cost_at_1_km in costs:
+                assert abs(cost - size * cost_at_1_km) <= 1e-14 * size * cost_at_1_km
 
 
 def test_intercept_cw_truth_is_exact():

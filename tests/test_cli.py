@@ -3,11 +3,10 @@ import json
 import math
 import re
 import time
-import warnings
 
 import pytest
 
-from pins import _PINNED_BYTES
+from pins import _EXITS, _PINNED_BYTES, fly_exit_row
 from rpodsim import CampaignConfig
 from rpodsim.cli import (
     CSV_HEADER, RunManifest, _execute, emit_results, main, parse_args, validate_suite,
@@ -51,42 +50,12 @@ def test_parse_circumnav():
     )
 
 
-def test_missing_out_is_usage_error():
-    with pytest.raises(ValueError):
-        parse_args(["sweep", "--sizes-km", "1", "--impulses", "4"])
-
-
-def test_bad_list_is_usage_error(tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    for argv in (
-        ["sweep", "--sizes-km", "1,banana", "--impulses", "4"],
-        ["sweep", "--sizes-km", "", "--impulses", "4"],
-        ["intercept", "--impulses", ""],
-        ["intercept", "--impulses", ","],
-    ):
-        with pytest.raises(ValueError):
-            parse_args(argv + ["--out", str(out)])
-        assert main(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.count("\n") == 1
-        assert not out.exists()
-
-
-def test_unknown_flag_is_usage_error():
-    with pytest.raises(ValueError):
-        parse_args(["validate", "--frob"])
-
-
 def test_manifest_round_trip():
     manifest = parse_args(
         ["sweep", "--sizes-km", "1,10", "--impulses", "4,8", "--out", "r.csv"]
     )
     rebuilt = RunManifest(**json.loads(json.dumps(manifest._asdict())))
     assert rebuilt == manifest
-
-
-def test_usage_error_exit_code(capsys):
-    assert main(["sweep", "--sizes-km", "1", "--impulses", "4"]) == 1
-    assert "usage error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad_out", ["{tmp}/no_such_dir/x.csv", "{tmp}", "{tmp}/x.csv/", ""],
@@ -189,21 +158,14 @@ def test_output_bytes_are_pinned(argv, csv_sha, stdout_sha, tmp_path, capsys):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha
 
 
-def test_retired_flags_are_usage_errors(tmp_path, capsys):
-    # the CSV row is the one output: its total excludes the insertion, which
-    # has its own column, and no other file format is written; the forced
-    # circle flies one chief period a lap, like the NMC it is compared with
-    out = tmp_path / "x.csv"
-    for argv in (
-        ["circumnav", "--kind", "forced", "--size-km", "5", "--impulses", "4"],
-        ["sweep", "--sizes-km", "5", "--impulses", "4"],
-    ):
-        for flags in (["--format", "json"], ["--format", "csv"], ["--count-insertion-dv"],
-                      ["--circle-period-factor", "1.0"]):
-            assert main(argv + flags + ["--out", str(out)]) == 1
-            err = capsys.readouterr().err
-            assert err == f"usage error: unrecognized arguments: {' '.join(flags)}\n"
-            assert not out.exists()
+@pytest.mark.parametrize("name", _EXITS)
+def test_documented_exit(name, tmp_path):
+    # the rows python tests/pins.py flies; none once hung, wrote a file or
+    # printed a traceback, and each returns within a second
+    t0 = time.perf_counter()
+    flown, documented = fly_exit_row(name, tmp_path)
+    assert time.perf_counter() - t0 < 1.0
+    assert flown == documented
 
 
 def test_cw_truth_summary_ratio_of_rounding_is_inf(tmp_path, capsys):
@@ -228,29 +190,6 @@ def test_two_body_summary_ratio_of_a_small_resolved_total_is_finite(tmp_path, ca
     )
 
 
-def test_null_intercept_summary_names_no_winner(tmp_path, capsys):
-    # from the chief to the chief under CW truth both totals are exactly 0:
-    # neither arm is cheaper, and 0 over 0 is no ratio
-    out = tmp_path / "x.csv"
-    assert main(["intercept", "--offset-km", "0", "--impulses", "4", "--truth", "cw",
-                 "--out", str(out)]) == 0
-    assert capsys.readouterr().out == "size=0 km impulses=4: neither arm uses dv (0 vs 0 km/s)\n"
-    assert [line.split(",")[4] for line in out.read_text().splitlines()[1:]] == ["0", "0"]
-
-
-def test_two_body_null_intercept_summary_names_no_winner(tmp_path, capsys):
-    # from the chief to the chief under two-body truth the forced arm's total
-    # is the rounding of lifting the chaser to R + x: no arm is cheaper, and
-    # both totals are printed
-    out = tmp_path / "x.csv"
-    assert main(["intercept", "--offset-km", "0", "--impulses", "4", "--out", str(out)]) == 0
-    assert capsys.readouterr().out == (
-        "size=0 km impulses=4: neither arm is cheaper at zero offset (0 vs 1.1735e-14 km/s)\n"
-    )
-    totals = [float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]]
-    assert totals[0] == 0.0 and 0.0 < totals[1] < 1e-13
-
-
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(ValueError, match="unknown subcommand 'frob'"):
         _execute(RunManifest("frob", {}, None))
@@ -267,15 +206,6 @@ def test_intercept_summary_names_unforced(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "unforced arm uses less dv" in stdout
-
-
-def test_intercept_count_guard(tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    assert main(["intercept", "--impulses", "1", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "impulse_count >= 2" in err
-    assert err.count("\n") == 1
-    assert not out.exists()
 
 
 def test_empty_result_set_is_usage_error(tmp_path):
@@ -465,166 +395,6 @@ def test_validate_suite_reports_residuals():
     assert all("residual=" in line for line in lines)
 
 
-def test_long_intercept_window_is_bounded(tmp_path):
-    # 1e9 minutes is ~7.9e6 chief periods; closed-form coasts make each leg
-    # O(1), where an integrator ran for minutes
-    out = tmp_path / "long.csv"
-    t0 = time.perf_counter()
-    code = main(["intercept", "--duration-min", "1e9", "--out", str(out)])
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0
-    assert code in (0, 2)
-    if code == 0:
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert rows
-        assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
-
-
-def test_burn_at_orbital_speed_is_physics_error(tmp_path, capsys):
-    # legs of ~1e6 chief periods make CW targeting ask for burns faster than
-    # the chief itself; that is no relative-motion answer, so nothing is written
-    out = tmp_path / "fling.csv"
-    code = main(["intercept", "--duration-min", "1e9", "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "circular speed" in err
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_singular_window_message_is_short(tmp_path, capsys):
-    code = main(["intercept", "--duration-min", "1e300", "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "targeting singularity" in err
-    assert len(err) < 200
-
-
-def test_non_finite_input_is_usage_error(tmp_path, capsys):
-    # an altitude above ~5.6e102 km is finite, but its orbit radius cubed is
-    # not; well below that, a 10 km offset added to the orbit radius is lost
-    # to rounding, and two-body truth once flew it to a 3.96e84 km miss
-    out = tmp_path / "x.csv"
-    circle = ["circumnav", "--kind", "forced", "--size-km", "10", "--impulses", "4"]
-    sweep = ["sweep", "--sizes-km", "10", "--impulses", "4"]
-    for argv, message in (
-        (circle + ["--altitude-km", "inf"], "finite"),
-        (circle + ["--altitude-km", "1e300"], "its cube leaves double range"),
-        (sweep + ["--altitude-km", "1e154"], "its cube leaves double range"),
-        (circle + ["--altitude-km", "1e25"], "below 1e7 ulps"),
-        (sweep + ["--altitude-km", "1e100"], "below 1e7 ulps"),
-        # an altitude whose radius rounds to the Earth's is not above it
-        (circle + ["--altitude-km", "1e-300"],
-         "orbit radius 6378.14 km is not above the Earth surface"),
-        (circle + ["--altitude-km", "0"], "orbit radius 6378.14 km is not above the Earth surface"),
-    ):
-        assert main(argv + ["--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert message in err
-        assert err.count("\n") == 1
-        assert not out.exists()
-
-
-_OVERFLOWS = [
-    ["intercept", "--offset-km", "1e300"],
-    ["intercept", "--offset-km", "1e300", "--truth", "cw"],
-    ["circumnav", "--kind", "unforced", "--size-km", "1e300", "--impulses", "4"],
-    ["sweep", "--sizes-km", "1e200", "--impulses", "4", "--truth", "cw"],
-]
-
-
-@pytest.mark.parametrize("argv", _OVERFLOWS, ids=[f"argv{i}" for i in range(len(_OVERFLOWS))])
-def test_overflow_is_one_stderr_line(argv, tmp_path, capsys):
-    # each run overflows before a burn or coast check stops it; numpy's
-    # RuntimeWarnings once added two lines to the one-line error
-    out = tmp_path / "x.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(argv + ["--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
-_NON_FINITE_BURNS = [
-    ["intercept", "--offset-km", "1e308"],
-    ["intercept", "--offset-km", "1e308", "--truth", "cw"],
-    ["circumnav", "--kind", "forced", "--size-km", "1e308", "--impulses", "4", "--truth", "cw"],
-]
-
-
-@pytest.mark.parametrize("argv", _NON_FINITE_BURNS,
-                         ids=["intercept", "intercept_cw", "circumnav_forced_cw"])
-def test_non_finite_burn_is_reported_as_not_finite(argv, tmp_path, capsys):
-    # the targeting solve reaches inf - inf on these offsets; the error once
-    # read "burn of nan km/s ... reaches the chief's circular speed"
-    out = tmp_path / "x.csv"
-    assert main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "burn at t = 0 s is not finite: the targeting solve overflowed" in err
-    assert "nan" not in err
-    assert not out.exists()
-
-
-def test_too_few_circle_impulses_is_usage_error(tmp_path, capsys):
-    # the circle plan needs three waypoints; config validation says so first
-    code = main(
-        ["sweep", "--sizes-km", "10", "--impulses", "2", "--out", str(tmp_path / "x.csv")]
-    )
-    assert code == 1
-    assert "impulse_count >= 3" in capsys.readouterr().err
-
-
-def test_subsurface_leg_is_physics_error(tmp_path, capsys):
-    # a 3000 km circle flown in three legs about a chief at 2000 km altitude
-    # dips ~600 km below the surface; no result is written for it
-    out = tmp_path / "deep.csv"
-    code = main(
-        [
-            "circumnav", "--kind", "forced", "--size-km", "3000", "--impulses", "3",
-            "--out", str(out),
-        ]
-    )
-    assert code == 2
-    assert "below the 6378.14 km floor" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_escaping_leg_is_physics_error(tmp_path, capsys):
-    # a 3000 km intercept in 10 minutes departs at 8.9 km/s from 11,378 km,
-    # above the escape speed there; no result is written for it
-    out = tmp_path / "escape.csv"
-    code = main(["intercept", "--offset-km", "3000", "--duration-min", "10", "--impulses", "2",
-                 "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: chaser at radius 11378.1 km moves at 8.87745 km/s, at or above the escape "
-        "speed 8.37044 km/s\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("kind, truth", [("forced", "two-body"), ("unforced", "cw")])
-def test_insertion_at_orbital_speed_is_physics_error(kind, truth, tmp_path, capsys):
-    # a 9000 km circle or ellipse about a chief at 2000 km altitude needs an
-    # insertion faster than the chief itself (13.3 and 14.8 km/s); the
-    # insertion is checked like every burn, under either truth
-    out = tmp_path / "deep.csv"
-    code = main(
-        [
-            "circumnav", "--kind", kind, "--size-km", "9000", "--impulses", "4",
-            "--truth", truth, "--out", str(out),
-        ]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "at t = 0 s reaches the chief's circular speed" in err
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
 def test_unresolvable_size_stops_the_run_before_any_campaign(monkeypatch, tmp_path, capsys):
     # every cell is validated before any flies: the 10 km cells of this
     # sweep are never flown
@@ -640,35 +410,4 @@ def test_unresolvable_size_stops_the_run_before_any_campaign(monkeypatch, tmp_pa
     assert "size 1e-06 km is below 1e7 ulps" in err
     assert err.count("\n") == 1
     assert flown == []
-    assert not out.exists()
-
-
-# forty burn counts just under 1e5: no campaign exceeds the cap, the run does
-_NEAR_CAP_COUNTS = ",".join(str(99999 - i) for i in range(40))
-_CAPPED = [
-    (["circumnav", "--kind", "unforced", "--size-km", "10", "--impulses", "10000000",
-      "--truth", "cw"], "legs a campaign may fly"),
-    (["sweep", "--sizes-km", "10", "--impulses", "4", "--laps", "100000000",
-      "--truth", "cw"], "legs a campaign may fly"),
-    (["intercept", "--impulses", "10000000"], "legs a campaign may fly"),
-    (["sweep", "--sizes-km", "10", "--impulses", _NEAR_CAP_COUNTS, "--truth", "cw"],
-     "7998360 legs exceed the 100000 legs a run may fly"),
-    (["intercept", "--impulses", _NEAR_CAP_COUNTS],
-     "3999181 legs exceed the 100000 legs a run may fly"),
-]
-
-
-@pytest.mark.parametrize("argv, message", _CAPPED,
-                         ids=[f"argv{i}" for i in range(len(_CAPPED))])
-def test_work_per_campaign_is_capped(argv, message, tmp_path, capsys):
-    # each probe once built waypoints or flew legs until it was killed
-    out = tmp_path / "x.csv"
-    t0 = time.perf_counter()
-    code = main(argv + ["--out", str(out)])
-    elapsed = time.perf_counter() - t0
-    assert code == 1
-    assert elapsed < 1.0
-    err = capsys.readouterr().err
-    assert message in err
-    assert err.count("\n") == 1
     assert not out.exists()
