@@ -50,12 +50,22 @@ def test_parse_circumnav():
     )
 
 
+def test_unknown_flag_is_usage_error():
+    with pytest.raises(ValueError):
+        parse_args(["validate", "--frob"])
+
+
 def test_manifest_round_trip():
     manifest = parse_args(
         ["sweep", "--sizes-km", "1,10", "--impulses", "4,8", "--out", "r.csv"]
     )
     rebuilt = RunManifest(**json.loads(json.dumps(manifest._asdict())))
     assert rebuilt == manifest
+
+
+def test_usage_error_exit_code(capsys):
+    assert main(["sweep", "--sizes-km", "1", "--impulses", "4"]) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad_out", ["{tmp}/no_such_dir/x.csv", "{tmp}", "{tmp}/x.csv/", ""],
@@ -393,6 +403,21 @@ def test_validate_suite_reports_residuals():
     assert ok
     assert len(lines) == 7
     assert all("residual=" in line for line in lines)
+
+
+def test_long_intercept_window_is_bounded(tmp_path):
+    # 1e9 minutes is ~7.9e6 chief periods; closed-form coasts make each leg
+    # O(1), where an integrator ran for minutes
+    out = tmp_path / "long.csv"
+    t0 = time.perf_counter()
+    code = main(["intercept", "--duration-min", "1e9", "--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0
+    assert code in (0, 2)
+    if code == 0:
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows
+        assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
 
 
 def test_unresolvable_size_stops_the_run_before_any_campaign(monkeypatch, tmp_path, capsys):
