@@ -35,12 +35,33 @@ Accounting conventions:
   lap-closure return, so ``impulse_count`` burns fire per lap and every
   lap runs the same schedule as the next.  The line burns at departure
   and at every arrival but the last.
+
+A closed plan's lap is replayed, not flown, once it would start from the
+bits the lap before it started from.  At each lap boundary (after the burn
+at k = L m; the state after the insertion stands for L = 0) the loop packs
+the six post-burn floats to bytes, since == takes 0.0 for -0.0.  If they
+equal the last boundary's, every later lap repeats the one just flown bit
+for bit, because nothing that feeds back depends on k: both truth coasts
+are autonomous (the two-body leg is flown from theta = 0), targeting reads
+only the state, the aim and the law, the aim index is k mod m, and k tau
+only stamps records.  So the loop appends whole copies of that lap's
+arrivals and burns, adds its magnitudes to the total in burn order once
+per remaining lap, and stops; the largest miss stands, and no copied burn
+or coast can raise, since each already passed its checks.  Retargeting at
+every waypoint makes the lap map contract to such a fixed point: on the
+benchmark's ``sweep_cw_laps`` grid (80 campaigns of 10 laps under CW
+truth) 75 campaigns repeat a lap within 3 laps and 15,688 of the 19,840
+legs are copied; the other 5, all at 4 burns a lap, alternate between two
+starts and fly every leg.  Under two-body truth the same 10-lap grid
+copies 15,056.  A one-lap campaign, such as every intercept and ``sweep_grid``'s,
+copies nothing.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 import sys
 from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -73,9 +94,11 @@ TRUTH_MODELS = ("two_body", "cw")
 _MIN_IMPULSES = {"nmc_unforced": 3, "circle_forced": 3, "intercept_forced": 2}
 # most legs (laps x impulse_count) one campaign, and one run of campaigns,
 # may fly, so no input can make a run work without end: the benchmark's
-# largest run flies 19,840, and on a shared 2-vCPU VM (Python 3.11) a
-# 1e5-leg nmc_unforced campaign takes ~0.23 s of CPU under CW truth and
-# ~0.8 s under two-body, and its result holds ~26 MB
+# largest run has 19,840, and on a shared 2-vCPU VM (Python 3.11) a
+# 1e5-leg nmc_unforced campaign that flies every leg (one lap, or 4 burns a
+# lap at 50 km, which never repeats a lap) takes 0.19-0.33 s of CPU under
+# CW truth and 0.60-0.86 s under two-body, and its result holds ~26 MB; at
+# 64 burns a lap (1 km) it repeats a lap within 3 and takes ~0.007 s and ~7 MB
 MAX_LEGS = 100_000
 
 
@@ -223,6 +246,11 @@ def _check_burn(record: ImpulseRecord, cap: float) -> None:
         )
 
 
+# the six floats of a state as bytes, so that equal bytes mean the same
+# state bit for bit (== would take 0.0 for -0.0)
+_bits = struct.Struct("6d").pack
+
+
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Execute one campaign and account its Δv.
 
@@ -264,6 +292,9 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     arrivals, burns = list(rel), []
     max_miss = total_dv = 0.0
     aim = plan[1]  # the point arrival 1 is due at
+    # a closed plan's laps start after the insertion and after the burns at
+    # k = m, 2m, ...; the line flies one lap and compares none
+    boundary, lap_bits = (m, _bits(*rel)) if closed else (-1, b"")
     # leg k coasts into arrival k, whose miss is taken against the point the
     # burn before it aimed at, and burns at k tau toward the point due at
     # (k + 1) tau; the line's leg 0 only burns, and its last arrival does not
@@ -285,6 +316,19 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             dx, dy, dz = dv
             x, y, z, vx, vy, vz = rel
             rel = (x, y, z, vx + dx, vy + dy, vz + dz)  # six floats, which coast takes as is
+            if k == boundary:
+                bits = _bits(*rel)
+                if bits == lap_bits:  # every later lap repeats the one just flown
+                    repeats = (legs - k) // m
+                    lap_arrivals, lap_burns = arrivals[-6 * m:], burns[-3 * m:]
+                    # each burn's magnitude, derived from its dv as every record's is
+                    lap_dvs = [hypot(*lap_burns[j:j + 3]) for j in range(0, 3 * m, 3)]
+                    for magnitude in lap_dvs * repeats:
+                        total_dv += magnitude
+                    arrivals += lap_arrivals * repeats
+                    burns += lap_burns * repeats
+                    break
+                boundary, lap_bits = k + m, bits
 
     return CampaignResult(
         config=config,

@@ -298,7 +298,7 @@ def validate_suite():
         ("two-body leg energy drift", leg_energy_drift),
         ("closed relative orbit", closed_relative_orbit),
         ("zero-mismatch campaign", zero_mismatch_campaign),
-        ("two-body leg departs from CW as ρ²", leg_departs_as_rho_squared),
+        ("two-body leg departs from CW as rho^2", leg_departs_as_rho_squared),
     ]
     lines = []
     all_ok = True

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import math
 import pickle
 import sys
@@ -378,6 +379,7 @@ def test_burn_schedule(config):
         forced(20.0, 8, truth="cw", laps=2),
         CampaignConfig("intercept_unforced", 2000.0, 10.0, 1, duration=3600.0, truth_model="cw"),
         CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0, truth_model="cw"),
+        pytest.param(forced(20.0, 8, truth="cw", laps=10), id="circle_forced_replayed"),
     ],
     ids=lambda config: config.maneuver_kind,
 )
@@ -404,7 +406,16 @@ def test_every_burn_flies_the_record_of_the_guidance_seam(config, monkeypatch):
         assert result.insertion_dv == flown.pop(0).magnitude
         assert result.insertion_dv == pytest.approx(1.001 * clean.insertion_dv, rel=1e-14)
         asked.pop(0)
-    assert len(flown) == len(clean.impulses) == config.laps * config.impulse_count
+    m = config.impulse_count
+    if config.laps < 10:
+        assert len(flown) == len(clean.impulses) == config.laps * m
+    else:  # the loop flies until a lap starts from the last lap's bits, then copies that lap
+        legs = len(flown)
+        assert legs % m == 0 and legs < len(result.impulses) == len(clean.impulses)
+        assert result.impulses[:legs] == tuple(flown)
+        copies = config.laps - legs // m
+        assert [r.dv for r in result.impulses[legs:]] == [r.dv for r in flown[-m:]] * copies
+        flown, asked = list(result.impulses), asked + asked[-m:] * copies
     assert result.impulses == tuple(flown)
     assert result.total_dv == _in_burn_order(record.magnitude for record in flown)
     assert result.total_dv == pytest.approx(1.001 * sum(r.magnitude for r in asked), rel=1e-14)
@@ -417,6 +428,63 @@ def test_every_burn_flies_the_record_of_the_guidance_seam(config, monkeypatch):
     for (t, rel), (_, arrival) in zip(result.samples, result.samples[1:]):
         dx, dy, dz = burns.get(t, (0.0, 0.0, 0.0))
         assert coast((*rel[:3], rel.vx + dx, rel.vy + dy, rel.vz + dz)) == arrival
+
+
+def _hex(values):
+    return [value.hex() for value in values]
+
+
+@pytest.mark.parametrize("truth", ["cw", "two_body"])
+@pytest.mark.parametrize("kind", ["circle_forced", "nmc_unforced"])
+def test_leg_loop_is_the_flight_of_every_leg_bit_for_bit(kind, truth):
+    # the loop stops flying once a lap starts from the last lap's bits and
+    # copies that lap for the rest; the flight must still be, to the last
+    # bit, the one that coasts and targets every leg
+    for m, laps, size in itertools.product((3, 4, 8, 64), (2, 3, 10), (1.0, 50.0, 1000.0)):
+        config = CampaignConfig(kind, 2000.0, size, m, truth_model=truth, laps=laps)
+        result = run_campaign(config)
+        arrivals, burns, total_dv, max_miss = ref.fly_every_leg(config)
+        assert _hex(result.arrivals) == _hex(arrivals), config
+        assert _hex(result.burns) == _hex(burns), config
+        assert result.total_dv.hex() == total_dv.hex(), config
+        assert result.max_waypoint_miss.hex() == max_miss.hex(), config
+
+
+@pytest.mark.parametrize("count, replays", [(8, True), (4, False)], ids=["replays", "period_2"])
+def test_leg_loop_coasts_until_a_lap_repeats_bit_for_bit(count, replays, monkeypatch):
+    # a lap whose post-burn start has the bits of the last lap's start is
+    # the last one flown; at 50 km x 4 the CW lap map alternates between two
+    # states and never repeats one lap to the next, so every leg flies
+    import rpodsim.campaign
+
+    config = forced(50.0, count, truth="cw", laps=10)
+    arrivals, burns, _, _ = ref.fly_every_leg(config)
+
+    def start(k):  # the post-burn state at k tau (the first sample is past its insertion)
+        state = list(arrivals[6 * k:6 * k + 6])
+        if k:
+            for i in range(3):
+                state[3 + i] += burns[3 * (k - 1) + i]
+        return _hex(state)
+
+    laps = next((lap for lap in range(1, config.laps)
+                 if start(lap * count) == start((lap - 1) * count)), config.laps)
+    assert (laps < config.laps) is replays
+    original, flown = rpodsim.campaign._truth_coast, []
+
+    def counted_truth_coast(*args):
+        coast = original(*args)
+
+        def counted(rel):
+            flown.append(rel)
+            return coast(rel)
+
+        return counted
+
+    monkeypatch.setattr(rpodsim.campaign, "_truth_coast", counted_truth_coast)
+    result = run_campaign(config)
+    assert len(flown) == laps * count
+    assert len(result.arrivals) == 6 * (config.laps * count + 1)
 
 
 @pytest.mark.parametrize("model", ["cw", "two_body"])

@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from pins import _EXITS, _PINNED_BYTES, fly_exit_row
+import rpodsim
 from rpodsim import CampaignConfig
 from rpodsim.cli import (
     CSV_HEADER, RunManifest, _execute, emit_results, main, parse_args, validate_suite,
@@ -233,6 +238,18 @@ def test_validate_passes(capsys):
     assert "residual=" in stdout
 
 
+def test_validate_prints_on_an_ascii_stdout():
+    # every line validate prints is ASCII, so a stdout that encodes nothing
+    # else takes the whole report and the run exits 0
+    src = Path(rpodsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="ascii")
+    proc = subprocess.run([sys.executable, "-m", "rpodsim.cli", "validate"], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode("ascii").splitlines()
+    assert len(lines) == 7 and all(line.startswith("PASS  ") for line in lines)
+
+
 def _assert_fails_on_its_residual(stdout, name):
     # validate prints FAIL with residual=nan and an exception note in
     # brackets when a check raises; a mutation must fail the check itself,
@@ -278,7 +295,7 @@ def test_validate_detects_scaled_stumpff_c(monkeypatch, capsys):
     # ~1e-5 km, which swamps the rho^2 departure at 10 m
     _scale_stumpff_c(monkeypatch)
     assert main(["validate"]) == 3
-    _assert_fails_on_its_residual(capsys.readouterr().out, "two-body leg departs from CW as ρ²")
+    _assert_fails_on_its_residual(capsys.readouterr().out, "two-body leg departs from CW as rho^2")
 
 
 # faults inside the flown two-body leg, with what its co-orbital and energy
@@ -325,7 +342,7 @@ def test_validate_detects_flipped_frame_term(monkeypatch, capsys):
     assert main(["validate"]) == 3
     stdout = capsys.readouterr().out
     assert "PASS  frame round trip" in stdout
-    _assert_fails_on_its_residual(stdout, "two-body leg departs from CW as ρ²")
+    _assert_fails_on_its_residual(stdout, "two-body leg departs from CW as rho^2")
 
 
 # every nonzero term of the flown CW leg, named by what it carries into what
