@@ -36,25 +36,26 @@ Accounting conventions:
   lap runs the same schedule as the next.  The line burns at departure
   and at every arrival but the last.
 
-A closed plan's lap is replayed, not flown, once it would start from the
-bits the lap before it started from.  At each lap boundary (after the burn
-at k = L m; the state after the insertion stands for L = 0) the loop packs
-the six post-burn floats to bytes, since == takes 0.0 for -0.0.  If they
-equal the last boundary's, every later lap repeats the one just flown bit
-for bit, because nothing that feeds back depends on k: both truth coasts
-are autonomous (the two-body leg is flown from theta = 0), targeting reads
-only the state, the aim and the law, the aim index is k mod m, and k tau
-only stamps records.  So the loop appends whole copies of that lap's
-arrivals and burns, adds its magnitudes to the total in burn order once
-per remaining lap, and stops; the largest miss stands, and no copied burn
-or coast can raise, since each already passed its checks.  Retargeting at
-every waypoint makes the lap map contract to such a fixed point: on the
-benchmark's ``sweep_cw_laps`` grid (80 campaigns of 10 laps under CW
-truth) 75 campaigns repeat a lap within 3 laps and 15,688 of the 19,840
-legs are copied; the other 5, all at 4 burns a lap, alternate between two
-starts and fly every leg.  Under two-body truth the same 10-lap grid
-copies 15,056.  A one-lap campaign, such as every intercept and ``sweep_grid``'s,
-copies nothing.
+A closed plan's legs are copied, not flown, once a post-burn state has the
+bits of the one m legs before it.  After each burn k that a later leg
+follows (the state after the insertion stands for k = 0) the loop packs the
+six post-burn floats to bytes, since == takes 0.0 for -0.0, and keeps only
+the last m of them, by k mod m.  If burn k's equal burn k - m's, every later
+leg repeats the one m legs before it bit for bit, because nothing that feeds
+back depends on k: both truth coasts are autonomous (the two-body leg is
+flown from theta = 0), targeting reads only the state, the aim and the law,
+the aim index is k mod m, and k tau only stamps records.  So the loop
+appends whole copies of the last m legs' arrivals and burns and then the
+first (legs - k) mod m of them, adds their magnitudes to the total one at a
+time in burn order, records k as ``replayed_from`` and stops; the largest
+miss stands, and no copied burn or coast can raise, since each already
+passed its checks.  Retargeting at every waypoint makes the lap map
+contract to such a fixed point: on the benchmark's ``sweep_cw_laps`` grid
+(80 campaigns of 10 laps under CW truth) 75 campaigns repeat within 3 laps
+and 17,500 of the 19,840 legs are copied; the other 5, all at 4 burns a
+lap, alternate between two starts and fly every leg.  Under two-body truth
+the same 10-lap grid copies 16,618.  A one-lap campaign, such as every
+intercept and ``sweep_grid``'s, packs no state and copies nothing.
 """
 
 from __future__ import annotations
@@ -96,9 +97,9 @@ _MIN_IMPULSES = {"nmc_unforced": 3, "circle_forced": 3, "intercept_forced": 2}
 # may fly, so no input can make a run work without end: the benchmark's
 # largest run has 19,840, and on a shared 2-vCPU VM (Python 3.11) a
 # 1e5-leg nmc_unforced campaign that flies every leg (one lap, or 4 burns a
-# lap at 50 km, which never repeats a lap) takes 0.19-0.33 s of CPU under
-# CW truth and 0.60-0.86 s under two-body, and its result holds ~26 MB; at
-# 64 burns a lap (1 km) it repeats a lap within 3 and takes ~0.007 s and ~7 MB
+# lap at 50 km, which never repeats) takes 0.24-0.40 s of CPU under CW
+# truth and 0.87-1.14 s under two-body, and its result holds ~26 MB; at 64
+# burns a lap (1 km) it repeats at leg 66 or 67 and takes ~0.01 s and ~7 MB
 MAX_LEGS = 100_000
 
 
@@ -191,7 +192,7 @@ class CampaignConfig(NamedTuple("_Config", [
 class CampaignResult(NamedTuple("_Result", [
     ("config", CampaignConfig), ("arrivals", Tuple[float, ...]), ("burns", Tuple[float, ...]),
     ("tau", float), ("total_dv", float), ("insertion_dv", float),
-    ("max_waypoint_miss", float), ("duration", float),
+    ("max_waypoint_miss", float), ("duration", float), ("replayed_from", Optional[int]),
 ])):
     """Executed trajectory, impulse log, and Δv accounting for one run.
 
@@ -202,8 +203,10 @@ class CampaignResult(NamedTuple("_Result", [
     and ``impulses`` are built from them on first access and cached:
     ``samples`` holds ``(k tau, RelativeState)`` pairs and ``impulses`` one
     ImpulseRecord per burn.  The chaser's inertial state at a sample is
-    ``hill_to_eci(orbit, t, rel)``.  The class declares no ``__slots__``, so
-    each result keeps the instance dict those caches live in.
+    ``hill_to_eci(orbit, t, rel)``.  ``replayed_from`` is the leg k whose
+    post-burn state had the bits of the one m legs before it, after which
+    every leg was copied, or None if every leg flew.  The class declares no
+    ``__slots__``, so each result keeps the instance dict those caches live in.
     """
 
     @cached_property
@@ -292,9 +295,12 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     arrivals, burns = list(rel), []
     max_miss = total_dv = 0.0
     aim = plan[1]  # the point arrival 1 is due at
-    # a closed plan's laps start after the insertion and after the burns at
-    # k = m, 2m, ...; the line flies one lap and compares none
-    boundary, lap_bits = (m, _bits(*rel)) if closed else (-1, b"")
+    # a closed plan of more than one lap keeps the bits of its last m
+    # post-burn states by k mod m, the insertion's standing for k = 0, while
+    # a later leg exists; a one-lap plan, and so every line, takes none
+    stop = legs if config.laps > 1 else 0
+    recent = [_bits(*rel)] + [b""] * (m - 1) if stop else []
+    replayed_from = None
     # leg k coasts into arrival k, whose miss is taken against the point the
     # burn before it aimed at, and burns at k tau toward the point due at
     # (k + 1) tau; the line's leg 0 only burns, and its last arrival does not
@@ -316,19 +322,20 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             dx, dy, dz = dv
             x, y, z, vx, vy, vz = rel
             rel = (x, y, z, vx + dx, vy + dy, vz + dz)  # six floats, which coast takes as is
-            if k == boundary:
-                bits = _bits(*rel)
-                if bits == lap_bits:  # every later lap repeats the one just flown
-                    repeats = (legs - k) // m
-                    lap_arrivals, lap_burns = arrivals[-6 * m:], burns[-3 * m:]
+            if k < stop:
+                bits, slot = _bits(*rel), k % m
+                if bits == recent[slot]:  # every later leg repeats the one m legs before it
+                    laps, rest = divmod(legs - k, m)
+                    last_arrivals, last_burns = arrivals[-6 * m:], burns[-3 * m:]
                     # each burn's magnitude, derived from its dv as every record's is
-                    lap_dvs = [hypot(*lap_burns[j:j + 3]) for j in range(0, 3 * m, 3)]
-                    for magnitude in lap_dvs * repeats:
+                    dvs = [hypot(*last_burns[j:j + 3]) for j in range(0, 3 * m, 3)]
+                    for magnitude in dvs * laps + dvs[:rest]:
                         total_dv += magnitude
-                    arrivals += lap_arrivals * repeats
-                    burns += lap_burns * repeats
+                    arrivals += last_arrivals * laps + last_arrivals[:6 * rest]
+                    burns += last_burns * laps + last_burns[:3 * rest]
+                    replayed_from = k
                     break
-                boundary, lap_bits = k + m, bits
+                recent[slot] = bits
 
     return CampaignResult(
         config=config,
@@ -339,6 +346,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         insertion_dv=insertion_dv,
         max_waypoint_miss=max_miss,
         duration=config.laps * lap,
+        replayed_from=replayed_from,
     )
 
 

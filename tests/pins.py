@@ -1,24 +1,28 @@
-"""The CLI's pinned output bytes, its documented exits and the Kepler
-kernel's pinned bits, and a check of all three that needs no pytest.
+"""The CLI's pinned output bytes, its documented exits, the Kepler
+kernel's pinned bits and the campaigns that replay their last legs, and a
+check of all four that needs no pytest.
 
 ``test_cli.py::test_output_bytes_are_pinned`` reads the first table below,
 ``test_cli.py::test_documented_exit`` the second and
-``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the third.
-Run as a script from the repository root,
+``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the third;
+``reference.py`` re-exports :func:`fly_every_leg`.  Run as a script from the
+repository root,
 
     python -W error tests/pins.py
 
 it flies every pinned argv and every exits row through ``rpodsim.cli.main``
-(from ``src/``) and every Kepler row through ``rpodsim.dynamics._coast``,
-prints one PASS or FAIL line per pin, one for the exits table and one for
-the Kepler table, and exits 1 if any exit code, CSV, stdout, stderr,
-end-state bit or error message differs, so the pins can be checked on an
-interpreter that has no pytest installed.
+(from ``src/``), every Kepler row through ``rpodsim.dynamics._coast`` and
+every replay row through ``rpodsim.run_campaign`` and :func:`fly_every_leg`,
+prints one PASS or FAIL line per pin and one for each table, and exits 1 if
+any exit code, CSV, stdout, stderr, end-state bit, error message or flown
+bit differs, so the pins can be checked on an interpreter that has no
+pytest installed.
 """
 
 import contextlib
 import hashlib
 import io
+import math
 import platform
 import shlex
 import sys
@@ -309,6 +313,29 @@ _KEPLER_CORE_TABLE = [
 ]
 
 
+# multi-lap campaigns at 2000 km that the leg loop flies only until a
+# post-burn state has the bits of the one m legs before it, and copies after:
+# (kind, size km, impulse_count, truth, laps, the leg k whose state repeated,
+# or None where every leg flies).  Each must be, as float.hex, the flight of
+# every leg; the legs are as pinned with glibc on x86-64 Linux
+_REPLAY_CASES = {
+    "circle-cw-1-km-x4-10-laps": ("circle_forced", 1.0, 4, "cw", 10, 5),
+    # its laps alternate between two starts
+    "circle-cw-50-km-x4-10-laps": ("circle_forced", 50.0, 4, "cw", 10, None),
+    "circle-cw-1-km-x3-2-laps": ("circle_forced", 1.0, 3, "cw", 2, 5),
+    "circle-cw-50-km-x3-3-laps": ("circle_forced", 50.0, 3, "cw", 3, 4),
+    "circle-cw-10-km-x8-3-laps": ("circle_forced", 10.0, 8, "cw", 3, 9),
+    "nmc-cw-1-km-x3-3-laps": ("nmc_unforced", 1.0, 3, "cw", 3, 8),
+    "nmc-cw-10-km-x4-2-laps": ("nmc_unforced", 10.0, 4, "cw", 2, 5),
+    "nmc-cw-1000-km-x8-10-laps": ("nmc_unforced", 1000.0, 8, "cw", 10, 10),
+    "circle-two-body-1-km-x8-2-laps": ("circle_forced", 1.0, 8, "two_body", 2, 11),
+    "circle-two-body-50-km-x4-10-laps": ("circle_forced", 50.0, 4, "two_body", 10, 24),
+    "circle-two-body-10-km-x3-10-laps": ("circle_forced", 10.0, 3, "two_body", 10, None),
+    "nmc-two-body-10-km-x3-10-laps": ("nmc_unforced", 10.0, 3, "two_body", 10, 21),
+    "nmc-two-body-1000-km-x8-10-laps": ("nmc_unforced", 1000.0, 8, "two_body", 10, 25),
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -346,6 +373,79 @@ def fly_exit_row(name: str, directory) -> tuple:
             (code, "", line + "\n", False))
 
 
+def fly_every_leg(config) -> tuple:
+    """(arrivals, burns, total_dv, max_waypoint_miss) of ``config``, every
+    leg coasted and targeted in turn.
+
+    This is the campaign leg loop without its replay: leg k coasts into
+    arrival k, takes its miss against the point aimed at, and burns toward
+    the next point, for all laps x impulse_count legs, with the magnitudes
+    added in burn order.  It makes none of the loop's burn checks, so it is
+    for configs that fly without error.
+    """
+    from rpodsim import (TargetOrbit, cw_target_impulse, cw_targeting, nmc_initial_state,
+                         waypoints_circle, waypoints_line, waypoints_nmc)
+    from rpodsim.dynamics import cw_coast, two_body_coast
+
+    orbit = TargetOrbit.from_altitude(config.chief_altitude)
+    n, m, kind = orbit.n, config.impulse_count, config.maneuver_kind
+    closed = kind in ("nmc_unforced", "circle_forced")
+    if closed:
+        lap = orbit.period
+        plan = (waypoints_nmc if kind == "nmc_unforced" else waypoints_circle)(config.size, m)
+    else:
+        lap, plan = config.duration, waypoints_line((config.size, 0.0), (0.0, 0.0), m + 1)
+    tau = lap / m
+    law = cw_targeting(n, tau)
+    rel = (*plan[0], 0.0, 0.0, 0.0, 0.0)
+    if closed:  # the insertion burn, whose dv is not in the total
+        if kind == "nmc_unforced":
+            dv = nmc_initial_state(config.size, n)[3:]
+        else:
+            dv = cw_target_impulse(rel, plan[1], 0.0, law)[0].dv
+        rel = _burn(rel, dv)
+    coast = cw_coast(n, tau) if config.truth_model == "cw" else two_body_coast(orbit, tau)
+    legs = config.laps * m
+    arrivals, burns = list(rel), []
+    max_miss = total_dv = 0.0
+    aim = plan[1]
+    for k in range(1 if closed else 0, legs + 1):
+        if k:
+            rel = coast(rel)
+            max_miss = max(max_miss, math.hypot(rel[0] - aim[0], rel[1] - aim[1]))
+            arrivals += rel
+        if closed or k < legs:
+            aim = plan[(k + 1) % len(plan)]
+            record, _ = cw_target_impulse(rel, aim, k * tau, law)
+            burns += record.dv
+            total_dv += record.magnitude
+            rel = _burn(rel, record.dv)
+    return tuple(arrivals), tuple(burns), total_dv, max_miss
+
+
+def _burn(rel, dv):
+    return (*rel[:3], *(v + d for v, d in zip(rel[3:], dv)))
+
+
+def fly_replay_row(name: str) -> tuple:
+    """A replay row flown by ``rpodsim.run_campaign`` and by
+    :func:`fly_every_leg`: the float.hex bits of the arrivals, the burns,
+    the total and the largest miss, and the leg whose state repeated, as
+    flown and as they must be."""
+    from rpodsim import CampaignConfig, run_campaign
+
+    kind, size, count, truth, laps, replayed_from = _REPLAY_CASES[name]
+    config = CampaignConfig(kind, 2000.0, size, count, truth_model=truth, laps=laps)
+    result = run_campaign(config)
+
+    def bits(arrivals, burns, total_dv, max_miss):
+        return [*map(float.hex, arrivals)], [*map(float.hex, burns)], total_dv.hex(), max_miss.hex()
+
+    return ((bits(result.arrivals, result.burns, result.total_dv, result.max_waypoint_miss),
+             result.replayed_from),
+            (bits(*fly_every_leg(config)), replayed_from))
+
+
 def pinned_outcome(expected) -> tuple:
     """A row's pinned outcome in the form :func:`fly_kepler_row` returns."""
     if isinstance(expected, tuple):
@@ -354,8 +454,8 @@ def pinned_outcome(expected) -> tuple:
 
 
 def check() -> int:
-    """Fly each pinned argv, exits row and Kepler row and compare; 0 if every pin
-    holds, else 1."""
+    """Fly each pinned argv, exits row, Kepler row and replay row and compare;
+    0 if every pin holds, else 1."""
     from rpodsim.cli import main
 
     failed = 0
@@ -381,6 +481,11 @@ def check() -> int:
              if fly_kepler_row(max_iter, given) != pinned_outcome(expected)]
     failed += bool(moved)
     print(f"{'FAIL' if moved else 'PASS'}  kepler-core ({len(_KEPLER_CORE_TABLE)} coasts)"
+          + (f"  moved: {', '.join(moved)}" if moved else ""))
+    replays = {name: fly_replay_row(name) for name in _REPLAY_CASES}
+    moved = [name for name, (flown, pinned) in replays.items() if flown != pinned]
+    failed += bool(moved)
+    print(f"{'FAIL' if moved else 'PASS'}  replay ({len(_REPLAY_CASES)} campaigns)"
           + (f"  moved: {', '.join(moved)}" if moved else ""))
     return 1 if failed else 0
 

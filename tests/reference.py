@@ -12,10 +12,11 @@ Integrating :func:`cw_derivative` checks the closed-form ``cw_stm``, and
 :func:`specific_energy` and :func:`specific_angular_momentum` check that
 two-body coasts conserve the energy and h.  :func:`lowest_radius` checks
 the kernel's surface test with general-conic formulas that it does not use.
-:func:`fly_every_leg` flies a campaign leg by leg with the program's own
-coasts and targeting but no short cut, so the program's leg loop, which
-replays a lap that starts from the last lap's bits, can be held to it bit
-for bit.
+:func:`fly_every_leg`, which lives in ``pins.py`` so that the pins can fly
+it without numpy, flies a campaign leg by leg with the program's own coasts
+and targeting but no short cut, so the program's leg loop, which copies the
+last m legs once a post-burn state has the bits of the one m legs before
+it, can be held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -25,19 +26,8 @@ from typing import Tuple
 
 import numpy as np
 
-from rpodsim import (
-    MU_EARTH,
-    InertialState,
-    RelativeState,
-    TargetOrbit,
-    cw_target_impulse,
-    cw_targeting,
-    nmc_initial_state,
-    waypoints_circle,
-    waypoints_line,
-    waypoints_nmc,
-)
-from rpodsim.dynamics import cw_coast, two_body_coast
+from pins import fly_every_leg  # noqa: F401  (re-exported for the tests)
+from rpodsim import MU_EARTH, InertialState, RelativeState
 
 _EPOCH_TOL = 1e-9  # seconds
 
@@ -169,52 +159,3 @@ def cw_derivative(rel: RelativeState, n: float) -> np.ndarray:
     az = -(n**2) * rel.z
     return np.array([rel.vx, rel.vy, rel.vz, ax, ay, az])
 
-
-def fly_every_leg(config) -> Tuple[Tuple[float, ...], Tuple[float, ...], float, float]:
-    """(arrivals, burns, total_dv, max_waypoint_miss) of ``config``, every
-    leg coasted and targeted in turn.
-
-    This is the campaign leg loop without its lap replay: leg k
-    coasts into arrival k, takes its miss against the point aimed at, and
-    burns toward the next point, for all laps x impulse_count legs, with the
-    magnitudes added in burn order.  It makes none of the loop's burn
-    checks, so it is for configs that fly without error.
-    """
-    orbit = TargetOrbit.from_altitude(config.chief_altitude)
-    n, m, kind = orbit.n, config.impulse_count, config.maneuver_kind
-    closed = kind in ("nmc_unforced", "circle_forced")
-    if closed:
-        lap = orbit.period
-        plan = (waypoints_nmc if kind == "nmc_unforced" else waypoints_circle)(config.size, m)
-    else:
-        lap, plan = config.duration, waypoints_line((config.size, 0.0), (0.0, 0.0), m + 1)
-    tau = lap / m
-    law = cw_targeting(n, tau)
-    rel = (*plan[0], 0.0, 0.0, 0.0, 0.0)
-    if closed:  # the insertion burn, whose dv is not in the total
-        if kind == "nmc_unforced":
-            dv = nmc_initial_state(config.size, n)[3:]
-        else:
-            dv = cw_target_impulse(rel, plan[1], 0.0, law)[0].dv
-        rel = _burn(rel, dv)
-    coast = cw_coast(n, tau) if config.truth_model == "cw" else two_body_coast(orbit, tau)
-    legs = config.laps * m
-    arrivals, burns = list(rel), []
-    max_miss = total_dv = 0.0
-    aim = plan[1]
-    for k in range(1 if closed else 0, legs + 1):
-        if k:
-            rel = coast(rel)
-            max_miss = max(max_miss, math.hypot(rel[0] - aim[0], rel[1] - aim[1]))
-            arrivals += rel
-        if closed or k < legs:
-            aim = plan[(k + 1) % len(plan)]
-            record, _ = cw_target_impulse(rel, aim, k * tau, law)
-            burns += record.dv
-            total_dv += record.magnitude
-            rel = _burn(rel, record.dv)
-    return tuple(arrivals), tuple(burns), total_dv, max_miss
-
-
-def _burn(rel, dv):
-    return (*rel[:3], *(v + d for v, d in zip(rel[3:], dv)))

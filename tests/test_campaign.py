@@ -409,13 +409,16 @@ def test_every_burn_flies_the_record_of_the_guidance_seam(config, monkeypatch):
     m = config.impulse_count
     if config.laps < 10:
         assert len(flown) == len(clean.impulses) == config.laps * m
-    else:  # the loop flies until a lap starts from the last lap's bits, then copies that lap
+        assert result.replayed_from is None
+    else:  # the loop flies until a post-burn state has the bits of the one m legs
+        # before it, then copies the last m legs over and over
         legs = len(flown)
-        assert legs % m == 0 and legs < len(result.impulses) == len(clean.impulses)
+        assert legs == result.replayed_from < len(result.impulses) == len(clean.impulses)
         assert result.impulses[:legs] == tuple(flown)
-        copies = config.laps - legs // m
-        assert [r.dv for r in result.impulses[legs:]] == [r.dv for r in flown[-m:]] * copies
-        flown, asked = list(result.impulses), asked + asked[-m:] * copies
+        tail = len(result.impulses) - legs
+        copies = (flown[-m:] * config.laps)[:tail]
+        assert [r.dv for r in result.impulses[legs:]] == [r.dv for r in copies]
+        flown, asked = list(result.impulses), asked + (asked[-m:] * config.laps)[:tail]
     assert result.impulses == tuple(flown)
     assert result.total_dv == _in_burn_order(record.magnitude for record in flown)
     assert result.total_dv == pytest.approx(1.001 * sum(r.magnitude for r in asked), rel=1e-14)
@@ -450,14 +453,15 @@ def test_leg_loop_is_the_flight_of_every_leg_bit_for_bit(kind, truth):
         assert result.max_waypoint_miss.hex() == max_miss.hex(), config
 
 
-@pytest.mark.parametrize("count, replays", [(8, True), (4, False)], ids=["replays", "period_2"])
-def test_leg_loop_coasts_until_a_lap_repeats_bit_for_bit(count, replays, monkeypatch):
-    # a lap whose post-burn start has the bits of the last lap's start is
-    # the last one flown; at 50 km x 4 the CW lap map alternates between two
-    # states and never repeats one lap to the next, so every leg flies
-    import rpodsim.campaign
-
-    config = forced(50.0, count, truth="cw", laps=10)
+@pytest.mark.parametrize("size, count, repeats_at", [(50.0, 8, 11), (1.0, 4, 5), (50.0, 4, None)],
+                         ids=["replays", "replays_mid_lap", "period_2"])
+def test_leg_loop_coasts_until_a_lap_repeats_bit_for_bit(size, count, repeats_at):
+    # the first burn whose post-burn state has the bits of the one m legs
+    # before it is the last flown; at 50 km x 4 the CW lap map alternates
+    # between two states and never repeats one lap to the next, so every leg
+    # flies.  At 1 km x 4 it repeats at leg 5, and the tail of 35 legs is 8
+    # laps and 3 legs
+    config = forced(size, count, truth="cw", laps=10)
     arrivals, burns, _, _ = ref.fly_every_leg(config)
 
     def start(k):  # the post-burn state at k tau (the first sample is past its insertion)
@@ -467,24 +471,33 @@ def test_leg_loop_coasts_until_a_lap_repeats_bit_for_bit(count, replays, monkeyp
                 state[3 + i] += burns[3 * (k - 1) + i]
         return _hex(state)
 
-    laps = next((lap for lap in range(1, config.laps)
-                 if start(lap * count) == start((lap - 1) * count)), config.laps)
-    assert (laps < config.laps) is replays
-    original, flown = rpodsim.campaign._truth_coast, []
-
-    def counted_truth_coast(*args):
-        coast = original(*args)
-
-        def counted(rel):
-            flown.append(rel)
-            return coast(rel)
-
-        return counted
-
-    monkeypatch.setattr(rpodsim.campaign, "_truth_coast", counted_truth_coast)
+    legs = config.laps * count
+    assert next((k for k in range(count, legs) if start(k) == start(k - count)), None) == repeats_at
     result = run_campaign(config)
-    assert len(flown) == laps * count
-    assert len(result.arrivals) == 6 * (config.laps * count + 1)
+    assert result.replayed_from == repeats_at
+    assert len(result.arrivals) == 6 * (legs + 1)
+
+
+def test_leg_loop_packs_a_state_only_where_a_later_leg_can_repeat_it(monkeypatch):
+    # a one-lap plan has no leg m legs after another, so it packs nothing; a
+    # multi-lap plan that never repeats packs each post-burn state that a
+    # later leg follows, the insertion's included: 40 of its 41
+    import rpodsim.campaign
+
+    packed = []
+
+    def counted_bits(*state):
+        packed.append(state)
+        return original(*state)
+
+    original = rpodsim.campaign._bits
+    monkeypatch.setattr(rpodsim.campaign, "_bits", counted_bits)
+    for config in (forced(50.0, 4, truth="cw"), unforced(10.0, 8),
+                   CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0)):
+        assert run_campaign(config).replayed_from is None
+    assert packed == []
+    assert run_campaign(forced(50.0, 4, truth="cw", laps=10)).replayed_from is None
+    assert len(packed) == 40
 
 
 @pytest.mark.parametrize("model", ["cw", "two_body"])
