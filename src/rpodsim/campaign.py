@@ -19,18 +19,19 @@ for tau is built once per campaign.  The kinds differ only in their plan,
 lap and departure:
 
 * ``nmc_unforced``: the NMC ellipse, one chief period per lap, inserted
-  already carrying the NMC velocity.
+  by setting the NMC velocity.
 * ``circle_forced``: the circle, one chief period per lap like the NMC,
-  inserted carrying the first leg's targeting velocity from rest.
+  inserted by the first leg's targeting burn from rest.
 * intercepts: the straight line from (size, 0) to the chief over
   ``duration`` in one lap; the chaser starts at rest and its departure
   burn is the first correction burn.
 
 Accounting conventions:
 
-* The insertion of the circumnavigation kinds, from a co-moving start,
-  is a burn at 0 checked like every other, but its Δv is reported
-  separately as ``insertion_dv`` and excluded from the total.
+* Burn 0, from a co-moving start, is flown and checked like every other.
+  A closed plan's is its insertion, reported as ``insertion_dv``, kept out
+  of ``burns`` and the total, and followed by the start sample; the line's
+  is its departure, a correction burn, after a start sample at rest.
 * A closed plan burns at every waypoint *arrival*, including the
   lap-closure return, so ``impulse_count`` burns fire per lap and every
   lap runs the same schedule as the next.  The line burns at departure
@@ -38,24 +39,25 @@ Accounting conventions:
 
 A closed plan's legs are copied, not flown, once a post-burn state has the
 bits of the one m legs before it.  After each burn k that a later leg
-follows (the state after the insertion stands for k = 0) the loop packs the
-six post-burn floats to bytes, since == takes 0.0 for -0.0, and keeps only
-the last m of them, by k mod m.  If burn k's equal burn k - m's, every later
-leg repeats the one m legs before it bit for bit, because nothing that feeds
-back depends on k: both truth coasts are autonomous (the two-body leg is
-flown from theta = 0), targeting reads only the state, the aim and the law,
-the aim index is k mod m, and k tau only stamps records.  So the loop
-appends whole copies of the last m legs' arrivals and burns and then the
-first (legs - k) mod m of them, adds their magnitudes to the total one at a
-time in burn order, records k as ``replayed_from`` and stops; the largest
-miss stands, and no copied burn or coast can raise, since each already
-passed its checks.  Retargeting at every waypoint makes the lap map
-contract to such a fixed point: on the benchmark's ``sweep_cw_laps`` grid
-(80 campaigns of 10 laps under CW truth) 75 campaigns repeat within 3 laps
-and 17,500 of the 19,840 legs are copied; the other 5, all at 4 burns a
-lap, alternate between two starts and fly every leg.  Under two-body truth
-the same 10-lap grid copies 16,618.  A one-lap campaign, such as every
-intercept and ``sweep_grid``'s, packs no state and copies nothing.
+follows, the insertion (burn 0) included, the loop packs the six post-burn
+floats to bytes, since == takes 0.0 for -0.0, and keeps only the last m of
+them, by k mod m.  If burn k's equal burn k - m's, every later leg repeats
+the one m legs before it bit for bit, because nothing that feeds back
+depends on k: both truth coasts are autonomous (the two-body leg is flown
+from theta = 0), targeting reads only the state, the aim and the law, the
+aim index is k mod m, and k tau only stamps records.  So the loop stops at
+k, recorded as ``replayed_from``, and the copy after it appends whole
+copies of the last m legs' arrivals and burns and then the first
+(legs - k) mod m of them, and adds their magnitudes to the total one at a
+time in burn order; the largest miss stands, and no copied burn or coast
+can raise, since each already passed its checks.  Retargeting at every
+waypoint makes the lap map contract to such a fixed point: on the
+benchmark's ``sweep_cw_laps`` grid (80 campaigns of 10 laps under CW truth)
+75 campaigns repeat within 3 laps and 17,500 of the 19,840 legs are copied;
+the other 5, all at 4 burns a lap, alternate between two starts and fly
+every leg.  Under two-body truth the same 10-lap grid copies 16,618.  A
+one-lap campaign, such as every intercept and ``sweep_grid``'s, packs no
+state and copies nothing.
 """
 
 from __future__ import annotations
@@ -236,19 +238,6 @@ def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
     return two_body_coast(orbit, tau)
 
 
-def _check_burn(record: ImpulseRecord, cap: float) -> None:
-    """Raise UnphysicalBurn for a burn at or above ``cap`` (the chief's
-    circular speed), which is not a relative-motion maneuver, or for one
-    that is not finite."""
-    if not record.magnitude < cap:
-        raise UnphysicalBurn(
-            f"burn of {record.magnitude:.6g} km/s at t = {record.t:.6g} s reaches "
-            f"the chief's circular speed {cap:.6g} km/s"
-            if math.isfinite(record.magnitude) else
-            f"burn at t = {record.t:.6g} s is not finite: the targeting solve overflowed"
-        )
-
-
 # the six floats of a state as bytes, so that equal bytes mean the same
 # state bit for bit (== would take 0.0 for -0.0)
 _bits = struct.Struct("6d").pack
@@ -273,38 +262,23 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     tau = lap / m
     law = cw_targeting(n, tau)
     rel = (*plan[0], 0.0, 0.0, 0.0, 0.0)  # at rest at the plan's start
-    cap = orbit.circular_speed
-    insertion_dv = 0.0
-    if closed:  # inserted by a burn at 0: onto the NMC, or along the first leg from rest
-        if kind == "nmc_unforced":
-            insertion = ImpulseRecord(0.0, nmc_initial_state(config.size, n)[3:])
-        else:
-            insertion, _ = cw_target_impulse(rel, plan[1], 0.0, law)
-        _check_burn(insertion, cap)
-        insertion_dv = insertion.magnitude
-        # an impulse leaves the position, and with it the frame term
-        # omega x rho, unchanged, so under either truth model it adds its
-        # dv to the Hill-frame velocity exactly, here as in the loop below
-        dx, dy, dz = insertion.dv
-        x, y, z, vx, vy, vz = rel
-        rel = (x, y, z, vx + dx, vy + dy, vz + dz)
-    legs, points = config.laps * m, len(plan)
+    legs, points, cap = config.laps * m, len(plan), orbit.circular_speed
     coast = _truth_coast(orbit, config.truth_model, tau)
     # local names, looked up once: the loop below runs once per leg
     hypot, target_impulse = math.hypot, cw_target_impulse
-    arrivals, burns = list(rel), []
-    max_miss = total_dv = 0.0
-    aim = plan[1]  # the point arrival 1 is due at
+    # the line's start sample is taken at rest, a closed plan's after burn 0
+    arrivals, burns = [] if closed else list(rel), []
+    max_miss = total_dv = insertion_dv = 0.0
     # a closed plan of more than one lap keeps the bits of its last m
-    # post-burn states by k mod m, the insertion's standing for k = 0, while
-    # a later leg exists; a one-lap plan, and so every line, takes none
+    # post-burn states by k mod m while a later leg exists; a one-lap plan,
+    # and so every line, takes none
     stop = legs if config.laps > 1 else 0
-    recent = [_bits(*rel)] + [b""] * (m - 1) if stop else []
+    recent = [b""] * m if stop else []
     replayed_from = None
     # leg k coasts into arrival k, whose miss is taken against the point the
     # burn before it aimed at, and burns at k tau toward the point due at
-    # (k + 1) tau; the line's leg 0 only burns, and its last arrival does not
-    for k in range(1 if closed else 0, legs + 1):
+    # (k + 1) tau; leg 0 only burns, and the line's last arrival does not
+    for k in range(legs + 1):
         if k:
             rel = coast(rel)
             miss = hypot(rel[0] - aim[0], rel[1] - aim[1])
@@ -313,29 +287,45 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             arrivals += rel
         if closed or k < legs:
             aim = plan[(k + 1) % points]
-            record, _ = target_impulse(rel, aim, k * tau, law)
-            _, dv, magnitude = record
-            if not magnitude < cap:
-                _check_burn(record, cap)
-            burns += dv
-            total_dv += magnitude  # in burn order: sum() rounds otherwise from Python 3.12
+            if k or kind != "nmc_unforced":
+                record, _ = target_impulse(rel, aim, k * tau, law)
+            else:  # the NMC's insertion sets its velocity
+                record = ImpulseRecord(0.0, nmc_initial_state(config.size, n)[3:])
+            t, dv, magnitude = record
+            if not magnitude < cap:  # not finite, or too fast for a relative-motion maneuver
+                raise UnphysicalBurn(
+                    f"burn of {magnitude:.6g} km/s at t = {t:.6g} s reaches "
+                    f"the chief's circular speed {cap:.6g} km/s"
+                    if math.isfinite(magnitude) else
+                    f"burn at t = {t:.6g} s is not finite: the targeting solve overflowed"
+                )
+            # an impulse leaves the position, and with it the frame term
+            # omega x rho, unchanged, so under either truth model it adds its
+            # dv to the Hill-frame velocity exactly
             dx, dy, dz = dv
             x, y, z, vx, vy, vz = rel
             rel = (x, y, z, vx + dx, vy + dy, vz + dz)  # six floats, which coast takes as is
+            if k or not closed:
+                burns += dv
+                total_dv += magnitude  # in burn order: sum() rounds otherwise from Python 3.12
+            else:  # a closed plan's burn 0 is its insertion, followed by the start sample
+                insertion_dv = magnitude
+                arrivals += rel
             if k < stop:
                 bits, slot = _bits(*rel), k % m
                 if bits == recent[slot]:  # every later leg repeats the one m legs before it
-                    laps, rest = divmod(legs - k, m)
-                    last_arrivals, last_burns = arrivals[-6 * m:], burns[-3 * m:]
-                    # each burn's magnitude, derived from its dv as every record's is
-                    dvs = [hypot(*last_burns[j:j + 3]) for j in range(0, 3 * m, 3)]
-                    for magnitude in dvs * laps + dvs[:rest]:
-                        total_dv += magnitude
-                    arrivals += last_arrivals * laps + last_arrivals[:6 * rest]
-                    burns += last_burns * laps + last_burns[:3 * rest]
                     replayed_from = k
                     break
                 recent[slot] = bits
+    if replayed_from is not None:  # copy the last m legs over the rest
+        laps, rest = divmod(legs - replayed_from, m)
+        last_arrivals, last_burns = arrivals[-6 * m:], burns[-3 * m:]
+        # each burn's magnitude, derived from its dv as every record's is
+        dvs = [hypot(*last_burns[j:j + 3]) for j in range(0, 3 * m, 3)]
+        for magnitude in dvs * laps + dvs[:rest]:
+            total_dv += magnitude
+        arrivals += last_arrivals * laps + last_arrivals[:6 * rest]
+        burns += last_burns * laps + last_burns[:3 * rest]
 
     return CampaignResult(
         config=config,

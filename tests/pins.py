@@ -3,9 +3,10 @@ kernel's pinned bits and the campaigns that replay their last legs, and a
 check of all four that needs no pytest.
 
 ``test_cli.py::test_output_bytes_are_pinned`` reads the first table below,
-``test_cli.py::test_documented_exit`` the second and
-``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the third;
-``reference.py`` re-exports :func:`fly_every_leg`.  Run as a script from the
+``test_cli.py::test_documented_exit`` the second,
+``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the third and
+``test_campaign.py::test_replay_row`` the fourth; ``reference.py``
+re-exports :func:`fly_every_leg`.  Run as a script from the
 repository root,
 
     python -W error tests/pins.py
@@ -310,6 +311,12 @@ _KEPLER_CORE_TABLE = [
      "0x1.485ce9e7a065fp+963 0x0.0p+0 0x0.0p+0"
      " 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0",
      ("KeplerNonConvergence", "orbit through radius 1e+290 km leaves double-precision range")),
+    # a fall from rest at 2e205 km over half its period: the period, ~3.1e305 s,
+    # is a double, but the Kepler residual over half of it is not
+    ("coast-beyond-double-range", 100,
+     "0x1.fe52048590673p+681 0x0.0p+0 0x0.0p+0"
+     " 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.caeb1361be762p+1013",
+     ("KeplerNonConvergence", "coast of 1.57355e+305 s leaves double-precision range")),
 ]
 
 

@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import reference as ref
+from pins import _REPLAY_CASES, fly_replay_row
 from rpodsim import (
     CampaignConfig,
     InertialState,
@@ -24,6 +25,7 @@ from rpodsim import (
     propagate_cw,
     run_campaign,
     sweep_circumnavigation,
+    waypoints_circle,
     waypoints_nmc,
 )
 from rpodsim.campaign import MAX_LEGS, _truth_coast
@@ -498,6 +500,42 @@ def test_leg_loop_packs_a_state_only_where_a_later_leg_can_repeat_it(monkeypatch
     assert packed == []
     assert run_campaign(forced(50.0, 4, truth="cw", laps=10)).replayed_from is None
     assert len(packed) == 40
+
+
+@pytest.mark.parametrize("name", list(_REPLAY_CASES))
+def test_replay_row(name):
+    # the replay table that python tests/pins.py flies: each campaign's
+    # flight is, as float.hex, that of every leg, and repeats where pinned
+    flown, pinned = fly_replay_row(name)
+    assert flown == pinned
+
+
+@pytest.mark.parametrize("m", [3, 4, 8])
+@pytest.mark.parametrize("kind", ["circle_forced", "nmc_unforced"])
+def test_burn_0_packs_the_post_insertion_state_into_slot_0(kind, m, monkeypatch):
+    # no real campaign repeats the state just past its insertion, so a stub
+    # truth coasts every leg onto the next waypoint, at rest.  Every later
+    # burn then leaves from rest at a waypoint, as the circle's insertion
+    # does, so the circle repeats at burn m, against slot 0; the NMC, whose
+    # insertion sets the NMC velocity, repeats one burn later
+    import rpodsim.campaign
+
+    config = CampaignConfig(kind, 2000.0, 10.0, m, truth_model="cw", laps=4)
+    plan = (waypoints_circle if kind == "circle_forced" else waypoints_nmc)(10.0, m)
+
+    def onto_the_next_waypoint(orbit, model, tau):
+        def coast(rel):
+            return (*plan[(plan.index(tuple(rel[:2])) + 1) % m], 0.0, 0.0, 0.0, 0.0)
+        return coast
+
+    monkeypatch.setattr(rpodsim.campaign, "_truth_coast", onto_the_next_waypoint)
+    result = run_campaign(config)
+    assert result.replayed_from == m + (kind == "nmc_unforced")
+    legs = config.laps * m
+    assert len(result.arrivals) == 6 * (legs + 1) and len(result.burns) == 3 * legs
+    assert result.burns == result.burns[:3 * m] * config.laps
+    assert result.total_dv == _in_burn_order(record.magnitude for record in result.impulses)
+    assert result.max_waypoint_miss == 0.0
 
 
 @pytest.mark.parametrize("model", ["cw", "two_body"])

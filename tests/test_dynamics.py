@@ -378,8 +378,11 @@ def test_hyperbolic_flyby_floor():
 
 @pytest.mark.parametrize("duration", [-1.0, np.nan, np.inf])
 def test_rejects_negative_or_non_finite_duration(duration):
+    # the library coast and the campaign's leg map both refuse it
     with pytest.raises(ValueError, match="duration must be finite and non-negative"):
         propagate_two_body(chief_state(ORBIT, 0.0), duration)
+    with pytest.raises(ValueError, match=f"duration must be finite and non-negative, got {duration}"):
+        two_body_coast(ORBIT, duration)
 
 
 # The next three tests keep the names of the open-orbit failures these inputs

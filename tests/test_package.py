@@ -51,7 +51,8 @@ def test_every_exported_exception_is_raised_in_the_package():
 
 # Imports the CLI and flies every subcommand under both truths in one fresh
 # process, then prints the numpy, scipy, dataclasses and inspect modules that
-# process loaded.
+# process loaded, and every module it loaded from outside the standard library
+# apart from the program's own.
 _FLY_EVERY_SUBCOMMAND = """
 import contextlib, io, json, sys
 import rpodsim.cli as cli
@@ -70,6 +71,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
 loaded = {name: sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
           for name in ("numpy", "scipy", "dataclasses", "inspect")}
+loaded["foreign"] = sorted(m for m in sys.modules if m.partition(".")[0]
+                           not in sys.stdlib_module_names | {"rpodsim", "__main__"})
 print(json.dumps({"codes": codes, **loaded}))
 """
 
@@ -79,9 +82,10 @@ def test_the_flown_path_loads_no_scipy(tmp_path):
     # running every subcommand must load neither, not even on first use.  Nor
     # may it load dataclasses or inspect, whose import (and the ast, dis and
     # tokenize it pulls in) would cost every start of the CLI more than the
-    # rest of its import
+    # rest of its import.  -S keeps the interpreter's site hooks out, so any
+    # module from outside the standard library is one the program loaded
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", _FLY_EVERY_SUBCOMMAND, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-S", "-c", _FLY_EVERY_SUBCOMMAND, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(proc.stdout)
     assert report["codes"] == [0] * 7
@@ -89,6 +93,7 @@ def test_the_flown_path_loads_no_scipy(tmp_path):
     assert report["scipy"] == []
     assert report["dataclasses"] == []
     assert report["inspect"] == []
+    assert report["foreign"] == []
 
 
 def test_dynamics_binds_solve_ivp_on_first_look_up():
