@@ -46,12 +46,13 @@ the one m legs before it bit for bit, because nothing that feeds back
 depends on k: both truth coasts are autonomous (the two-body leg is flown
 from theta = 0), targeting reads only the state, the aim and the law, the
 aim index is k mod m, and k tau only stamps records.  So the loop stops at
-k, recorded as ``replayed_from``, and the copy after it appends whole
-copies of the last m legs' arrivals and burns and then the first
-(legs - k) mod m of them, and adds their magnitudes to the total one at a
-time in burn order; the largest miss stands, and no copied burn or coast
-can raise, since each already passed its checks.  Retargeting at every
-waypoint makes the lap map contract to such a fixed point: on the
+k, recorded as ``replayed_from``, and adds the magnitudes of the copied
+burns, whole copies of the last m legs' burns and then the first
+(legs - k) mod m of them, to the total one at a time in burn order; the
+largest miss stands, and no copied burn or coast can raise, since each
+already passed its checks.  The result stores only the flown legs: its
+``arrivals`` and ``burns`` append the copies on first read.  Retargeting
+at every waypoint makes the lap map contract to such a fixed point: on the
 benchmark's ``sweep_cw_laps`` grid (80 campaigns of 10 laps under CW truth)
 75 campaigns repeat within 3 laps and 17,500 of the 19,840 legs are copied;
 the other 5, all at 4 burns a lap, alternate between two starts and fly
@@ -101,7 +102,8 @@ _MIN_IMPULSES = {"nmc_unforced": 3, "circle_forced": 3, "intercept_forced": 2}
 # 1e5-leg nmc_unforced campaign that flies every leg (one lap, or 4 burns a
 # lap at 50 km, which never repeats) takes 0.24-0.40 s of CPU under CW
 # truth and 0.87-1.14 s under two-body, and its result holds ~26 MB; at 64
-# burns a lap (1 km) it repeats at leg 66 or 67 and takes ~0.01 s and ~7 MB
+# burns a lap (1 km) it repeats at leg 66 or 67 and takes ~0.01 s, and its
+# result holds ~0.02 MB until its arrivals and burns are read, then ~7 MB
 MAX_LEGS = 100_000
 
 
@@ -192,24 +194,47 @@ class CampaignConfig(NamedTuple("_Config", [
 
 
 class CampaignResult(NamedTuple("_Result", [
-    ("config", CampaignConfig), ("arrivals", Tuple[float, ...]), ("burns", Tuple[float, ...]),
-    ("tau", float), ("total_dv", float), ("insertion_dv", float),
-    ("max_waypoint_miss", float), ("duration", float), ("replayed_from", Optional[int]),
+    ("config", CampaignConfig), ("flown_arrivals", Tuple[float, ...]),
+    ("flown_burns", Tuple[float, ...]), ("tau", float), ("total_dv", float),
+    ("insertion_dv", float), ("max_waypoint_miss", float), ("duration", float),
+    ("replayed_from", Optional[int]),
 ])):
     """Executed trajectory, impulse log, and Δv accounting for one run.
 
-    The flight is kept as two flat tuples of floats, so a result holds no
+    The flight is kept as flat tuples of floats, so a result holds no
     Python object per leg: ``arrivals`` has six Hill floats per sample (the
     start, then each waypoint arrival before its burn) and ``burns`` the
-    three dv floats of each correction burn, in burn order.  ``samples``
-    and ``impulses`` are built from them on first access and cached:
-    ``samples`` holds ``(k tau, RelativeState)`` pairs and ``impulses`` one
-    ImpulseRecord per burn.  The chaser's inertial state at a sample is
-    ``hill_to_eci(orbit, t, rel)``.  ``replayed_from`` is the leg k whose
-    post-burn state had the bits of the one m legs before it, after which
-    every leg was copied, or None if every leg flew.  The class declares no
-    ``__slots__``, so each result keeps the instance dict those caches live in.
+    three dv floats of each correction burn, in burn order.  A result
+    stores only the legs it flew, as ``flown_arrivals`` and ``flown_burns``;
+    ``replayed_from`` is the leg k whose post-burn state had the bits of
+    the one m legs before it, after which every leg was copied, or None if
+    every leg flew.  ``arrivals`` and ``burns`` are the flown logs
+    themselves when nothing was copied, and otherwise the flown logs
+    followed by whole copies of their last m legs and then the first
+    (legs - k) mod m of them.  They, ``samples`` and ``impulses`` are built
+    on first access and cached: ``samples`` holds ``(k tau,
+    RelativeState)`` pairs and ``impulses`` one ImpulseRecord per burn.
+    The chaser's inertial state at a sample is ``hill_to_eci(orbit, t,
+    rel)``.  The class declares no ``__slots__``, so each result keeps the
+    instance dict those caches live in.
     """
+
+    def _with_copies(self, flown: Tuple[float, ...], width: int) -> Tuple[float, ...]:
+        """``flown``, ``width`` floats a leg, with the copied legs after it."""
+        if self.replayed_from is None:
+            return flown
+        m = self.config.impulse_count
+        laps, rest = divmod(self.config.laps * m - self.replayed_from, m)
+        last = flown[-width * m:]
+        return flown + last * laps + last[:width * rest]
+
+    @cached_property
+    def arrivals(self) -> Tuple[float, ...]:
+        return self._with_copies(self.flown_arrivals, 6)
+
+    @cached_property
+    def burns(self) -> Tuple[float, ...]:
+        return self._with_copies(self.flown_burns, 3)
 
     @cached_property
     def samples(self) -> Tuple[Tuple[float, RelativeState], ...]:
@@ -317,20 +342,17 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                     replayed_from = k
                     break
                 recent[slot] = bits
-    if replayed_from is not None:  # copy the last m legs over the rest
+    if replayed_from is not None:  # the copied legs' burns join the total, not the logs
         laps, rest = divmod(legs - replayed_from, m)
-        last_arrivals, last_burns = arrivals[-6 * m:], burns[-3 * m:]
         # each burn's magnitude, derived from its dv as every record's is
-        dvs = [hypot(*last_burns[j:j + 3]) for j in range(0, 3 * m, 3)]
+        dvs = [*map(hypot, burns[-3 * m::3], burns[1 - 3 * m::3], burns[2 - 3 * m::3])]
         for magnitude in dvs * laps + dvs[:rest]:
             total_dv += magnitude
-        arrivals += last_arrivals * laps + last_arrivals[:6 * rest]
-        burns += last_burns * laps + last_burns[:3 * rest]
 
     return CampaignResult(
         config=config,
-        arrivals=tuple(arrivals),
-        burns=tuple(burns),
+        flown_arrivals=tuple(arrivals),
+        flown_burns=tuple(burns),
         tau=tau,
         total_dv=total_dv,
         insertion_dv=insertion_dv,

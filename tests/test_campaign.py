@@ -538,6 +538,29 @@ def test_burn_0_packs_the_post_insertion_state_into_slot_0(kind, m, monkeypatch)
     assert result.max_waypoint_miss == 0.0
 
 
+def test_a_state_repeats_only_with_the_same_signed_zeros(monkeypatch):
+    # == takes 0.0 for -0.0, so the loop compares a state's bytes.  A stub
+    # truth coasts onto the next waypoint at rest and flips the sign of z's
+    # zero; with 3 burns a lap, burn k's state differs from burn k - 3's only
+    # in that sign, so no state repeats, every leg flies, and the sign
+    # alternates on every arrival as the stub flew it
+    import rpodsim.campaign
+
+    config = forced(10.0, 3, truth="cw", laps=4)
+    plan = waypoints_circle(10.0, 3)
+
+    def onto_the_next_waypoint_flipping_z(orbit, model, tau):
+        def coast(rel):
+            return (*plan[(plan.index(tuple(rel[:2])) + 1) % 3], -rel[2], 0.0, 0.0, 0.0)
+        return coast
+
+    monkeypatch.setattr(rpodsim.campaign, "_truth_coast", onto_the_next_waypoint_flipping_z)
+    result = run_campaign(config)
+    assert result.replayed_from is None
+    signs = [math.copysign(1.0, rel.z) for _, rel in result.samples]
+    assert signs == [(-1.0) ** k for k in range(config.laps * 3 + 1)]
+
+
 @pytest.mark.parametrize("model", ["cw", "two_body"])
 def test_truth_coasts_return_six_plain_floats(model):
     # the coast a campaign flies returns a plain tuple of six floats, so no
@@ -663,29 +686,53 @@ _VIEW_BITS = {
     [
         unforced(1.0, 3),
         CampaignConfig("intercept_forced", 2000.0, 10.0, 2, duration=3600.0, truth_model="cw"),
+        pytest.param(forced(20.0, 8, truth="cw", laps=10), id="circle_forced-cw-replayed"),
     ],
     ids=lambda config: f"{config.maneuver_kind}-{config.truth_model}",
 )
 def test_samples_and_impulses_are_cached_views_of_the_flight(config):
-    # the views are built on first access, bit for bit and type for type as
-    # a result held them when it kept one object per leg; building them
-    # changes neither the hash nor equality, copies or pickles
+    # a result stores only the legs it flew; arrivals and burns, and the
+    # views on them, are built on first access, bit for bit and type for
+    # type as a result held them when it kept every leg and one object per
+    # leg.  Building them changes neither the hash nor equality, copies or
+    # pickles
     result = run_campaign(config)
+    assert not {"arrivals", "burns", "samples", "impulses"} & vars(result).keys()
+    bare = (run_campaign(config), pickle.loads(pickle.dumps(result)), copy.deepcopy(result))
+    arrivals, burns = result.arrivals, result.burns
+    assert result.arrivals is arrivals and result.burns is burns
+    if result.replayed_from is None:  # nothing was copied: the views are the stored logs
+        assert arrivals is result.flown_arrivals and burns is result.flown_burns
+    else:
+        every_arrival, every_burn, _, _ = ref.fly_every_leg(config)
+        assert _hex(arrivals) == _hex(every_arrival) and _hex(burns) == _hex(every_burn)
+        assert len(result.flown_burns) == 3 * result.replayed_from < len(burns)
     samples, impulses = result.samples, result.impulses
     assert result.samples is samples and result.impulses is impulses
     assert type(samples) is tuple and type(impulses) is tuple
     assert {type(pair) for pair in samples} == {tuple}
     assert {(type(t), type(rel)) for t, rel in samples} == {(float, RelativeState)}
     assert {(type(record), type(record.dv)) for record in impulses} == {(ImpulseRecord, Vector3)}
-    sample_bits, impulse_bits = _VIEW_BITS[config.maneuver_kind]
-    assert [" ".join(v.hex() for v in (t, *rel)) for t, rel in samples] == sample_bits
-    assert [" ".join(v.hex() for v in (r.t, *r.dv, r.magnitude)) for r in impulses] == impulse_bits
-    fresh = run_campaign(config)
-    for twin in (fresh, pickle.loads(pickle.dumps(result)), copy.deepcopy(result),
-                 pickle.loads(pickle.dumps(fresh)), copy.deepcopy(fresh)):
+    if result.replayed_from is None:
+        sample_bits, impulse_bits = _VIEW_BITS[config.maneuver_kind]
+        assert [" ".join(v.hex() for v in (t, *rel)) for t, rel in samples] == sample_bits
+        assert [" ".join(v.hex() for v in (r.t, *r.dv, r.magnitude))
+                for r in impulses] == impulse_bits
+    for twin in (*bare, pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
         assert twin == result and hash(twin) == hash(result)
+        assert twin.arrivals == arrivals and twin.burns == burns
         assert twin.samples == samples and twin.impulses == impulses
     assert run_campaign(unforced(1.0, 4)) != result
+
+
+def test_a_replayed_sweep_stores_only_the_legs_it_flew():
+    # the benchmark's sweep_cw_laps grid at seed 0 flies 2,340 of its 19,840
+    # legs; its results store those alone and build the rest when read
+    results = sweep_circumnavigation((1.0, 10.0, 50.0, 100.0, 250.0, 500.0, 750.0, 1000.0),
+                                     (4, 8, 16, 32, 64), 2000.0, truth_model="cw", laps=10)
+    assert sum(len(result.flown_burns) for result in results) == 3 * 2340
+    assert sum(len(result.burns) for result in results) == 3 * 19840
+
 
 def test_cw_truth_never_builds_inertial_states(monkeypatch):
     # under CW truth the campaign stays in the Hill frame: no chaser is lifted
