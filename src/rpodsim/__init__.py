@@ -13,7 +13,7 @@ from .campaign import (
     sweep_circumnavigation,
 )
 from .constants import MU_EARTH, R_EARTH
-from .dynamics import TargetOrbit, cw_stm, propagate_cw
+from .dynamics import TargetOrbit, cw_stm
 from .errors import (
     KeplerNonConvergence,
     RpodError,
@@ -66,7 +66,6 @@ __all__ = [
     "hill_to_eci",
     "intercept_experiment",
     "nmc_initial_state",
-    "propagate_cw",
     "run_campaign",
     "sweep_circumnavigation",
     "waypoints_circle",

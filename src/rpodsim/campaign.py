@@ -74,9 +74,9 @@ from .dynamics import TargetOrbit, cw_coast, two_body_coast
 from .errors import UnphysicalBurn
 from .frames import RelativeState
 # bound here only because perfbench/spans.py wraps them here, and its tracer
-# raises on a binding that does not resolve; no campaign calls them.  For
-# chief_state and propagate_two_body, which no program code calls and the
-# package root does not export, it is the only reason to stay in src/
+# raises on a binding that does not resolve; no campaign calls them.  It is
+# the only reason for chief_state, propagate_cw and propagate_two_body, which
+# no program code calls and the package root does not export, to be in src/
 from .dynamics import chief_state, propagate_cw, propagate_two_body  # noqa: F401
 from .frames import eci_to_hill, hill_basis, hill_to_eci  # noqa: F401
 from .guidance import (

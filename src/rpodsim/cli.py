@@ -32,7 +32,7 @@ from .campaign import (
     sweep_circumnavigation,
 )
 from .constants import MU_EARTH
-from .dynamics import TargetOrbit, cw_stm, propagate_cw
+from .dynamics import TargetOrbit, cw_stm
 from .errors import RpodError
 from .frames import RelativeState, eci_to_hill, hill_to_eci
 from .guidance import nmc_initial_state
@@ -180,25 +180,18 @@ def _row(r: CampaignResult) -> str:
 
 
 def _summaries(results: Sequence[CampaignResult]) -> List[str]:
-    """One line per forced/unforced comparison pair."""
-    def of(kind):
-        return [r for r in results if r.config.maneuver_kind == kind]
-
-    circ = {(r.config.size, r.config.impulse_count): r for r in of("circle_forced")}
-    lines = []
-    for r in of("nmc_unforced"):
-        other = circ.get((r.config.size, r.config.impulse_count))
-        if other is not None:
-            lines.append(_pair_line(r, other))
-    unforced_arms = of("intercept_unforced")
-    if unforced_arms:
-        lines += [_pair_line(unforced_arms[0], r) for r in of("intercept_forced")]
-    return lines
+    """One line per forced/unforced pair, read in the fan-outs' order (pinned
+    by test_intercept_experiment_returns_unforced_then_each_count and
+    test_sweep_row_count_and_order): an intercept's unforced arm, then each
+    forced arm; a sweep's cells, forced then unforced; one campaign is no pair."""
+    if results[0].config.maneuver_kind == "intercept_unforced":
+        return [_pair_line(results[0], r) for r in results[1:]]
+    return [_pair_line(u, f) for f, u in zip(results[::2], results[1::2])]
 
 
 def _pair_line(unforced: CampaignResult, forced: CampaignResult) -> str:
     lo, hi = sorted((unforced, forced), key=lambda r: r.total_dv)
-    winner = "unforced" if "unforced" in lo.config.maneuver_kind else "forced"
+    winner = "unforced" if lo is unforced else "forced"
     ratio = math.inf if lo.total_dv <= _DV_ROUND_REL * hi.total_dv else hi.total_dv / lo.total_dv
     return (f"size={forced.config.size:g} km impulses={forced.config.impulse_count}: {winner} "
             f"arm uses less dv ({lo.total_dv:.6g} vs {hi.total_dv:.6g} km/s, ratio {ratio:.3f})")
@@ -272,7 +265,7 @@ def validate_suite():
 
     def closed_relative_orbit():
         # from phase 1 rad, so no term of the transition matrix vanishes
-        after = propagate_cw(nmc_at(1.0), orbit.n, t)
+        after = _truth_coast(orbit, "cw", t)(nmc_at(1.0))  # the CW leg campaigns fly
         return _max_gap(after, nmc_at(1.0 + orbit.n * t)), 1e-9
 
     def leg_departs_as_rho_squared():

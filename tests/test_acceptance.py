@@ -35,12 +35,11 @@ from rpodsim import (
     cw_targeting,
     intercept_experiment,
     nmc_initial_state,
-    propagate_cw,
     run_campaign,
     sweep_circumnavigation,
 )
 from rpodsim.cli import main
-from rpodsim.dynamics import chief_state, propagate_two_body
+from rpodsim.dynamics import chief_state, propagate_cw, propagate_two_body
 
 ALTITUDE = 2000.0
 SIZES = (1.0, 10.0, 50.0, 100.0, 250.0, 500.0, 750.0, 1000.0)

@@ -22,14 +22,13 @@ from rpodsim import (
     hill_to_eci,
     intercept_experiment,
     nmc_initial_state,
-    propagate_cw,
     run_campaign,
     sweep_circumnavigation,
     waypoints_circle,
     waypoints_nmc,
 )
 from rpodsim.campaign import MAX_LEGS, _truth_coast
-from rpodsim.dynamics import chief_state, propagate_two_body, two_body_coast
+from rpodsim.dynamics import chief_state, propagate_cw, propagate_two_body, two_body_coast
 from rpodsim.guidance import ImpulseRecord, Vector3
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
@@ -825,8 +824,6 @@ def test_free_drift_divergence_small_at_small_separation():
     rel0 = nmc_initial_state(x0, ORBIT.n)
     chaser = ref.hill_to_eci(chief_state(ORBIT, 0.0), rel0)
     times = np.linspace(0.0, ORBIT.period, 33)[1:]
-    from rpodsim import propagate_cw
-
     worst = 0.0
     for t in times:
         state = propagate_two_body(chaser, t)

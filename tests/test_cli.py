@@ -386,6 +386,23 @@ def test_validate_detects_a_sign_flip_in_the_flown_cw_leg(term, monkeypatch, cap
     assert f"{'FAIL' if in_plane else 'PASS'}  zero-mismatch campaign" in stdout
 
 
+def test_validate_closed_orbit_flies_the_campaigns_cw_binding(monkeypatch, capsys):
+    # the vx-vy coupling flipped only where campaigns look the CW coast up:
+    # the closed-orbit check must fly that binding, not a twin of it
+    import inspect
+
+    import rpodsim.campaign
+    import rpodsim.dynamics
+
+    source = inspect.getsource(rpodsim.dynamics.cw_coast)
+    assert source.count("uv * ") == 1
+    namespace = dict(vars(rpodsim.dynamics))
+    exec(source.replace("uv * ", "-uv * "), namespace)
+    monkeypatch.setattr(rpodsim.campaign, "cw_coast", namespace["cw_coast"])
+    assert main(["validate"]) == 3
+    _assert_fails_on_its_residual(capsys.readouterr().out, "closed relative orbit")
+
+
 def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
     import rpodsim.dynamics
     from rpodsim import KeplerNonConvergence

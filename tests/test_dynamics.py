@@ -22,11 +22,10 @@ from rpodsim import (
     hill_to_eci,
     intercept_experiment,
     nmc_initial_state,
-    propagate_cw,
     sweep_circumnavigation,
 )
 from rpodsim.constants import MU_EARTH, R_EARTH
-from rpodsim.dynamics import chief_state, propagate_two_body, two_body_coast
+from rpodsim.dynamics import chief_state, propagate_cw, propagate_two_body, two_body_coast
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
 

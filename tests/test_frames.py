@@ -27,7 +27,6 @@ from rpodsim.constants import MU_EARTH
 from rpodsim.dynamics import chief_state
 
 R_CHIEF = 8378.137
-VC = np.sqrt(MU_EARTH / R_CHIEF)
 N_CHIEF = np.sqrt(MU_EARTH / R_CHIEF**3)
 ORBIT = TargetOrbit.from_altitude(2000.0)
 # an independently evaluated oracle for the along-track rate of a chaser on

@@ -16,11 +16,11 @@ from rpodsim import (
     cw_targeting,
     drift_determinant,
     nmc_initial_state,
-    propagate_cw,
     waypoints_circle,
     waypoints_line,
     waypoints_nmc,
 )
+from rpodsim.dynamics import propagate_cw
 from rpodsim.guidance import Vector3
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
