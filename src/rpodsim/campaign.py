@@ -64,7 +64,6 @@ state and copies nothing.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 import sys
 from functools import cached_property
@@ -72,12 +71,9 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dynamics import TargetOrbit, cw_coast, two_body_coast
 from .errors import UnphysicalBurn
-from .frames import RelativeState
+from .frames import RelativeState, _real, _whole
 # bound here only because perfbench/spans.py wraps them here, and its tracer
-# raises on a binding that does not resolve; no campaign calls them.  It is
-# the only reason for chief_state, propagate_cw and propagate_two_body, which
-# no program code calls and the package root does not export, to be in src/
-from .dynamics import chief_state, propagate_cw, propagate_two_body  # noqa: F401
+# raises on a binding that does not resolve
 from .frames import eci_to_hill, hill_basis, hill_to_eci  # noqa: F401
 from .guidance import (
     ImpulseRecord,
@@ -88,6 +84,10 @@ from .guidance import (
     waypoints_line,
     waypoints_nmc,
 )
+
+# placeholders for that tracer: the functions moved to tests/reference.py,
+# nothing calls these names, and ROADMAP step 1a deletes them
+chief_state = propagate_cw = propagate_two_body = None
 
 CIRCUMNAV_KINDS = ("nmc_unforced", "circle_forced")
 INTERCEPT_KINDS = ("intercept_unforced", "intercept_forced")
@@ -105,26 +105,6 @@ _MIN_IMPULSES = {"nmc_unforced": 3, "circle_forced": 3, "intercept_forced": 2}
 # burns a lap (1 km) it repeats at leg 66 or 67 and takes ~0.01 s, and its
 # result holds ~0.02 MB until its arrivals and burns are read, then ~7 MB
 MAX_LEGS = 100_000
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as an int, for any integer type (numpy's too); else ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a finite float, for any real type (numpy's too); else ValueError."""
-    try:
-        if math.isfinite(value):
-            return float(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
-    except OverflowError:  # an int beyond double range
-        raise ValueError(f"{name} must be finite, got an int beyond double range") from None
-    raise ValueError(f"{name} must be finite, got {value}")
 
 
 class CampaignConfig(NamedTuple("_Config", [

@@ -20,8 +20,12 @@ from typing import Callable, NamedTuple, Sequence, Tuple
 
 from .constants import MU_EARTH, R_EARTH
 from .errors import KeplerNonConvergence, SingularRadius, UnboundOrbit
-from .frames import InertialState, RelativeState, Vec3, _check_state, _to_eci, _to_hill, hill_basis
+from .frames import Vec3, _check_state, _to_eci, _to_hill, hill_basis
 from .frames import eci_to_hill  # noqa: F401  wrapped by perfbench/spans.py
+
+# a placeholder for perfbench/spans.py's tracer, which raises on a name that
+# does not resolve; nothing calls it, and ROADMAP step 1a deletes it
+solve_ivp = None
 
 # km; no chief orbit may lie, and no coast pass anywhere on its arc, below this
 _SURFACE_RADIUS = R_EARTH
@@ -32,21 +36,6 @@ _KEPLER_RTOL = 1e-12
 # km; the mean motion needs radius**3, which leaves double range above this
 _MAX_RADIUS = sys.float_info.max ** (1.0 / 3.0)
 _SQRT_MU = math.sqrt(MU_EARTH)
-
-
-def __getattr__(name: str):
-    """PEP 562: bind scipy's ``solve_ivp`` on its first look-up, never on import.
-
-    Nothing here calls it; ``perfbench/spans.py`` looks it up to count
-    integrator work. The binding goes once that tracer tolerates a name that
-    does not resolve.
-    """
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp
-
-        globals()[name] = solve_ivp
-        return solve_ivp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class TargetOrbit(NamedTuple("_Orbit", [("radius", float), ("n", float),
@@ -86,20 +75,6 @@ class TargetOrbit(NamedTuple("_Orbit", [("radius", float), ("n", float),
     def period(self) -> float:
         """Orbital period 2*pi/n, s."""
         return 2.0 * math.pi / self.n
-
-
-def chief_state(orbit: TargetOrbit, t: float) -> InertialState:
-    """Analytic chief state at time t.
-
-    The chief's circular orbit is closed-form (uniform rotation in the
-    equatorial plane), so the target carries no integration error and the
-    relative-state readout isolates chaser-side effects.
-    """
-    theta = orbit.n * t
-    c, s = math.cos(theta), math.sin(theta)
-    r = orbit.radius
-    v = orbit.circular_speed
-    return InertialState(t, (r * c, r * s, 0.0), (-v * s, v * c, 0.0))
 
 
 # Taylor coefficients of C and S, (-1)^k / (2k+2)! and (-1)^k / (2k+3)!, k = 0..5
@@ -222,24 +197,6 @@ def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
     return position, velocity
 
 
-def propagate_two_body(initial: InertialState, duration: float) -> InertialState:
-    """Coast on a two-body orbit about the Earth for ``duration`` seconds (>= 0).
-
-    The coast is solved in closed form (universal-variable Kepler equation
-    with Lagrange f and g), so its cost does not grow with the duration; a
-    zero duration takes the same kernel and checks, and no solve.  The end
-    state's epoch is advanced by ``duration``.  Raises UnboundOrbit if the
-    state is at or above the escape speed, SingularRadius if the coast
-    passes below the Earth's surface anywhere on its arc, not only at its
-    end, and KeplerNonConvergence if its Kepler solve does not converge or
-    leaves double-precision range.
-    """
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration must be finite and non-negative, got {duration}")
-    position, velocity = _coast(initial.position, initial.velocity, duration)
-    return InertialState(initial.epoch + float(duration), position, velocity)
-
-
 def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]], Tuple[float, ...]]:
     """Two-body motion over dt of a chaser's Hill state, the twin of :func:`cw_coast`.
 
@@ -247,9 +204,9 @@ def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]],
     flown from any epoch is the leg flown from 0 turned with the chief's
     frame: the chaser is lifted at theta = 0, coasted, and read back in the
     frame at dt, whose basis is read once.  Each leg, of any dt >= 0, is
-    ``eci_to_hill(orbit, propagate_two_body(hill_to_eci(orbit, 0.0, rel), dt))``
-    operation for operation, with its checks, but builds no InertialState
-    and no RelativeState.  Like the CW coast it takes any six floats and
+    ``hill_to_eci(orbit, 0.0, rel)`` coasted by ``_coast`` for dt and read
+    back by ``eci_to_hill`` at dt, operation for operation, with an
+    InertialState's checks at both ends, but builds no InertialState and no RelativeState.  Like the CW coast it takes any six floats and
     returns a plain tuple of six floats.  ``rpodsim validate`` checks this
     leg: a co-orbital chaser must come back unchanged, and an NMC keep its
     energy.
@@ -317,8 +274,3 @@ def cw_coast(n: float, dt: float) -> Callable[[Sequence[float]], Tuple[float, ..
                 ux * x + uu * u + uv * v, vx * x + vu * u + vv * v, wz * z + ww * w)
 
     return coast
-
-
-def propagate_cw(rel: RelativeState, n: float, dt: float) -> RelativeState:
-    """Uncontrolled CW propagation by the closed-form transition matrix."""
-    return RelativeState._make(cw_coast(n, dt)(rel))

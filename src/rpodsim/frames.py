@@ -16,6 +16,7 @@ km/s, rad/s throughout.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -36,6 +37,26 @@ def _vec3(value) -> Vec3:
     return out
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int, for any integer type (numpy's too); else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a finite float, for any real type (numpy's too); else ValueError."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:  # an int beyond double range
+        raise ValueError(f"{name} must be finite, got an int beyond double range") from None
+    raise ValueError(f"{name} must be finite, got {value}")
+
+
 class InertialState(NamedTuple("_Inertial", [("epoch", float), ("position", Vec3),
                                               ("velocity", Vec3)])):
     """Position and velocity of a satellite in the ECI frame: the tuple
@@ -51,13 +72,14 @@ class InertialState(NamedTuple("_Inertial", [("epoch", float), ("position", Vec3
         ECI velocity, km/s.
 
     Every constructor, ``_make``, ``_replace``, pickle and copy included,
-    reads both vectors as float triples and checks them.
+    reads the epoch as a finite float and both vectors as float triples,
+    and checks them.
     """
 
     __slots__ = ()
 
     def __new__(cls, epoch: float, position: Vec3, velocity: Vec3) -> "InertialState":
-        position, velocity = _vec3(position), _vec3(velocity)
+        epoch, position, velocity = _real("epoch", epoch), _vec3(position), _vec3(velocity)
         _check_state(position, velocity)
         return tuple.__new__(cls, (epoch, position, velocity))
 
@@ -97,7 +119,7 @@ def hill_basis(orbit: TargetOrbit, t: float) -> Tuple[float, float]:
     The chief's Hill axes at t are i_r = (c, s, 0), i_theta = (-s, c, 0)
     and i_h = (0, 0, 1) in ECI: R_z(theta) applied to the ECI axes.
     """
-    theta = orbit.n * t
+    theta = orbit.n * _real("epoch t", t)  # finite, since n < 1 rad/s
     return math.cos(theta), math.sin(theta)
 
 

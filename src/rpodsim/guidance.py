@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .dynamics import cw_stm
 from .errors import SingularTransferTime
-from .frames import RelativeState
+from .frames import RelativeState, _whole
 
 _DET_RTOL = 1e-12
 # a 2x2 matrix as its entries in row-major order
@@ -146,9 +146,11 @@ def cw_target_impulse(
                                          math.hypot(dvx, dvy, 0.0))), (vx, vy)
 
 
-def _check_count(count: int, minimum: int) -> None:
+def _check_count(count: int, minimum: int) -> int:
+    count = _whole("waypoint count", count)
     if count < minimum:
         raise ValueError(f"need at least {minimum} waypoints, got {count}")
+    return count
 
 
 Point = Tuple[float, float]
@@ -162,7 +164,7 @@ def waypoints_circle(radius: float, count: int) -> List[Point]:
     NMC with positive radial offset, keeping the forced and unforced shapes
     kinematically comparable.
     """
-    _check_count(count, 3)
+    count = _check_count(count, 3)
     if not 0.0 < radius < math.inf:
         raise ValueError("radius must be positive")
     phis = [-2.0 * math.pi * k / count for k in range(count)]
@@ -176,7 +178,7 @@ def waypoints_nmc(x0: float, count: int) -> List[Point]:
     Positions follow the closed-form CW solution seeded by
     :func:`nmc_initial_state`: x = x0 cos(nt), y = -2 x0 sin(nt).
     """
-    _check_count(count, 3)
+    count = _check_count(count, 3)
     if not 0.0 < abs(x0) < math.inf:
         raise ValueError("NMC offset x0 must be nonzero")
     nts = [2.0 * math.pi * k / count for k in range(count)]
@@ -185,7 +187,7 @@ def waypoints_nmc(x0: float, count: int) -> List[Point]:
 
 def waypoints_line(start, end, count: int) -> List[Point]:
     """``count`` points uniformly spaced along a segment, endpoints inclusive."""
-    _check_count(count, 2)
+    count = _check_count(count, 2)
     (x0, y0), (x1, y1) = map(float, start), map(float, end)
     if not all(map(math.isfinite, (x0, y0, x1, y1))):
         raise ValueError("line endpoints must be finite")

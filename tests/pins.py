@@ -1,27 +1,33 @@
 """The CLI's pinned output bytes, its documented exits, the Kepler
 kernel's pinned bits and the campaigns that replay their last legs, and a
-check of all four that needs no pytest.
+check of all four, and of the names the benchmark's tracer wraps, that
+needs no pytest.
 
 ``test_cli.py::test_output_bytes_are_pinned`` reads the first table below,
 ``test_cli.py::test_documented_exit`` the second,
 ``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the third and
 ``test_campaign.py::test_replay_row`` the fourth; ``reference.py``
-re-exports :func:`fly_every_leg`.  Run as a script from the
-repository root,
+re-exports :func:`fly_every_leg`, and
+``test_package.py::test_every_traced_name_is_flown_or_inert`` reads
+:func:`traced_names`.  Run as a script from the repository root,
 
     python -W error tests/pins.py
 
 it flies every pinned argv and every exits row through ``rpodsim.cli.main``
 (from ``src/``), every Kepler row through ``rpodsim.dynamics._coast`` and
 every replay row through ``rpodsim.run_campaign`` and :func:`fly_every_leg`,
-prints one PASS or FAIL line per pin and one for each table, and exits 1 if
-any exit code, CSV, stdout, stderr, end-state bit, error message or flown
-bit differs, so the pins can be checked on an interpreter that has no
-pytest installed.
+and looks up every name that ``perfbench/spans.py``'s tracer wraps or
+counts.  It prints one PASS or FAIL line per pin, one for each table and
+one for the traced names, and exits 1 if any exit code, CSV, stdout,
+stderr, end-state bit, error message or flown bit differs, or a traced
+name does not resolve, so the pins can be checked on an interpreter that
+has no pytest installed.
 """
 
+import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import math
 import platform
@@ -453,6 +459,19 @@ def fly_replay_row(name: str) -> tuple:
             (bits(*fly_every_leg(config)), replayed_from))
 
 
+def traced_names() -> list:
+    """(module, name) of every binding ``perfbench/spans.py``'s tracer wraps
+    (its BINDINGS) or counts (its COUNTED), read as literals, without
+    running the benchmark's code.  The tracer raises on a name that does
+    not resolve, so a cleanup that deletes one breaks every traced run."""
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(spans.read_text()).body
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and getattr(node.targets[0], "id", None) in ("BINDINGS", "COUNTED")}
+    return [entry[:2] for entry in tables["BINDINGS"]] + list(tables["COUNTED"])
+
+
 def pinned_outcome(expected) -> tuple:
     """A row's pinned outcome in the form :func:`fly_kepler_row` returns."""
     if isinstance(expected, tuple):
@@ -461,8 +480,9 @@ def pinned_outcome(expected) -> tuple:
 
 
 def check() -> int:
-    """Fly each pinned argv, exits row, Kepler row and replay row and compare;
-    0 if every pin holds, else 1."""
+    """Fly each pinned argv, exits row, Kepler row and replay row and compare,
+    and look up every traced name; 0 if every pin holds and every name
+    resolves, else 1."""
     from rpodsim.cli import main
 
     failed = 0
@@ -494,6 +514,12 @@ def check() -> int:
     failed += bool(moved)
     print(f"{'FAIL' if moved else 'PASS'}  replay ({len(_REPLAY_CASES)} campaigns)"
           + (f"  moved: {', '.join(moved)}" if moved else ""))
+    names = traced_names()
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    failed += bool(missing)
+    print(f"{'FAIL' if missing else 'PASS'}  traced names ({len(names)} bindings)"
+          + (f"  missing: {', '.join(missing)}" if missing else ""))
     return 1 if failed else 0
 
 

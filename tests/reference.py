@@ -1,24 +1,28 @@
 """The tests' independent references: general ECI <-> Hill transforms,
 the CW equations in ODE form, the specific energy and angular momentum, the
-lowest radius on a two-body arc, and a leg-by-leg campaign flight.
+lowest radius on a two-body arc, a leg-by-leg campaign flight, and the
+chief's state and the one-call coasts on state types.
 
 The program's transforms (``rpodsim.frames``) hold only for its circular
 equatorial chief, whose Hill frame is a rotation about the pole.  These
 build the Hill frame of any target state from r and v, and map relative
 velocity with the transport theorem, so they share no arithmetic with the
 program beyond the state types.  Tests apply them to
-``dynamics.chief_state(orbit, t)`` to check what the program flies.
-Integrating :func:`cw_derivative` checks the closed-form ``cw_stm``, and
-:func:`specific_energy` and :func:`specific_angular_momentum` check that
-two-body coasts conserve the energy and h.  :func:`lowest_radius` checks
-the kernel's surface test with general-conic formulas that it does not use.
+:func:`chief_state`, the chief's own closed form, to check what the
+program flies.  Integrating :func:`cw_derivative` checks the closed-form
+``cw_stm``, and :func:`specific_energy` and
+:func:`specific_angular_momentum` check that two-body coasts conserve the
+energy and h.  :func:`lowest_radius` checks the kernel's surface test with
+general-conic formulas that it does not use.  :func:`propagate_two_body`
+and :func:`propagate_cw` wrap the program's own kernels, ``_coast`` and
+``cw_coast``, on an ``InertialState`` and a ``RelativeState``, one call a
+coast: the flown legs are held to them bit for bit.
 :func:`fly_every_leg`, which lives in ``pins.py`` so that the pins can fly
 it without numpy, flies a campaign leg by leg with the program's own coasts
 and targeting but no short cut, so the program's leg loop, which copies the
 last m legs once a post-burn state has the bits of the one m legs before
 it, can be held to it bit for bit.
 """
-
 from __future__ import annotations
 
 import math
@@ -27,7 +31,8 @@ from typing import Tuple
 import numpy as np
 
 from pins import fly_every_leg  # noqa: F401  (re-exported for the tests)
-from rpodsim import MU_EARTH, InertialState, RelativeState
+from rpodsim import MU_EARTH, InertialState, RelativeState, TargetOrbit
+from rpodsim.dynamics import _coast, cw_coast
 
 _EPOCH_TOL = 1e-9  # seconds
 
@@ -159,3 +164,39 @@ def cw_derivative(rel: RelativeState, n: float) -> np.ndarray:
     az = -(n**2) * rel.z
     return np.array([rel.vx, rel.vy, rel.vz, ax, ay, az])
 
+
+def chief_state(orbit: TargetOrbit, t: float) -> InertialState:
+    """Analytic chief state at time t.
+
+    The chief's circular orbit is closed-form (uniform rotation in the
+    equatorial plane), so the target carries no integration error and the
+    relative-state readout isolates chaser-side effects.
+    """
+    theta = orbit.n * t
+    c, s = math.cos(theta), math.sin(theta)
+    r = orbit.radius
+    v = orbit.circular_speed
+    return InertialState(t, (r * c, r * s, 0.0), (-v * s, v * c, 0.0))
+
+
+def propagate_two_body(initial: InertialState, duration: float) -> InertialState:
+    """Coast on a two-body orbit about the Earth for ``duration`` seconds (>= 0).
+
+    The coast is solved in closed form (universal-variable Kepler equation
+    with Lagrange f and g), so its cost does not grow with the duration; a
+    zero duration takes the same kernel and checks, and no solve.  The end
+    state's epoch is advanced by ``duration``.  Raises UnboundOrbit if the
+    state is at or above the escape speed, SingularRadius if the coast
+    passes below the Earth's surface anywhere on its arc, not only at its
+    end, and KeplerNonConvergence if its Kepler solve does not converge or
+    leaves double-precision range.
+    """
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and non-negative, got {duration}")
+    position, velocity = _coast(initial.position, initial.velocity, duration)
+    return InertialState(initial.epoch + float(duration), position, velocity)
+
+
+def propagate_cw(rel: RelativeState, n: float, dt: float) -> RelativeState:
+    """Uncontrolled CW propagation by the closed-form transition matrix."""
+    return RelativeState._make(cw_coast(n, dt)(rel))

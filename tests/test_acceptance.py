@@ -25,7 +25,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import reference
-from reference import cw_derivative, specific_angular_momentum, specific_energy
+from reference import (
+    chief_state,
+    cw_derivative,
+    propagate_cw,
+    propagate_two_body,
+    specific_angular_momentum,
+    specific_energy,
+)
 from rpodsim import (
     CampaignConfig,
     RelativeState,
@@ -39,7 +46,6 @@ from rpodsim import (
     sweep_circumnavigation,
 )
 from rpodsim.cli import main
-from rpodsim.dynamics import chief_state, propagate_cw, propagate_two_body
 
 ALTITUDE = 2000.0
 SIZES = (1.0, 10.0, 50.0, 100.0, 250.0, 500.0, 750.0, 1000.0)

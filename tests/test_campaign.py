@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 
 import reference as ref
 from pins import _REPLAY_CASES, fly_replay_row
+from reference import chief_state, propagate_cw, propagate_two_body
 from rpodsim import (
     CampaignConfig,
     InertialState,
@@ -28,7 +29,7 @@ from rpodsim import (
     waypoints_nmc,
 )
 from rpodsim.campaign import MAX_LEGS, _truth_coast
-from rpodsim.dynamics import chief_state, propagate_cw, propagate_two_body, two_body_coast
+from rpodsim.dynamics import two_body_coast
 from rpodsim.guidance import ImpulseRecord, Vector3
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
@@ -589,7 +590,6 @@ def test_campaigns_fly_without_relative_states(monkeypatch):
     # name RelativeState gone from every module a leg runs through, both
     # truths fly every kind, to the same result, until a view is built
     import rpodsim.campaign
-    import rpodsim.dynamics
     import rpodsim.frames
 
     configs = [
@@ -604,7 +604,7 @@ def test_campaigns_fly_without_relative_states(monkeypatch):
                            truth_model=truth),
         )
     ]
-    for module in (rpodsim.frames, rpodsim.dynamics, rpodsim.campaign):
+    for module in (rpodsim.frames, rpodsim.campaign):
         monkeypatch.setattr(module, "RelativeState", None)
     results = [run_campaign(config) for config in configs]
     monkeypatch.undo()
@@ -787,7 +787,6 @@ def test_two_body_leg_flies_one_transform_each_way(monkeypatch):
         monkeypatch.setattr(rpodsim.dynamics, name, counted(name))
     for name in ("hill_to_eci", "eci_to_hill", "propagate_two_body", "chief_state"):
         monkeypatch.setattr(rpodsim.campaign, name, refuse)
-    monkeypatch.setattr(rpodsim.dynamics, "chief_state", refuse)
     monkeypatch.setattr(InertialState, "__new__", refuse)
     monkeypatch.setattr(rpodsim.frames, "math", FrameMath())
     assert run_campaign(forced(25.0, 8)).max_waypoint_miss > 0.0

@@ -10,7 +10,15 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from pins import _KEPLER_CORE_TABLE, fly_kepler_row, pinned_outcome
-from reference import cw_derivative, lowest_radius, specific_angular_momentum, specific_energy
+from reference import (
+    chief_state,
+    cw_derivative,
+    lowest_radius,
+    propagate_cw,
+    propagate_two_body,
+    specific_angular_momentum,
+    specific_energy,
+)
 from rpodsim import (
     InertialState,
     RelativeState,
@@ -25,7 +33,7 @@ from rpodsim import (
     sweep_circumnavigation,
 )
 from rpodsim.constants import MU_EARTH, R_EARTH
-from rpodsim.dynamics import chief_state, propagate_cw, propagate_two_body, two_body_coast
+from rpodsim.dynamics import two_body_coast
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
 

@@ -8,12 +8,14 @@ transforms against it.
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import reference as ref
+from reference import chief_state
 from rpodsim import (
     InertialState,
     RelativeState,
@@ -24,7 +26,6 @@ from rpodsim import (
     nmc_initial_state,
 )
 from rpodsim.constants import MU_EARTH
-from rpodsim.dynamics import chief_state
 
 R_CHIEF = 8378.137
 N_CHIEF = np.sqrt(MU_EARTH / R_CHIEF**3)
@@ -235,6 +236,14 @@ def test_inertial_state_validation():
     for text in ("123", b"123"):  # three characters, not three numbers
         with pytest.raises(ValueError):
             InertialState(0.0, text, [1, 0, 0])
+    # the epoch is a finite real number, so no transform reads NaN out of it
+    for epoch, message in ((np.nan, "epoch must be finite, got nan"),
+                           (np.inf, "epoch must be finite, got inf"),
+                           ("0", "epoch must be a real number, got '0'"),
+                           (None, "epoch must be a real number, got None")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            InertialState(epoch, [1, 0, 0], [1, 0, 0])
+    assert type(InertialState(np.float64(2), [1, 0, 0], [1, 0, 0]).epoch) is float
     state = InertialState(0.0, np.array([1, 0, 0]), [np.float64(1), 0, 0])
     assert state.position == state.velocity == (1.0, 0.0, 0.0)
     assert {type(v) for v in state.position + state.velocity} == {float}

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from reference import propagate_cw
 from rpodsim import (
     ImpulseRecord,
+    InertialState,
     RelativeState,
     SingularTransferTime,
     TargetOrbit,
@@ -15,12 +17,14 @@ from rpodsim import (
     cw_target_impulse,
     cw_targeting,
     drift_determinant,
+    hill_basis,
+    hill_to_eci,
     nmc_initial_state,
     waypoints_circle,
     waypoints_line,
     waypoints_nmc,
 )
-from rpodsim.dynamics import propagate_cw
+from rpodsim.dynamics import cw_coast
 from rpodsim.guidance import Vector3
 
 ORBIT = TargetOrbit.from_altitude(2000.0)
@@ -264,14 +268,19 @@ def test_rejects_non_positive_transfer_time():
         (lambda: waypoints_nmc(np.nan, 4), ValueError),
         (lambda: waypoints_line((np.nan, 0.0), (0.0, 0.0), 3), ValueError),
         (lambda: cw_stm(N, np.nan), ValueError),
-        (lambda: propagate_cw(RelativeState(1.0, 0, 0, 0, 0, 0), N, np.nan), ValueError),
+        (lambda: cw_coast(N, np.nan), ValueError),
         (lambda: cw_stm(1e10, 1e300), ValueError),
         (lambda: drift_determinant(math.inf), ValueError),
+        (lambda: InertialState(np.nan, (ORBIT.radius, 0, 0), (0, 7, 0)), ValueError),
+        (lambda: hill_basis(ORBIT, np.inf), ValueError),
+        (lambda: hill_to_eci(ORBIT, np.inf, RelativeState(1.0, 0, 0, 0, 0, 0)), ValueError),
+        (lambda: hill_to_eci(ORBIT, np.nan, RelativeState(1.0, 0, 0, 0, 0, 0)), ValueError),
     ],
     ids=["orbit-radius-nan", "stm-n-nan", "targeting-ts-nan",
          "targeting-n-nan", "targeting-n-inf", "targeting-angle-overflow", "targeting-ts-inf", "nmc-n-nan", "circle-radius-nan",
          "nmc-x0-nan", "nmc-plan-x0-nan", "line-start-nan", "stm-dt-nan", "cw-coast-dt-nan",
-         "stm-angle-overflow", "determinant-angle-inf"],
+         "stm-angle-overflow", "determinant-angle-inf", "inertial-epoch-nan", "basis-t-inf",
+         "hill-to-eci-t-inf", "hill-to-eci-t-nan"],
 )
 def test_non_finite_inputs_are_rejected(call, error):
     # each raises with a message of its own, never NaN out or a bare math error
@@ -290,9 +299,22 @@ def test_non_finite_inputs_are_rejected(call, error):
         (lambda: nmc_initial_state(1.0, 0.0), ValueError, "mean motion must be positive"),
         (lambda: waypoints_circle(-1.0, 4), ValueError, "radius must be positive"),
         (lambda: waypoints_nmc(0.0, 4), ValueError, "NMC offset x0 must be nonzero"),
+        (lambda: waypoints_circle(1.0, 3.0), ValueError,
+         "waypoint count must be an integer, got 3.0"),
+        (lambda: waypoints_circle(1.0, "4"), ValueError,
+         "waypoint count must be an integer, got '4'"),
+        (lambda: waypoints_nmc(1.0, 4.5), ValueError,
+         "waypoint count must be an integer, got 4.5"),
+        (lambda: waypoints_line((1, 0), (0, 0), 2.0), ValueError,
+         "waypoint count must be an integer, got 2.0"),
+        (lambda: hill_to_eci(ORBIT, "4", RelativeState(1.0, 0, 0, 0, 0, 0)), ValueError,
+         "epoch t must be a real number, got '4'"),
+        (lambda: hill_basis(ORBIT, 10**400), ValueError,
+         "epoch t must be finite, got an int beyond double range"),
     ],
     ids=["orbit-radius", "stm-n", "targeting-ts", "nmc-n", "circle-radius",
-         "nmc-plan-offset"],
+         "nmc-plan-offset", "circle-count-float", "circle-count-str", "nmc-plan-count-float",
+         "line-count-float", "hill-to-eci-t-str", "basis-t-int-overflow"],
 )
 def test_bad_finite_inputs_keep_their_messages(call, error, message):
     with pytest.raises(error) as info:

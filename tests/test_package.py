@@ -10,16 +10,16 @@ from pathlib import Path
 import pytest
 
 import rpodsim
-import rpodsim.dynamics
+from pins import traced_names
 
 SRC = Path(rpodsim.__file__).resolve().parents[1]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_every_export_has_a_caller_in_the_package():
-    # a name that only the tests load is API without a caller: delete it, or
-    # move it to tests/reference.py if the tests compare against it
+def _loaded_in_the_package():
+    """Every name and attribute loaded by the package's modules, the
+    package root left out."""
     loaded = set()
     for path in Path(rpodsim.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
@@ -29,7 +29,13 @@ def test_every_export_has_a_caller_in_the_package():
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    assert sorted(set(rpodsim.__all__) - loaded) == []
+    return loaded
+
+
+def test_every_export_has_a_caller_in_the_package():
+    # a name that only the tests load is API without a caller: delete it, or
+    # move it to tests/reference.py if the tests compare against it
+    assert sorted(set(rpodsim.__all__) - _loaded_in_the_package()) == []
 
 
 def test_every_exported_exception_is_raised_in_the_package():
@@ -96,13 +102,16 @@ def test_the_flown_path_loads_no_scipy(tmp_path):
     assert report["foreign"] == []
 
 
-def test_dynamics_binds_solve_ivp_on_first_look_up():
-    # the benchmark's tracer counts integrator work through this binding
-    import scipy.integrate
-
-    assert rpodsim.dynamics.solve_ivp is scipy.integrate.solve_ivp
-    with pytest.raises(AttributeError, match="no_such_name"):
-        rpodsim.dynamics.no_such_name
+def test_every_traced_name_is_flown_or_inert():
+    # the export rule above, for the names the benchmark's tracer wraps or
+    # counts: each is loaded somewhere in the package, or is a None
+    # placeholder that only keeps the tracer from raising, never a function
+    # that exists for the benchmark alone
+    loaded = _loaded_in_the_package()
+    idle = [f"{module}.{name}" for module, name in traced_names()
+            if getattr(importlib.import_module(module), name) is not None
+            and name not in loaded]
+    assert idle == []
 
 
 def test_every_binding_the_benchmark_tracer_wraps_resolves():
