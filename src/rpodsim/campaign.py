@@ -14,9 +14,10 @@ the guidance-model mismatch.
 Every kind flies one loop over ``laps x impulse_count`` legs of equal
 length tau: coast a leg, read the arrival's miss against its waypoint,
 record the sample, then target and burn toward the next waypoint.  The
-loop alone knows time: burn k is stamped k tau, and the CW targeting law
-for tau is built once per campaign.  The kinds differ only in their plan,
-lap and departure:
+loop alone knows time: burn k is stamped k tau.  Tau, the CW targeting
+law, the truth coast and the kind's plan at unit size depend on no size
+or lap count, so a run builds them once per burn count (``_shared_legs``).
+The kinds differ only in their plan, lap and departure:
 
 * ``nmc_unforced``: the NMC ellipse, one chief period per lap, inserted
   by setting the NMC velocity.
@@ -39,13 +40,14 @@ Accounting conventions:
 
 A closed plan's legs are copied, not flown, once a post-burn state has the
 bits of the one m legs before it.  After each burn k that a later leg
-follows, the insertion (burn 0) included, the loop packs the six post-burn
-floats to bytes, since == takes 0.0 for -0.0, and keeps only the last m of
-them, by k mod m.  If burn k's equal burn k - m's, every later leg repeats
-the one m legs before it bit for bit, because nothing that feeds back
-depends on k: both truth coasts are autonomous (the two-body leg is flown
-from theta = 0), targeting reads only the state, the aim and the law, the
-aim index is k mod m, and k tau only stamps records.  So the loop stops at
+follows, the insertion (burn 0) included, the loop keeps the six
+post-burn floats by k mod m and compares them with burn k - m's, as
+packed bytes where == holds, since == takes 0.0 for -0.0.  If burn k's
+bits equal burn k - m's, every later leg repeats the one m legs before it
+bit for bit, because nothing that feeds back depends on k: both truth
+coasts are autonomous (the two-body leg is flown from theta = 0),
+targeting reads only the state, the aim and the law, the aim index is
+k mod m, and k tau only stamps records.  So the loop stops at
 k, recorded as ``replayed_from``, and adds the magnitudes of the copied
 burns, whole copies of the last m legs' burns and then the first
 (legs - k) mod m of them, to the total one at a time in burn order; the
@@ -57,7 +59,7 @@ benchmark's ``sweep_cw_laps`` grid (80 campaigns of 10 laps under CW truth)
 75 campaigns repeat within 3 laps and 17,500 of the 19,840 legs are copied;
 the other 5, all at 4 burns a lap, alternate between two starts and fly
 every leg.  Under two-body truth the same 10-lap grid copies 16,618.  A
-one-lap campaign, such as every intercept and ``sweep_grid``'s, packs no
+one-lap campaign, such as every intercept and ``sweep_grid``'s, keeps no
 state and copies nothing.
 """
 
@@ -237,7 +239,7 @@ Coast = Callable[[Sequence[float]], Tuple[float, ...]]
 
 def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
     """Coast of the truth model over a leg of length tau, built once per
-    campaign: the one place the models differ."""
+    tau: the one place the models differ."""
     if model == "cw":
         return cw_coast(orbit.n, tau)
     return two_body_coast(orbit, tau)
@@ -248,37 +250,47 @@ def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
 _bits = struct.Struct("6d").pack
 
 
-def run_campaign(config: CampaignConfig) -> CampaignResult:
+def _shared_legs(config: CampaignConfig) -> tuple:
+    """The legs every campaign of ``config``'s kind, altitude, truth, burn
+    count and duration shares: (orbit, lap, tau, unit-size plan, CW
+    targeting law, truth coast)."""
+    orbit = TargetOrbit.from_altitude(config.chief_altitude)
+    m, kind = config.impulse_count, config.maneuver_kind
+    if kind in CIRCUMNAV_KINDS:
+        lap = orbit.period
+        plan = (waypoints_nmc if kind == "nmc_unforced" else waypoints_circle)(1.0, m)
+    else:
+        lap, plan = config.duration, waypoints_line((1.0, 0.0), (0.0, 0.0), m + 1)
+    tau = lap / m
+    law, coast = cw_targeting(orbit.n, tau), _truth_coast(orbit, config.truth_model, tau)
+    return orbit, lap, tau, plan, law, coast
+
+
+def run_campaign(config: CampaignConfig, *, _shared: Optional[tuple] = None) -> CampaignResult:
     """Execute one campaign and account its Δv.
 
     See the module docstring for the burn-scheduling and accounting
-    conventions.  Raises SingularTransferTime, UnphysicalBurn or
+    conventions.  A run passes, as ``_shared``, the ``_shared_legs`` its
+    campaigns share.  Raises SingularTransferTime, UnphysicalBurn or
     propagator errors from the underlying layers; everything else is
     deterministic arithmetic.
     """
-    orbit = TargetOrbit.from_altitude(config.chief_altitude)
-    n, m, kind = orbit.n, config.impulse_count, config.maneuver_kind
+    orbit, lap, tau, unit, law, coast = _shared or _shared_legs(config)
+    n, m, kind, size = orbit.n, config.impulse_count, config.maneuver_kind, config.size
     closed = kind in CIRCUMNAV_KINDS
-    if closed:
-        lap = orbit.period
-        plan = (waypoints_nmc if kind == "nmc_unforced" else waypoints_circle)(config.size, m)
-    else:
-        lap, plan = config.duration, waypoints_line((config.size, 0.0), (0.0, 0.0), m + 1)
-    tau = lap / m
-    law = cw_targeting(n, tau)
+    plan = [(size * x, size * y) for x, y in unit]  # the generator's bits at this size
     rel = (*plan[0], 0.0, 0.0, 0.0, 0.0)  # at rest at the plan's start
     legs, points, cap = config.laps * m, len(plan), orbit.circular_speed
-    coast = _truth_coast(orbit, config.truth_model, tau)
     # local names, looked up once: the loop below runs once per leg
     hypot, target_impulse = math.hypot, cw_target_impulse
     # the line's start sample is taken at rest, a closed plan's after burn 0
     arrivals, burns = [] if closed else list(rel), []
     max_miss = total_dv = insertion_dv = 0.0
-    # a closed plan of more than one lap keeps the bits of its last m
-    # post-burn states by k mod m while a later leg exists; a one-lap plan,
-    # and so every line, takes none
+    # a closed plan of more than one lap keeps its last m post-burn states
+    # by k mod m while a later leg exists; a one-lap plan, and so every
+    # line, keeps none
     stop = legs if config.laps > 1 else 0
-    recent = [b""] * m if stop else []
+    recent = [None] * m if stop else []
     replayed_from = None
     # leg k coasts into arrival k, whose miss is taken against the point the
     # burn before it aimed at, and burns at k tau toward the point due at
@@ -293,10 +305,10 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         if closed or k < legs:
             aim = plan[(k + 1) % points]
             if k or kind != "nmc_unforced":
-                record, _ = target_impulse(rel, aim, k * tau, law)
+                t, dv, magnitude = target_impulse(rel, aim, k * tau, law)[0]
             else:  # the NMC's insertion sets its velocity
-                record = ImpulseRecord(0.0, nmc_initial_state(config.size, n)[3:])
-            t, dv, magnitude = record
+                t, dv = 0.0, nmc_initial_state(size, n)[3:]
+                magnitude = hypot(*dv)
             if not magnitude < cap:  # not finite, or too fast for a relative-motion maneuver
                 raise UnphysicalBurn(
                     f"burn of {magnitude:.6g} km/s at t = {t:.6g} s reaches "
@@ -317,11 +329,14 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 insertion_dv = magnitude
                 arrivals += rel
             if k < stop:
-                bits, slot = _bits(*rel), k % m
-                if bits == recent[slot]:  # every later leg repeats the one m legs before it
-                    replayed_from = k
+                # == differs from a bit compare only on signed zeros, which the
+                # bytes tell apart, and on NaN, which never gets here: a NaN x, y,
+                # vx or vy made the burn raise above, and z, vz stay finite
+                slot = k % m
+                if rel == recent[slot] and _bits(*rel) == _bits(*recent[slot]):
+                    replayed_from = k  # every later leg repeats the one m legs before it
                     break
-                recent[slot] = bits
+                recent[slot] = rel
     if replayed_from is not None:  # the copied legs' burns join the total, not the logs
         laps, rest = divmod(legs - replayed_from, m)
         # each burn's magnitude, derived from its dv as every record's is
@@ -347,7 +362,13 @@ def _run_all(configs: Sequence[CampaignConfig]) -> List[CampaignResult]:
     legs = sum(config.laps * config.impulse_count for config in configs)
     if legs > MAX_LEGS:
         raise ValueError(f"the run's {legs} legs exceed the {MAX_LEGS} legs a run may fly")
-    return [run_campaign(config) for config in configs]
+    built, results = {}, []
+    for config in configs:
+        key = config[:2] + config[3:6]  # every field but the size and the laps
+        if key not in built:
+            built[key] = _shared_legs(config)
+        results.append(run_campaign(config, _shared=built[key]))
+    return results
 
 
 def sweep_circumnavigation(

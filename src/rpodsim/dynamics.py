@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence, Tuple
 
 from .constants import MU_EARTH, R_EARTH
 from .errors import KeplerNonConvergence, SingularRadius, UnboundOrbit
-from .frames import Vec3, _check_state, _to_eci, _to_hill, hill_basis
+from .frames import Vec3, _check_state, _real, _to_eci, _to_hill, hill_basis
 from .frames import eci_to_hill  # noqa: F401  wrapped by perfbench/spans.py
 
 # a placeholder for perfbench/spans.py's tracer, which raises on a name that
@@ -41,7 +41,7 @@ _SQRT_MU = math.sqrt(MU_EARTH)
 class TargetOrbit(NamedTuple("_Orbit", [("radius", float), ("n", float),
                                           ("circular_speed", float)])):
     """Circular chief orbit about the Earth, of radius above its surface, km:
-    the tuple (radius, n, circular_speed).
+    the tuple (radius, n, circular_speed), the radius read as a finite float.
 
     The mean motion n = sqrt(MU_EARTH / radius^3), rad/s, and the circular
     speed n * radius, km/s, are derived from the radius by every
@@ -51,6 +51,7 @@ class TargetOrbit(NamedTuple("_Orbit", [("radius", float), ("n", float),
     __slots__ = ()
 
     def __new__(cls, radius: float) -> "TargetOrbit":
+        radius = _real("radius", radius)
         if not radius > _SURFACE_RADIUS:
             raise ValueError(f"orbit radius {radius:.6g} km is not above the Earth surface")
         if radius > _MAX_RADIUS:

@@ -1,27 +1,30 @@
 """The CLI's pinned output bytes, its documented exits, the Kepler
 kernel's pinned bits and the campaigns that replay their last legs, and a
-check of all four, and of the names the benchmark's tracer wraps, that
-needs no pytest.
+check of all four, of the campaigns that share legs in a run, and of the
+names the benchmark's tracer wraps, that needs no pytest.
 
 ``test_cli.py::test_output_bytes_are_pinned`` reads the first table below,
 ``test_cli.py::test_documented_exit`` the second,
 ``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the third and
-``test_campaign.py::test_replay_row`` the fourth; ``reference.py``
-re-exports :func:`fly_every_leg`, and
-``test_package.py::test_every_traced_name_is_flown_or_inert`` reads
+``test_campaign.py::test_replay_row`` the fourth;
+``test_campaign.py::test_a_swept_cell_flies_as_it_flies_alone`` calls
+:func:`fly_shared_legs`; ``reference.py`` re-exports :func:`fly_every_leg`,
+and ``test_package.py::test_every_traced_name_is_flown_or_inert`` reads
 :func:`traced_names`.  Run as a script from the repository root,
 
     python -W error tests/pins.py
 
 it flies every pinned argv and every exits row through ``rpodsim.cli.main``
-(from ``src/``), every Kepler row through ``rpodsim.dynamics._coast`` and
-every replay row through ``rpodsim.run_campaign`` and :func:`fly_every_leg`,
-and looks up every name that ``perfbench/spans.py``'s tracer wraps or
-counts.  It prints one PASS or FAIL line per pin, one for each table and
-one for the traced names, and exits 1 if any exit code, CSV, stdout,
-stderr, end-state bit, error message or flown bit differs, or a traced
-name does not resolve, so the pins can be checked on an interpreter that
-has no pytest installed.
+(from ``src/``), every Kepler row through ``rpodsim.dynamics._coast``,
+every replay row through ``rpodsim.run_campaign`` and :func:`fly_every_leg`
+and every campaign of the pinned argvs both in its run and alone, and looks
+up every name that ``perfbench/spans.py``'s tracer wraps or counts.  It
+prints one PASS or FAIL line per pin, one for each table, one for the
+shared legs and one for the traced names, and exits 1 if any exit code,
+CSV, stdout, stderr, end-state bit, error message or flown bit differs, a
+campaign flies otherwise alone than in its run, or a traced name does not
+resolve, so the pins can be checked on an interpreter that has no pytest
+installed.
 """
 
 import ast
@@ -459,6 +462,27 @@ def fly_replay_row(name: str) -> tuple:
             (bits(*fly_every_leg(config)), replayed_from))
 
 
+def fly_shared_legs() -> dict:
+    """Every campaign of the pinned runs, flown in its run, which builds the
+    legs campaigns share once, and flown alone by ``rpodsim.run_campaign``:
+    ``"{run}[{i}]"`` -> (in the run, alone), each the float.hex bits of the
+    result's float fields, ``flown_arrivals`` and ``flown_burns`` included,
+    and its ``replayed_from``."""
+    from rpodsim import run_campaign
+    from rpodsim.cli import _execute, parse_args
+
+    def bits(result):
+        return [[*map(float.hex, v)] if isinstance(v, tuple) else
+                v.hex() if isinstance(v, float) else v for v in result[1:]]
+
+    rows = {}
+    for name, (argv, _, _) in _PINNED_BYTES.items():
+        # the --out the CLI requires is checked, never written
+        for i, result in enumerate(_execute(parse_args(argv + ["--out", "unwritten.csv"]))):
+            rows[f"{name}[{i}]"] = bits(result), bits(run_campaign(result.config))
+    return rows
+
+
 def traced_names() -> list:
     """(module, name) of every binding ``perfbench/spans.py``'s tracer wraps
     (its BINDINGS) or counts (its COUNTED), read as literals, without
@@ -481,8 +505,9 @@ def pinned_outcome(expected) -> tuple:
 
 def check() -> int:
     """Fly each pinned argv, exits row, Kepler row and replay row and compare,
-    and look up every traced name; 0 if every pin holds and every name
-    resolves, else 1."""
+    fly each campaign of the pinned argvs alone and compare, and look up
+    every traced name; 0 if every pin holds, every campaign flies alone as
+    in its run and every name resolves, else 1."""
     from rpodsim.cli import main
 
     failed = 0
@@ -513,6 +538,11 @@ def check() -> int:
     moved = [name for name, (flown, pinned) in replays.items() if flown != pinned]
     failed += bool(moved)
     print(f"{'FAIL' if moved else 'PASS'}  replay ({len(_REPLAY_CASES)} campaigns)"
+          + (f"  moved: {', '.join(moved)}" if moved else ""))
+    shared = fly_shared_legs()
+    moved = [name for name, (in_run, alone) in shared.items() if in_run != alone]
+    failed += bool(moved)
+    print(f"{'FAIL' if moved else 'PASS'}  shared legs ({len(shared)} campaigns)"
           + (f"  moved: {', '.join(moved)}" if moved else ""))
     names = traced_names()
     missing = [f"{module}.{name}" for module, name in names

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import reference as ref
-from pins import _REPLAY_CASES, fly_replay_row
+from pins import _REPLAY_CASES, fly_replay_row, fly_shared_legs
 from reference import chief_state, propagate_cw, propagate_two_body
 from rpodsim import (
     CampaignConfig,
@@ -455,6 +455,16 @@ def test_leg_loop_is_the_flight_of_every_leg_bit_for_bit(kind, truth):
         assert result.max_waypoint_miss.hex() == max_miss.hex(), config
 
 
+def _post_burn(arrivals, burns, k):
+    """The post-burn state at k tau of a flight's logs (the first sample is
+    already past a closed plan's insertion)."""
+    state = list(arrivals[6 * k:6 * k + 6])
+    if k:
+        for i in range(3):
+            state[3 + i] += burns[3 * (k - 1) + i]
+    return tuple(state)
+
+
 @pytest.mark.parametrize("size, count, repeats_at", [(50.0, 8, 11), (1.0, 4, 5), (50.0, 4, None)],
                          ids=["replays", "replays_mid_lap", "period_2"])
 def test_leg_loop_coasts_until_a_lap_repeats_bit_for_bit(size, count, repeats_at):
@@ -466,12 +476,8 @@ def test_leg_loop_coasts_until_a_lap_repeats_bit_for_bit(size, count, repeats_at
     config = forced(size, count, truth="cw", laps=10)
     arrivals, burns, _, _ = ref.fly_every_leg(config)
 
-    def start(k):  # the post-burn state at k tau (the first sample is past its insertion)
-        state = list(arrivals[6 * k:6 * k + 6])
-        if k:
-            for i in range(3):
-                state[3 + i] += burns[3 * (k - 1) + i]
-        return _hex(state)
+    def start(k):
+        return _hex(_post_burn(arrivals, burns, k))
 
     legs = config.laps * count
     assert next((k for k in range(count, legs) if start(k) == start(k - count)), None) == repeats_at
@@ -481,9 +487,11 @@ def test_leg_loop_coasts_until_a_lap_repeats_bit_for_bit(size, count, repeats_at
 
 
 def test_leg_loop_packs_a_state_only_where_a_later_leg_can_repeat_it(monkeypatch):
-    # a one-lap plan has no leg m legs after another, so it packs nothing; a
-    # multi-lap plan that never repeats packs each post-burn state that a
-    # later leg follows, the insertion's included: 40 of its 41
+    # the loop packs a post-burn state to bytes only once it compares equal
+    # to the one m legs before it.  A one-lap plan has no leg m legs after
+    # another, and the 50 km x 4 circle alternates between two starts, so
+    # neither packs anything; a campaign that replays packs only the pairs
+    # that compare equal, the one at replayed_from included
     import rpodsim.campaign
 
     packed = []
@@ -495,11 +503,19 @@ def test_leg_loop_packs_a_state_only_where_a_later_leg_can_repeat_it(monkeypatch
     original = rpodsim.campaign._bits
     monkeypatch.setattr(rpodsim.campaign, "_bits", counted_bits)
     for config in (forced(50.0, 4, truth="cw"), unforced(10.0, 8),
-                   CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0)):
+                   CampaignConfig("intercept_forced", 2000.0, 10.0, 4, duration=3600.0),
+                   forced(50.0, 4, truth="cw", laps=10)):
         assert run_campaign(config).replayed_from is None
     assert packed == []
-    assert run_campaign(forced(50.0, 4, truth="cw", laps=10)).replayed_from is None
-    assert len(packed) == 40
+    for config in (forced(1.0, 4, truth="cw", laps=10), unforced(1000.0, 8, laps=10)):
+        result = run_campaign(config)
+        m, k = config.impulse_count, result.replayed_from
+        arrivals, burns, _, _ = ref.fly_every_leg(config)
+        states = [_post_burn(arrivals, burns, j) for j in range(k + 1)]
+        equal = [j for j in range(m, k + 1) if states[j] == states[j - m]]
+        assert equal[-1] == k
+        assert packed == [states[i] for j in equal for i in (j, j - m)], config
+        packed.clear()
 
 
 @pytest.mark.parametrize("name", list(_REPLAY_CASES))
@@ -508,6 +524,35 @@ def test_replay_row(name):
     # flight is, as float.hex, that of every leg, and repeats where pinned
     flown, pinned = fly_replay_row(name)
     assert flown == pinned
+
+
+@pytest.mark.parametrize("truth", ["two_body", "cw"])
+def test_a_sweep_builds_each_burn_counts_legs_once(truth, monkeypatch):
+    # the 16 cells of a burn count share tau, and with it the targeting law,
+    # the truth coast and each kind's plan at unit size: a sweep builds them
+    # once per count and kind, yet still flies every cell through run_campaign
+    import rpodsim.campaign
+
+    calls = Counter()
+    for name in ("cw_targeting", "_truth_coast", "waypoints_circle", "waypoints_nmc",
+                 "run_campaign"):
+        original = getattr(rpodsim.campaign, name)
+        monkeypatch.setattr(rpodsim.campaign, name, lambda *args, f=original, name=name, **kw:
+                            calls.update([name]) or f(*args, **kw))
+    results = sweep_circumnavigation([1, 10, 50, 100, 250, 500, 750, 1000], [4, 8, 16, 32, 64],
+                                     2000.0, truth_model=truth)
+    assert len(results) == 80
+    assert calls == {"cw_targeting": 10, "_truth_coast": 10, "waypoints_circle": 5,
+                     "waypoints_nmc": 5, "run_campaign": 80}
+
+
+def test_a_swept_cell_flies_as_it_flies_alone():
+    # the table python tests/pins.py flies: every campaign of both pinned
+    # sweep grids and of the intercept pair under both truths has, as
+    # float.hex, the bits run_campaign gives its config alone
+    rows = fly_shared_legs()
+    assert len(rows) == 2 * 80 + 2 * 6
+    assert [name for name, (in_run, alone) in rows.items() if in_run != alone] == []
 
 
 @pytest.mark.parametrize("m", [3, 4, 8])
@@ -758,7 +803,7 @@ def test_two_body_leg_flies_one_transform_each_way(monkeypatch):
     # the two-body leg is a map built once per campaign: it reads the chief's
     # frame basis once, then lifts each leg's chaser at theta = 0 and reads it
     # back through one float transform each way, with no frame trig per leg,
-    # no InertialState, no chief state and none of the library's transforms
+    # no InertialState and none of the library's transforms
     import rpodsim.campaign
     import rpodsim.dynamics
     import rpodsim.frames
@@ -785,8 +830,10 @@ def test_two_body_leg_flies_one_transform_each_way(monkeypatch):
 
     for name in ("hill_basis", "_to_eci", "_to_hill"):
         monkeypatch.setattr(rpodsim.dynamics, name, counted(name))
-    for name in ("hill_to_eci", "eci_to_hill", "propagate_two_body", "chief_state"):
+    for name in ("hill_to_eci", "eci_to_hill"):
         monkeypatch.setattr(rpodsim.campaign, name, refuse)
+    # the library transform dynamics.py still imports
+    monkeypatch.setattr(rpodsim.dynamics, "eci_to_hill", refuse)
     monkeypatch.setattr(InertialState, "__new__", refuse)
     monkeypatch.setattr(rpodsim.frames, "math", FrameMath())
     assert run_campaign(forced(25.0, 8)).max_waypoint_miss > 0.0

@@ -61,6 +61,9 @@ def test_target_orbit_derives_its_rates_from_the_radius_alone():
     n = math.sqrt(MU_EARTH / r**3)
     assert ORBIT == (r, n, n * r) and ORBIT.circular_speed == ORBIT.n * r
     assert ORBIT.n.hex() == n.hex()
+    # any real radius is read as a float, so no numpy scalar enters a leg
+    from_numpy = TargetOrbit(np.float64(r))
+    assert from_numpy == ORBIT and {type(v) for v in from_numpy} == {float}
     other = TargetOrbit(r2)
     for moved in (ORBIT._replace(radius=r2), TargetOrbit._make((r2,))):
         assert type(moved) is TargetOrbit and moved == other

@@ -294,6 +294,10 @@ def test_non_finite_inputs_are_rejected(call, error):
     [
         (lambda: TargetOrbit(radius=6000.0), ValueError,
          "orbit radius 6000 km is not above the Earth surface"),
+        (lambda: TargetOrbit(radius="7000"), ValueError,
+         "radius must be a real number, got '7000'"),
+        (lambda: TargetOrbit(radius=10**400), ValueError,
+         "radius must be finite, got an int beyond double range"),
         (lambda: cw_stm(0.0, 1.0), ValueError, "mean motion must be positive"),
         (lambda: cw_targeting(N, -1.0), ValueError, "transfer time must be positive"),
         (lambda: nmc_initial_state(1.0, 0.0), ValueError, "mean motion must be positive"),
@@ -312,7 +316,8 @@ def test_non_finite_inputs_are_rejected(call, error):
         (lambda: hill_basis(ORBIT, 10**400), ValueError,
          "epoch t must be finite, got an int beyond double range"),
     ],
-    ids=["orbit-radius", "stm-n", "targeting-ts", "nmc-n", "circle-radius",
+    ids=["orbit-radius", "orbit-radius-str", "orbit-radius-int-overflow", "stm-n",
+         "targeting-ts", "nmc-n", "circle-radius",
          "nmc-plan-offset", "circle-count-float", "circle-count-str", "nmc-plan-count-float",
          "line-count-float", "hill-to-eci-t-str", "basis-t-int-overflow"],
 )
