@@ -70,7 +70,7 @@ class TargetOrbit(NamedTuple("_Orbit", [("radius", float), ("n", float),
 
     @classmethod
     def from_altitude(cls, altitude: float) -> "TargetOrbit":
-        return cls(radius=R_EARTH + altitude)
+        return cls(radius=R_EARTH + _real("altitude", altitude))
 
     @property
     def period(self) -> float:
@@ -201,19 +201,20 @@ def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
 def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]], Tuple[float, ...]]:
     """Two-body motion over dt of a chaser's Hill state, the twin of :func:`cw_coast`.
 
-    Two-body motion is invariant under rotation about the pole, so a leg
-    flown from any epoch is the leg flown from 0 turned with the chief's
-    frame: the chaser is lifted at theta = 0, coasted, and read back in the
-    frame at dt, whose basis is read once.  Each leg, of any dt >= 0, is
+    Two-body motion is invariant under rotation about the pole, so a leg flown
+    from any epoch is the leg flown from 0 turned with the chief's frame: the
+    chaser is lifted at theta = 0, coasted, and read back in the frame at dt,
+    whose basis is read once.  Each leg, of any dt >= 0, is
     ``hill_to_eci(orbit, 0.0, rel)`` coasted by ``_coast`` for dt and read
     back by ``eci_to_hill`` at dt, operation for operation, with an
-    InertialState's checks at both ends, but builds no InertialState and no RelativeState.  Like the CW coast it takes any six floats and
-    returns a plain tuple of six floats.  ``rpodsim validate`` checks this
-    leg: a co-orbital chaser must come back unchanged, and an NMC keep its
-    energy.
+    InertialState's checks at both ends, but builds no InertialState and no
+    RelativeState.  Like the CW coast it takes any six floats and returns a
+    plain tuple of six floats.  ``rpodsim validate`` checks this leg: a
+    co-orbital chaser must come back unchanged, and an NMC keep its energy.
     """
-    if not 0.0 <= dt < math.inf:
-        raise ValueError(f"duration must be finite and non-negative, got {dt}")
+    dt = _real("dt", dt)
+    if dt < 0.0:
+        raise ValueError(f"dt must be non-negative, got {dt}")
     c, s = hill_basis(orbit, dt)
 
     def coast(rel: Sequence[float]) -> Tuple[float, ...]:
@@ -237,11 +238,10 @@ def cw_stm(n: float, dt: float) -> Tuple[Tuple[float, ...], ...]:
     radial/along-track motion; the cross-track pair (z, vz) is an
     independent harmonic oscillator at the mean motion.
     """
-    if not 0.0 < n < math.inf:
+    n, dt = _real("n", n), _real("dt", dt)
+    if not n > 0.0:
         raise ValueError("mean motion must be positive")
-    if not math.isfinite(dt):
-        raise ValueError(f"time step must be finite, got {dt}")
-    n, nt = float(n), float(n * dt)  # so numpy scalars in give floats out
+    nt = n * dt
     if not math.isfinite(nt):
         raise ValueError(f"transfer angle n*dt = {nt} rad is not finite")
     c, s = math.cos(nt), math.sin(nt)

@@ -25,12 +25,12 @@ if TYPE_CHECKING:
 Vec3 = Tuple[float, float, float]
 
 
-def _vec3(value) -> Vec3:
+def _vec3(name: str, value) -> Vec3:
     if isinstance(value, (str, bytes)):
         raise ValueError(f"expected a 3-vector of numbers, got {value!r}")
     try:
-        out = tuple(map(float, value))
-    except TypeError as exc:  # a scalar, or a nested component
+        out = tuple(_real(f"{name}[{i}]", v) for i, v in enumerate(value))
+    except TypeError as exc:  # a scalar
         raise ValueError(f"expected a 3-vector of numbers: {exc}") from None
     if len(out) != 3:
         raise ValueError(f"expected a 3-vector, got {len(out)} components")
@@ -79,9 +79,9 @@ class InertialState(NamedTuple("_Inertial", [("epoch", float), ("position", Vec3
     __slots__ = ()
 
     def __new__(cls, epoch: float, position: Vec3, velocity: Vec3) -> "InertialState":
-        epoch, position, velocity = _real("epoch", epoch), _vec3(position), _vec3(velocity)
+        position, velocity = _vec3("position", position), _vec3("velocity", velocity)
         _check_state(position, velocity)
-        return tuple.__new__(cls, (epoch, position, velocity))
+        return tuple.__new__(cls, (_real("epoch", epoch), position, velocity))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -153,6 +153,7 @@ def _to_hill(orbit: TargetOrbit, c: float, s: float, r: Vec3, v: Vec3) -> Tuple[
 
 def hill_to_eci(orbit: TargetOrbit, t: float, rel: RelativeState) -> InertialState:
     """The chaser's inertial state at epoch t from its Hill-frame state."""
+    rel = [_real(f"rel[{i}]", v) for i, v in enumerate(rel)]
     return InertialState(t, *_to_eci(orbit, *hill_basis(orbit, t), rel))
 
 

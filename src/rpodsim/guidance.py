@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .dynamics import cw_stm
 from .errors import SingularTransferTime
-from .frames import RelativeState, _whole
+from .frames import RelativeState, _real, _whole
 
 _DET_RTOL = 1e-12
 # a 2x2 matrix as its entries in row-major order
@@ -43,9 +43,8 @@ class ImpulseRecord(NamedTuple("_Impulse", [("t", float), ("dv", Vector3), ("mag
     __slots__ = ()
 
     def __new__(cls, t: float, dv: Sequence[float]) -> "ImpulseRecord":
-        if type(dv) is not Vector3:
-            dv = Vector3(*map(float, dv))
-        return tuple.__new__(cls, (t, dv, math.hypot(*dv)))
+        dv = Vector3(*(_real(f"dv[{i}]", d) for i, d in enumerate(dv)))
+        return tuple.__new__(cls, (_real("t", t), dv, math.hypot(*dv)))
 
     def __getnewargs__(self):  # so pickle and copy rebuild it from (t, dv)
         return self[:2]
@@ -68,9 +67,10 @@ def nmc_initial_state(x0: float, n: float) -> RelativeState:
     ValueError
         If x0 is 0 (the ellipse degenerates to the origin) or not finite.
     """
-    if not 0.0 < abs(x0) < math.inf:
+    x0, n = _real("x0", x0), _real("n", n)
+    if not x0:
         raise ValueError("NMC offset x0 must be nonzero")
-    if not 0.0 < n < math.inf:
+    if not n > 0.0:
         raise ValueError("mean motion must be positive")
     return RelativeState(x0, 0.0, 0.0, 0.0, -2.0 * n * x0, 0.0)
 
@@ -84,8 +84,7 @@ def drift_determinant(theta: float) -> float:
     theta = 2 pi k, plus isolated interior roots) are transfer times for
     which the two-point problem is singular.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"transfer angle {theta} rad is not finite")
+    theta = _real("theta", theta)
     return 8.0 * (1.0 - math.cos(theta)) - 3.0 * theta * math.sin(theta)
 
 
@@ -103,10 +102,11 @@ def cw_targeting(n: float, ts: float) -> Tuple[Matrix2, Matrix2]:
     SingularTransferTime
         When n*ts sits on a zero of the targeting determinant.
     """
-    if not 0.0 < ts < math.inf:
+    n, ts = _real("n", n), _real("ts", ts)
+    if not ts > 0.0:
         raise ValueError("transfer time must be positive")
     theta = n * ts
-    # a NaN det (n not finite, or n * ts past double range) fails the >=;
+    # a NaN det (n * ts past double range) fails the >=;
     # theta * theta reaches inf on absurd windows where theta**2 would raise
     det = drift_determinant(theta) if math.isfinite(theta) else math.nan
     if not abs(det) >= _DET_RTOL * max(1.0, theta * theta):
@@ -164,8 +164,8 @@ def waypoints_circle(radius: float, count: int) -> List[Point]:
     NMC with positive radial offset, keeping the forced and unforced shapes
     kinematically comparable.
     """
-    count = _check_count(count, 3)
-    if not 0.0 < radius < math.inf:
+    count, radius = _check_count(count, 3), _real("radius", radius)
+    if not radius > 0.0:
         raise ValueError("radius must be positive")
     phis = [-2.0 * math.pi * k / count for k in range(count)]
     return [(radius * math.cos(phi), radius * math.sin(phi)) for phi in phis]
@@ -178,8 +178,8 @@ def waypoints_nmc(x0: float, count: int) -> List[Point]:
     Positions follow the closed-form CW solution seeded by
     :func:`nmc_initial_state`: x = x0 cos(nt), y = -2 x0 sin(nt).
     """
-    count = _check_count(count, 3)
-    if not 0.0 < abs(x0) < math.inf:
+    count, x0 = _check_count(count, 3), _real("x0", x0)
+    if not x0:
         raise ValueError("NMC offset x0 must be nonzero")
     nts = [2.0 * math.pi * k / count for k in range(count)]
     return [(x0 * math.cos(nt), -2.0 * x0 * math.sin(nt)) for nt in nts]
@@ -188,8 +188,7 @@ def waypoints_nmc(x0: float, count: int) -> List[Point]:
 def waypoints_line(start, end, count: int) -> List[Point]:
     """``count`` points uniformly spaced along a segment, endpoints inclusive."""
     count = _check_count(count, 2)
-    (x0, y0), (x1, y1) = map(float, start), map(float, end)
-    if not all(map(math.isfinite, (x0, y0, x1, y1))):
-        raise ValueError("line endpoints must be finite")
+    (x0, y0), (x1, y1) = start, end
+    x0, y0, x1, y1 = map(_real, ("start[0]", "start[1]", "end[0]", "end[1]"), (x0, y0, x1, y1))
     fs = [k / (count - 1) for k in range(count)]
     return [((1.0 - f) * x0 + f * x1, (1.0 - f) * y0 + f * y1) for f in fs]

@@ -1,12 +1,15 @@
-"""The CLI's pinned output bytes, its documented exits, the Kepler
-kernel's pinned bits and the campaigns that replay their last legs, and a
-check of all four, of the campaigns that share legs in a run, and of the
-names the benchmark's tracer wraps, that needs no pytest.
+"""The CLI's pinned output bytes, its documented exits, the numbers the
+library reads, the Kepler kernel's pinned bits and the campaigns that
+replay their last legs, and a check of all five, of the campaigns that
+share legs in a run, and of the names the benchmark's tracer wraps, that
+needs no pytest.
 
 ``test_cli.py::test_output_bytes_are_pinned`` reads the first table below,
 ``test_cli.py::test_documented_exit`` the second,
-``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the third and
-``test_campaign.py::test_replay_row`` the fourth;
+``test_guidance.py::test_non_finite_inputs_are_rejected`` and
+``test_guidance.py::test_numpy_and_int_inputs_give_the_bits_of_the_float_input``
+the third, ``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the
+fourth and ``test_campaign.py::test_replay_row`` the fifth;
 ``test_campaign.py::test_a_swept_cell_flies_as_it_flies_alone`` calls
 :func:`fly_shared_legs`; ``reference.py`` re-exports :func:`fly_every_leg`,
 and ``test_package.py::test_every_traced_name_is_flown_or_inert`` reads
@@ -15,7 +18,8 @@ and ``test_package.py::test_every_traced_name_is_flown_or_inert`` reads
     python -W error tests/pins.py
 
 it flies every pinned argv and every exits row through ``rpodsim.cli.main``
-(from ``src/``), every Kepler row through ``rpodsim.dynamics._coast``,
+(from ``src/``), every inputs row with each value that is no number,
+every Kepler row through ``rpodsim.dynamics._coast``,
 every replay row through ``rpodsim.run_campaign`` and :func:`fly_every_leg`
 and every campaign of the pinned argvs both in its run and alone, and looks
 up every name that ``perfbench/spans.py``'s tracer wraps or counts.  It
@@ -170,6 +174,49 @@ _EXITS = {
                             _CW_FLOOR),
 }
 
+
+# Every number a public dynamics, guidance or frames function reads:
+# row -> (the parameter its messages name, a whole value in its range, the
+# call with x in that place, from the package r).  With each of
+# _NOT_NUMBERS in place of x, a row must raise a ValueError whose message
+# begins with the parameter's name.  The coasts a leg map returns, the
+# frame kernels and cw_target_impulse read nothing, since the leg loop
+# feeds them floats it made, so the coast rows fly their leg only on the
+# good value.  No row needs numpy
+_NOT_NUMBERS = {"str": "1", "none": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                "int-beyond-double": 10**400}
+_REST = (7000.0, 0.0, 0.0), (0.0, 7.0, 0.0)  # an inertial position and velocity
+_NMC = (1.0, 0.0, 0.0, 0.0, -2e-3, 0.0)  # a Hill state near an NMC
+_INPUTS = {
+    "orbit-radius": ("radius", 8378, lambda r, x: r.TargetOrbit(x)),
+    "orbit-altitude": ("altitude", 2000, lambda r, x: r.TargetOrbit.from_altitude(x)),
+    "inertial-epoch": ("epoch", 60, lambda r, x: r.InertialState(x, *_REST)),
+    "inertial-position": ("position[1]", 2,
+                          lambda r, x: r.InertialState(0.0, (7000.0, x, 0.0), _REST[1])),
+    "inertial-velocity": ("velocity[2]", 1,
+                          lambda r, x: r.InertialState(0.0, _REST[0], (0.0, 7.0, x))),
+    "basis-t": ("epoch t", 60, lambda r, x: r.hill_basis(r.TargetOrbit(8378.0), x)),
+    "hill-to-eci-t": ("epoch t", 60, lambda r, x: r.hill_to_eci(r.TargetOrbit(8378.0), x, _NMC)),
+    "hill-to-eci-rel": ("rel[4]", -2, lambda r, x: r.hill_to_eci(
+        r.TargetOrbit(8378.0), 0.0, (1.0, 0.0, 0.0, 0.0, x, 0.0))),
+    "two-body-coast-dt": ("dt", 600,
+                          lambda r, x: r.dynamics.two_body_coast(r.TargetOrbit(8378.0), x)(_NMC)),
+    "stm-n": ("n", 1, lambda r, x: r.cw_stm(x, 100.0)),
+    "stm-dt": ("dt", 100, lambda r, x: r.cw_stm(1e-3, x)),
+    "cw-coast-n": ("n", 1, lambda r, x: r.dynamics.cw_coast(x, 100.0)(_NMC)),
+    "cw-coast-dt": ("dt", 100, lambda r, x: r.dynamics.cw_coast(1e-3, x)(_NMC)),
+    "nmc-x0": ("x0", 3, lambda r, x: r.nmc_initial_state(x, 1e-3)),
+    "nmc-n": ("n", 1, lambda r, x: r.nmc_initial_state(3.0, x)),
+    "determinant-theta": ("theta", 3, lambda r, x: r.drift_determinant(x)),
+    "targeting-n": ("n", 1, lambda r, x: r.cw_targeting(x, 100.0)),
+    "targeting-ts": ("ts", 100, lambda r, x: r.cw_targeting(1e-3, x)),
+    "impulse-t": ("t", 60, lambda r, x: r.ImpulseRecord(x, (1e-3, 0.0, 0.0))),
+    "impulse-dv": ("dv[1]", 2, lambda r, x: r.ImpulseRecord(0.0, (1e-3, x, 0.0))),
+    "circle-radius": ("radius", 3, lambda r, x: r.waypoints_circle(x, 4)),
+    "nmc-plan-x0": ("x0", 3, lambda r, x: r.waypoints_nmc(x, 4)),
+    "line-start": ("start[0]", 3, lambda r, x: r.waypoints_line((x, 0.0), (0.0, 0.0), 3)),
+    "line-end": ("end[1]", 3, lambda r, x: r.waypoints_line((1.0, 0.0), (0.0, x), 3)),
+}
 
 # dynamics._coast inputs (r0, v0 and duration, as float.hex) and the float.hex
 # bits of its end state or its exception's class name and message, pinned
@@ -389,6 +436,21 @@ def fly_exit_row(name: str, directory) -> tuple:
             (code, "", line + "\n", False))
 
 
+def fly_input_row(name: str, label: str) -> tuple:
+    """An inputs row flown with ``_NOT_NUMBERS[label]`` in its place: the
+    class name and message of what it raised, and the class name and the
+    start of the message it must raise."""
+    import rpodsim
+
+    parameter, _, call = _INPUTS[name]
+    try:
+        call(rpodsim, _NOT_NUMBERS[label])
+        flown = None, None
+    except Exception as exc:  # compared, never swallowed: a row pins its error
+        flown = type(exc).__name__, str(exc)
+    return flown, ("ValueError", f"{parameter} must ")
+
+
 def fly_every_leg(config) -> tuple:
     """(arrivals, burns, total_dv, max_waypoint_miss) of ``config``, every
     leg coasted and targeted in turn.
@@ -505,9 +567,10 @@ def pinned_outcome(expected) -> tuple:
 
 def check() -> int:
     """Fly each pinned argv, exits row, Kepler row and replay row and compare,
-    fly each campaign of the pinned argvs alone and compare, and look up
-    every traced name; 0 if every pin holds, every campaign flies alone as
-    in its run and every name resolves, else 1."""
+    fly each campaign of the pinned argvs alone and compare, fly each inputs
+    row with each value that is no number, and look up every traced name; 0
+    if every pin holds, every campaign flies alone as in its run, every
+    inputs row raises its ValueError and every name resolves, else 1."""
     from rpodsim.cli import main
 
     failed = 0
@@ -543,6 +606,13 @@ def check() -> int:
     moved = [name for name, (in_run, alone) in shared.items() if in_run != alone]
     failed += bool(moved)
     print(f"{'FAIL' if moved else 'PASS'}  shared legs ({len(shared)} campaigns)"
+          + (f"  moved: {', '.join(moved)}" if moved else ""))
+    inputs = {f"{name}-{label}": fly_input_row(name, label)
+              for name in _INPUTS for label in _NOT_NUMBERS}
+    moved = [name for name, ((kind, message), (must, start)) in inputs.items()
+             if kind != must or not message.startswith(start)]
+    failed += bool(moved)
+    print(f"{'FAIL' if moved else 'PASS'}  inputs ({len(inputs)} calls)"
           + (f"  moved: {', '.join(moved)}" if moved else ""))
     names = traced_names()
     missing = [f"{module}.{name}" for module, name in names

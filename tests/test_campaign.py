@@ -118,7 +118,7 @@ def test_config_copies_and_changes_are_checked():
 
 def test_config_reads_its_floats_once():
     # a size beyond double range, or no altitude, once raised a bare
-    # OverflowError or TypeError; the fan-outs cast with float()
+    # OverflowError or TypeError
     for bad, message in ((dict(size=10**400), "size must be finite, got an int beyond"),
                          (dict(chief_altitude=None), "chief_altitude must be a real number"),
                          (dict(size="10"), "size must be a real number, got '10'"),

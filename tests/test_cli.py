@@ -323,14 +323,12 @@ def test_validate_detects_flipped_frame_term(monkeypatch, capsys):
     # leg's departure from CW can (it grows as rho)
     import rpodsim.dynamics
     import rpodsim.frames
-    from rpodsim import RelativeState
 
     lift, read = rpodsim.frames._to_eci, rpodsim.frames._to_hill
 
     def flipped_lift(orbit, c, s, rel):
-        n = orbit.n
-        return lift(orbit, c, s, RelativeState(rel.x, rel.y, rel.z, rel.vx + 2 * n * rel.y,
-                                               rel.vy - 2 * n * rel.x, rel.vz))
+        (x, y, z, vx, vy, vz), n = rel, orbit.n
+        return lift(orbit, c, s, (x, y, z, vx + 2 * n * y, vy - 2 * n * x, vz))
 
     def flipped_read(orbit, c, s, position, velocity):
         (x, y, z, vx, vy, vz), n = read(orbit, c, s, position, velocity), orbit.n
@@ -461,8 +459,12 @@ def test_unresolvable_size_stops_the_run_before_any_campaign(monkeypatch, tmp_pa
 
     flown = []
     original = rpodsim.campaign.run_campaign
-    monkeypatch.setattr(rpodsim.campaign, "run_campaign",
-                        lambda config: flown.append(config) or original(config))
+
+    def record(config, **shared):  # a run passes the legs its campaigns share
+        flown.append(config)
+        return original(config, **shared)
+
+    monkeypatch.setattr(rpodsim.campaign, "run_campaign", record)
     out = tmp_path / "x.csv"
     assert main(["sweep", "--sizes-km", "10,1e-6", "--impulses", "4", "--out", str(out)]) == 1
     err = capsys.readouterr().err

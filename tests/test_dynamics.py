@@ -388,10 +388,12 @@ def test_hyperbolic_flyby_floor():
 
 @pytest.mark.parametrize("duration", [-1.0, np.nan, np.inf])
 def test_rejects_negative_or_non_finite_duration(duration):
-    # the library coast and the campaign's leg map both refuse it
+    # the library coast and the campaign's leg map both refuse it; the leg
+    # map reads dt as a finite float first, then takes its range rule
     with pytest.raises(ValueError, match="duration must be finite and non-negative"):
         propagate_two_body(chief_state(ORBIT, 0.0), duration)
-    with pytest.raises(ValueError, match=f"duration must be finite and non-negative, got {duration}"):
+    rule = "non-negative" if duration < 0.0 else "finite"
+    with pytest.raises(ValueError, match=f"^dt must be {rule}, got {duration}$"):
         two_body_coast(ORBIT, duration)
 
 
@@ -494,14 +496,20 @@ def _two_body_cases():
 def test_two_body_coast_matches_the_library_round_trip():
     # the per-campaign leg map flies the same operations as lifting the
     # chaser at 0, coasting its inertial state and reading it back at tau:
-    # every output bit, signed zeros included, and every error is the same
+    # every output bit, signed zeros included, and every error is the same,
+    # but for a state that is not finite, which hill_to_eci refuses as it
+    # reads rel and the leg, which reads nothing, at its lifted state's check
     legs, outcomes = {}, Counter()
     for rel, tau in _two_body_cases():
         leg = legs.setdefault(tau, two_body_coast(ORBIT, tau))
         got = _outcome(lambda: leg(rel))
         expected = _outcome(
             lambda: eci_to_hill(ORBIT, propagate_two_body(hill_to_eci(ORBIT, 0.0, rel), tau)))
-        assert got == expected, (rel, tau)
+        if all(map(math.isfinite, rel)):
+            assert got == expected, (rel, tau)
+        else:
+            assert expected == (ValueError, "rel[1] must be finite, got nan"), rel
+            assert got == (ValueError, "state components must be finite"), rel
         outcomes[got[0] if isinstance(got[0], type) else "state"] += 1
     assert outcomes[SingularRadius] == 3 and outcomes[UnboundOrbit] == 4
     assert outcomes[ValueError] == 2 and outcomes["state"] > 2000

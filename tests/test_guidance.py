@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import pickle
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import rpodsim
+from pins import _INPUTS, _NOT_NUMBERS
 from reference import propagate_cw
 from rpodsim import (
     ImpulseRecord,
@@ -253,13 +256,13 @@ def test_rejects_non_positive_transfer_time():
 
 
 @pytest.mark.parametrize(
-    "call, error",
-    [
+    "call, error, name",
+    [(call, error, "") for call, error in [
         (lambda: TargetOrbit(radius=np.nan), ValueError),
         (lambda: cw_stm(np.nan, 1.0), ValueError),
         (lambda: cw_targeting(N, np.nan), ValueError),
-        (lambda: cw_targeting(np.nan, 100.0), SingularTransferTime),
-        (lambda: cw_targeting(np.inf, 100.0), SingularTransferTime),
+        (lambda: cw_targeting(np.nan, 100.0), ValueError),
+        (lambda: cw_targeting(np.inf, 100.0), ValueError),
         (lambda: cw_targeting(1e10, 1e300), SingularTransferTime),
         (lambda: cw_targeting(N, np.inf), ValueError),
         (lambda: nmc_initial_state(1.0, np.nan), ValueError),
@@ -275,18 +278,43 @@ def test_rejects_non_positive_transfer_time():
         (lambda: hill_basis(ORBIT, np.inf), ValueError),
         (lambda: hill_to_eci(ORBIT, np.inf, RelativeState(1.0, 0, 0, 0, 0, 0)), ValueError),
         (lambda: hill_to_eci(ORBIT, np.nan, RelativeState(1.0, 0, 0, 0, 0, 0)), ValueError),
-    ],
+    ]] + [(functools.partial(_INPUTS[row][2], rpodsim, value), ValueError, _INPUTS[row][0])
+          for row in _INPUTS for value in _NOT_NUMBERS.values()],
     ids=["orbit-radius-nan", "stm-n-nan", "targeting-ts-nan",
          "targeting-n-nan", "targeting-n-inf", "targeting-angle-overflow", "targeting-ts-inf", "nmc-n-nan", "circle-radius-nan",
          "nmc-x0-nan", "nmc-plan-x0-nan", "line-start-nan", "stm-dt-nan", "cw-coast-dt-nan",
          "stm-angle-overflow", "determinant-angle-inf", "inertial-epoch-nan", "basis-t-inf",
-         "hill-to-eci-t-inf", "hill-to-eci-t-nan"],
+         "hill-to-eci-t-inf", "hill-to-eci-t-nan"]
+    + [f"inputs-{row}-{label}" for row in _INPUTS for label in _NOT_NUMBERS],
 )
-def test_non_finite_inputs_are_rejected(call, error):
-    # each raises with a message of its own, never NaN out or a bare math error
+def test_non_finite_inputs_are_rejected(call, error, name):
+    # each raises with a message of its own, never NaN out or a bare math
+    # error; a row of the pins' inputs table names the parameter it read
     with pytest.raises(error) as info:
         call()
-    assert str(info.value) and "math domain error" not in str(info.value)
+    message = str(info.value)
+    assert message and "math domain error" not in message
+    assert not name or message.startswith(f"{name} must ")
+
+
+def _bits(result):
+    """The float.hex bits of every number in a result, each a plain float."""
+    if isinstance(result, (tuple, list)):
+        return [_bits(v) for v in result]
+    assert type(result) is float, type(result)
+    return result.hex()
+
+
+@pytest.mark.parametrize("row", list(_INPUTS))
+def test_numpy_and_int_inputs_give_the_bits_of_the_float_input(row):
+    # every number is read as a plain float first, so a numpy scalar or an
+    # int gives the equal float's bits, never numpy scalars or float32 sums
+    _, value, call = _INPUTS[row]
+    expected = _bits(call(rpodsim, float(value)))
+    for given in (value, np.int64(value), np.float32(value), np.float64(value)):
+        assert _bits(call(rpodsim, given)) == expected, type(given)
+    if row == "circle-radius":  # 1.5 * cos(phi) rounded once, in double precision
+        assert _bits(waypoints_circle(np.float32(1.5), 3)) == _bits(waypoints_circle(1.5, 3))
 
 
 @pytest.mark.parametrize(
