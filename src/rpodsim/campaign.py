@@ -88,7 +88,7 @@ from .guidance import (
 )
 
 # placeholders for that tracer: the functions moved to tests/reference.py,
-# nothing calls these names, and ROADMAP step 1a deletes them
+# nothing calls these names, and ROADMAP direction 14 deletes them
 chief_state = propagate_cw = propagate_two_body = None
 
 CIRCUMNAV_KINDS = ("nmc_unforced", "circle_forced")

@@ -24,7 +24,7 @@ from .frames import Vec3, _check_state, _real, _to_eci, _to_hill, hill_basis
 from .frames import eci_to_hill  # noqa: F401  wrapped by perfbench/spans.py
 
 # a placeholder for perfbench/spans.py's tracer, which raises on a name that
-# does not resolve; nothing calls it, and ROADMAP step 1a deletes it
+# does not resolve; nothing calls it, and ROADMAP direction 14 deletes it
 solve_ivp = None
 
 # km; no chief orbit may lie, and no coast pass anywhere on its arc, below this

@@ -15,6 +15,7 @@ km/s, rad/s throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
@@ -25,16 +26,18 @@ if TYPE_CHECKING:
 Vec3 = Tuple[float, float, float]
 
 
-def _vec3(name: str, value) -> Vec3:
-    if isinstance(value, (str, bytes)):
-        raise ValueError(f"expected a 3-vector of numbers, got {value!r}")
+def _reals(name: str, value, size: int) -> Tuple[float, ...]:
+    """``value`` as ``size`` floats, each read by :func:`_real` as ``name[i]``; else ValueError."""
+    if isinstance(value, (str, bytes)):  # characters, not numbers
+        raise ValueError(f"{name} must be {size} numbers, got {value!r}")
     try:
-        out = tuple(_real(f"{name}[{i}]", v) for i, v in enumerate(value))
-    except TypeError as exc:  # a scalar
-        raise ValueError(f"expected a 3-vector of numbers: {exc}") from None
-    if len(out) != 3:
-        raise ValueError(f"expected a 3-vector, got {len(out)} components")
-    return out
+        items = tuple(itertools.islice(value, size + 1))  # so an endless iterable ends
+    except TypeError:  # a scalar or None
+        raise ValueError(f"{name} must be {size} numbers, got {value!r}") from None
+    if len(items) != size:
+        raise ValueError(f"{name} must be {size} numbers, got {len(items)}"
+                         + " or more" * (len(items) > size))
+    return tuple(_real(f"{name}[{i}]", v) for i, v in enumerate(items))
 
 
 def _whole(name: str, value) -> int:
@@ -79,7 +82,7 @@ class InertialState(NamedTuple("_Inertial", [("epoch", float), ("position", Vec3
     __slots__ = ()
 
     def __new__(cls, epoch: float, position: Vec3, velocity: Vec3) -> "InertialState":
-        position, velocity = _vec3("position", position), _vec3("velocity", velocity)
+        position, velocity = _reals("position", position, 3), _reals("velocity", velocity, 3)
         _check_state(position, velocity)
         return tuple.__new__(cls, (_real("epoch", epoch), position, velocity))
 
@@ -153,8 +156,7 @@ def _to_hill(orbit: TargetOrbit, c: float, s: float, r: Vec3, v: Vec3) -> Tuple[
 
 def hill_to_eci(orbit: TargetOrbit, t: float, rel: RelativeState) -> InertialState:
     """The chaser's inertial state at epoch t from its Hill-frame state."""
-    rel = [_real(f"rel[{i}]", v) for i, v in enumerate(rel)]
-    return InertialState(t, *_to_eci(orbit, *hill_basis(orbit, t), rel))
+    return InertialState(t, *_to_eci(orbit, *hill_basis(orbit, t), _reals("rel", rel, 6)))
 
 
 def eci_to_hill(orbit: TargetOrbit, chaser: InertialState) -> RelativeState:

@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .dynamics import cw_stm
 from .errors import SingularTransferTime
-from .frames import RelativeState, _real, _whole
+from .frames import RelativeState, _real, _reals, _whole
 
 _DET_RTOL = 1e-12
 # a 2x2 matrix as its entries in row-major order
@@ -43,7 +43,7 @@ class ImpulseRecord(NamedTuple("_Impulse", [("t", float), ("dv", Vector3), ("mag
     __slots__ = ()
 
     def __new__(cls, t: float, dv: Sequence[float]) -> "ImpulseRecord":
-        dv = Vector3(*(_real(f"dv[{i}]", d) for i, d in enumerate(dv)))
+        dv = Vector3(*_reals("dv", dv, 3))
         return tuple.__new__(cls, (_real("t", t), dv, math.hypot(*dv)))
 
     def __getnewargs__(self):  # so pickle and copy rebuild it from (t, dv)
@@ -103,6 +103,8 @@ def cw_targeting(n: float, ts: float) -> Tuple[Matrix2, Matrix2]:
         When n*ts sits on a zero of the targeting determinant.
     """
     n, ts = _real("n", n), _real("ts", ts)
+    if not n > 0.0:
+        raise ValueError("mean motion must be positive")
     if not ts > 0.0:
         raise ValueError("transfer time must be positive")
     theta = n * ts
@@ -188,7 +190,6 @@ def waypoints_nmc(x0: float, count: int) -> List[Point]:
 def waypoints_line(start, end, count: int) -> List[Point]:
     """``count`` points uniformly spaced along a segment, endpoints inclusive."""
     count = _check_count(count, 2)
-    (x0, y0), (x1, y1) = start, end
-    x0, y0, x1, y1 = map(_real, ("start[0]", "start[1]", "end[0]", "end[1]"), (x0, y0, x1, y1))
+    (x0, y0), (x1, y1) = _reals("start", start, 2), _reals("end", end, 2)
     fs = [k / (count - 1) for k in range(count)]
     return [((1.0 - f) * x0 + f * x1, (1.0 - f) * y0 + f * y1) for f in fs]

@@ -1,15 +1,16 @@
 """The CLI's pinned output bytes, its documented exits, the numbers the
-library reads, the Kepler kernel's pinned bits and the campaigns that
-replay their last legs, and a check of all five, of the campaigns that
-share legs in a run, and of the names the benchmark's tracer wraps, that
-needs no pytest.
+library reads, the groups of numbers it reads, the Kepler kernel's pinned
+bits and the campaigns that replay their last legs, and a check of all six,
+of the campaigns that share legs in a run, and of the names the
+benchmark's tracer wraps, that needs no pytest.
 
 ``test_cli.py::test_output_bytes_are_pinned`` reads the first table below,
 ``test_cli.py::test_documented_exit`` the second,
 ``test_guidance.py::test_non_finite_inputs_are_rejected`` and
 ``test_guidance.py::test_numpy_and_int_inputs_give_the_bits_of_the_float_input``
-the third, ``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the
-fourth and ``test_campaign.py::test_replay_row`` the fifth;
+the third, ``test_guidance.py::test_a_bad_group_is_refused`` the fourth,
+``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the fifth
+and ``test_campaign.py::test_replay_row`` the sixth;
 ``test_campaign.py::test_a_swept_cell_flies_as_it_flies_alone`` calls
 :func:`fly_shared_legs`; ``reference.py`` re-exports :func:`fly_every_leg`,
 and ``test_package.py::test_every_traced_name_is_flown_or_inert`` reads
@@ -19,6 +20,7 @@ and ``test_package.py::test_every_traced_name_is_flown_or_inert`` reads
 
 it flies every pinned argv and every exits row through ``rpodsim.cli.main``
 (from ``src/``), every inputs row with each value that is no number,
+every groups row with each value that is no group of its size,
 every Kepler row through ``rpodsim.dynamics._coast``,
 every replay row through ``rpodsim.run_campaign`` and :func:`fly_every_leg`
 and every campaign of the pinned argvs both in its run and alone, and looks
@@ -36,6 +38,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import itertools
 import math
 import platform
 import shlex
@@ -216,6 +219,25 @@ _INPUTS = {
     "nmc-plan-x0": ("x0", 3, lambda r, x: r.waypoints_nmc(x, 4)),
     "line-start": ("start[0]", 3, lambda r, x: r.waypoints_line((x, 0.0), (0.0, 0.0), 3)),
     "line-end": ("end[1]", 3, lambda r, x: r.waypoints_line((1.0, 0.0), (0.0, x), 3)),
+}
+
+# Every group of numbers a public frames or guidance function reads: row ->
+# (the parameter its messages name, the group's size, the call with x in
+# that place, from the package r).  With each of _NOT_GROUPS, made for the
+# row's size, in place of x, a row must raise a ValueError whose message
+# begins with the parameter's name: None, a scalar and text are no group,
+# one item short or over is the wrong size, and an endless group must end
+_NOT_GROUPS = {"none": lambda size: None, "float": lambda size: 1.0, "str": lambda size: "123",
+               "bytes": lambda size: b"123", "short": lambda size: (1.0,) * (size - 1),
+               "long": lambda size: (1.0,) * (size + 1),
+               "endless": lambda size: itertools.repeat(1.0)}
+_GROUPS = {
+    "inertial-position": ("position", 3, lambda r, x: r.InertialState(0.0, x, _REST[1])),
+    "inertial-velocity": ("velocity", 3, lambda r, x: r.InertialState(0.0, _REST[0], x)),
+    "hill-to-eci-rel": ("rel", 6, lambda r, x: r.hill_to_eci(r.TargetOrbit(8378.0), 0.0, x)),
+    "impulse-dv": ("dv", 3, lambda r, x: r.ImpulseRecord(0.0, x)),
+    "line-start": ("start", 2, lambda r, x: r.waypoints_line(x, (0.0, 0.0), 3)),
+    "line-end": ("end", 2, lambda r, x: r.waypoints_line((1.0, 0.0), x, 3)),
 }
 
 # dynamics._coast inputs (r0, v0 and duration, as float.hex) and the float.hex
@@ -436,6 +458,15 @@ def fly_exit_row(name: str, directory) -> tuple:
             (code, "", line + "\n", False))
 
 
+def _raised(call) -> tuple:
+    """The class name and message of what ``call()`` raised, or (None, None)."""
+    try:
+        call()
+    except Exception as exc:  # compared, never swallowed: a row pins its error
+        return type(exc).__name__, str(exc)
+    return None, None
+
+
 def fly_input_row(name: str, label: str) -> tuple:
     """An inputs row flown with ``_NOT_NUMBERS[label]`` in its place: the
     class name and message of what it raised, and the class name and the
@@ -443,12 +474,18 @@ def fly_input_row(name: str, label: str) -> tuple:
     import rpodsim
 
     parameter, _, call = _INPUTS[name]
-    try:
-        call(rpodsim, _NOT_NUMBERS[label])
-        flown = None, None
-    except Exception as exc:  # compared, never swallowed: a row pins its error
-        flown = type(exc).__name__, str(exc)
-    return flown, ("ValueError", f"{parameter} must ")
+    return (_raised(lambda: call(rpodsim, _NOT_NUMBERS[label])),
+            ("ValueError", f"{parameter} must "))
+
+
+def fly_group_row(name: str, label: str) -> tuple:
+    """A groups row flown with ``_NOT_GROUPS[label]`` of its size in its
+    place, in the form :func:`fly_input_row` returns."""
+    import rpodsim
+
+    parameter, size, call = _GROUPS[name]
+    return (_raised(lambda: call(rpodsim, _NOT_GROUPS[label](size))),
+            ("ValueError", f"{parameter} must "))
 
 
 def fly_every_leg(config) -> tuple:
@@ -568,9 +605,10 @@ def pinned_outcome(expected) -> tuple:
 def check() -> int:
     """Fly each pinned argv, exits row, Kepler row and replay row and compare,
     fly each campaign of the pinned argvs alone and compare, fly each inputs
-    row with each value that is no number, and look up every traced name; 0
-    if every pin holds, every campaign flies alone as in its run, every
-    inputs row raises its ValueError and every name resolves, else 1."""
+    row with each value that is no number and each groups row with each
+    value that is no group of its size, and look up every traced name; 0 if
+    every pin holds, every campaign flies alone as in its run, every inputs
+    and groups row raises its ValueError and every name resolves, else 1."""
     from rpodsim.cli import main
 
     failed = 0
@@ -607,13 +645,16 @@ def check() -> int:
     failed += bool(moved)
     print(f"{'FAIL' if moved else 'PASS'}  shared legs ({len(shared)} campaigns)"
           + (f"  moved: {', '.join(moved)}" if moved else ""))
-    inputs = {f"{name}-{label}": fly_input_row(name, label)
-              for name in _INPUTS for label in _NOT_NUMBERS}
-    moved = [name for name, ((kind, message), (must, start)) in inputs.items()
-             if kind != must or not message.startswith(start)]
-    failed += bool(moved)
-    print(f"{'FAIL' if moved else 'PASS'}  inputs ({len(inputs)} calls)"
-          + (f"  moved: {', '.join(moved)}" if moved else ""))
+    for table, rows in (
+            ("inputs", {f"{name}-{label}": fly_input_row(name, label)
+                        for name in _INPUTS for label in _NOT_NUMBERS}),
+            ("groups", {f"{name}-{label}": fly_group_row(name, label)
+                        for name in _GROUPS for label in _NOT_GROUPS})):
+        moved = [name for name, ((kind, message), (must, start)) in rows.items()
+                 if kind != must or not message.startswith(start)]
+        failed += bool(moved)
+        print(f"{'FAIL' if moved else 'PASS'}  {table} ({len(rows)} calls)"
+              + (f"  moved: {', '.join(moved)}" if moved else ""))
     names = traced_names()
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(module), name)]

@@ -225,16 +225,17 @@ def test_inertial_state_validation():
         InertialState(0.0, [0, 0, 0], [1, 0, 0])
     with pytest.raises(ValueError):
         InertialState(0.0, [np.nan, 0, 0], [1, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^position must be 3 numbers, got 2$"):
         InertialState(0.0, [1, 2], [1, 0, 0])
     with pytest.raises(ValueError):  # nested, not a TypeError from float()
         InertialState(0.0, [[1, 0, 0]] * 3, [1, 0, 0])
     with pytest.raises(ValueError):
         InertialState(0.0, ["a", 0, 0], [1, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^velocity must be 3 numbers, got 1\.0$"):
         InertialState(0.0, [1, 0, 0], 1.0)
     for text in ("123", b"123"):  # three characters, not three numbers
-        with pytest.raises(ValueError):
+        message = f"position must be 3 numbers, got {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             InertialState(0.0, text, [1, 0, 0])
     # the epoch is a finite real number, so no transform reads NaN out of it
     for epoch, message in ((np.nan, "epoch must be finite, got nan"),

@@ -2,13 +2,14 @@ import copy
 import functools
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import rpodsim
-from pins import _INPUTS, _NOT_NUMBERS
+from pins import _GROUPS, _INPUTS, _NOT_GROUPS, _NOT_NUMBERS, fly_group_row
 from reference import propagate_cw
 from rpodsim import (
     ImpulseRecord,
@@ -317,6 +318,18 @@ def test_numpy_and_int_inputs_give_the_bits_of_the_float_input(row):
         assert _bits(waypoints_circle(np.float32(1.5), 3)) == _bits(waypoints_circle(1.5, 3))
 
 
+@pytest.mark.parametrize("row, label", [(row, label) for row in _GROUPS for label in _NOT_GROUPS],
+                         ids=[f"groups-{row}-{label}" for row in _GROUPS for label in _NOT_GROUPS])
+def test_a_bad_group_is_refused(row, label):
+    # the rows python tests/pins.py flies: None, a scalar, text, a group one
+    # short or one over, and an endless one each raise a ValueError that
+    # names the group, within a second
+    t0 = time.perf_counter()
+    (kind, message), (must, start) = fly_group_row(row, label)
+    assert time.perf_counter() - t0 < 1.0
+    assert kind == must and message.startswith(start), message
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -328,6 +341,8 @@ def test_numpy_and_int_inputs_give_the_bits_of_the_float_input(row):
          "radius must be finite, got an int beyond double range"),
         (lambda: cw_stm(0.0, 1.0), ValueError, "mean motion must be positive"),
         (lambda: cw_targeting(N, -1.0), ValueError, "transfer time must be positive"),
+        (lambda: cw_targeting(0.0, 100.0), ValueError, "mean motion must be positive"),
+        (lambda: cw_targeting(-1e-3, 100.0), ValueError, "mean motion must be positive"),
         (lambda: nmc_initial_state(1.0, 0.0), ValueError, "mean motion must be positive"),
         (lambda: waypoints_circle(-1.0, 4), ValueError, "radius must be positive"),
         (lambda: waypoints_nmc(0.0, 4), ValueError, "NMC offset x0 must be nonzero"),
@@ -345,7 +360,7 @@ def test_numpy_and_int_inputs_give_the_bits_of_the_float_input(row):
          "epoch t must be finite, got an int beyond double range"),
     ],
     ids=["orbit-radius", "orbit-radius-str", "orbit-radius-int-overflow", "stm-n",
-         "targeting-ts", "nmc-n", "circle-radius",
+         "targeting-ts", "targeting-n-zero", "targeting-n-negative", "nmc-n", "circle-radius",
          "nmc-plan-offset", "circle-count-float", "circle-count-str", "nmc-plan-count-float",
          "line-count-float", "hill-to-eci-t-str", "basis-t-int-overflow"],
 )
