@@ -99,6 +99,8 @@ def cw_targeting(n: float, ts: float) -> Tuple[Matrix2, Matrix2]:
 
     Raises
     ------
+    ValueError
+        If n or ts is not a number, or not finite and positive.
     SingularTransferTime
         When n*ts sits on a zero of the targeting determinant.
     """
