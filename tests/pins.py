@@ -1,11 +1,12 @@
-"""The CLI's pinned output bytes, its documented exits, the numbers the
-library reads, the groups of numbers it reads, the Kepler kernel's pinned
-bits and the campaigns that replay their last legs, and a check of all six,
-of the campaigns that share legs in a run, and of the names the
-benchmark's tracer wraps, that needs no pytest.
+"""The CLI's pinned output bytes and ``validate``'s, its documented exits,
+the numbers the library reads, the groups of numbers it reads, the Kepler
+kernel's pinned bits and the campaigns that replay their last legs, and a
+check of all of them, of the campaigns that share legs in a run, and of
+the names the benchmark's tracer wraps, that needs no pytest.
 
 ``test_cli.py::test_output_bytes_are_pinned`` reads the first table below,
-``test_cli.py::test_documented_exit`` the second,
+``test_cli.py::test_validate_passes`` the sha256 after it,
+``test_cli.py::test_documented_exit`` the second table,
 ``test_guidance.py::test_non_finite_inputs_are_rejected`` and
 ``test_guidance.py::test_numpy_and_int_inputs_give_the_bits_of_the_float_input``
 the third, ``test_guidance.py::test_a_bad_group_is_refused`` the fourth,
@@ -18,8 +19,9 @@ and ``test_package.py::test_every_traced_name_is_flown_or_inert`` reads
 
     python -W error tests/pins.py
 
-it flies every pinned argv and every exits row through ``rpodsim.cli.main``
-(from ``src/``), every inputs row with each value that is no number,
+it flies every pinned argv, ``validate`` and every exits row through
+``rpodsim.cli.main`` (from ``src/``), every inputs row with each value that
+is no number,
 every groups row with each value that is no group of its size,
 every Kepler row through ``rpodsim.dynamics._coast``,
 every replay row through ``rpodsim.run_campaign`` and :func:`fly_every_leg`
@@ -64,6 +66,9 @@ _PINNED_BYTES = {
                      "359ae0db986b6bb43ea4471815960e3d50dd3168bd244710c4446a14ab37bb76",
                      "17b25f1e12c98f1c296604631045b87f354a5b4d1b046fcced0798d4f738f2f7"),
 }
+# sha256 of the 7 lines `rpodsim validate` prints, which read the same on
+# Python 3.10 to 3.13; test_cli.py::test_validate_passes reads it too
+_VALIDATE_SHA256 = "bd6622c00498ac570a728b6ee3767a402cf4e1c5e3853985ff4693846e7e18c7"
 
 
 # Every documented exit short of a result: the shell-quoted argv, {out} where
@@ -603,12 +608,13 @@ def pinned_outcome(expected) -> tuple:
 
 
 def check() -> int:
-    """Fly each pinned argv, exits row, Kepler row and replay row and compare,
-    fly each campaign of the pinned argvs alone and compare, fly each inputs
-    row with each value that is no number and each groups row with each
-    value that is no group of its size, and look up every traced name; 0 if
-    every pin holds, every campaign flies alone as in its run, every inputs
-    and groups row raises its ValueError and every name resolves, else 1."""
+    """Fly each pinned argv and ``validate``, each exits row, Kepler row and
+    replay row and compare, fly each campaign of the pinned argvs alone and
+    compare, fly each inputs row with each value that is no number and each
+    groups row with each value that is no group of its size, and look up
+    every traced name; 0 if every pin holds, every campaign flies alone as
+    in its run, every inputs and groups row raises its ValueError and every
+    name resolves, else 1."""
     from rpodsim.cli import main
 
     failed = 0
@@ -624,6 +630,14 @@ def check() -> int:
             ok = got == (0, csv_sha, stdout_sha, "")
             failed += not ok
             print(f"{'PASS' if ok else 'FAIL'}  {name}" + ("" if ok else f"  got {got}"))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["validate"])
+    got = (code, _sha256(stdout.getvalue().encode()), stderr.getvalue())
+    ok = got == (0, _VALIDATE_SHA256, "")
+    failed += not ok
+    print(f"{'PASS' if ok else 'FAIL'}  validate ({len(stdout.getvalue().splitlines())} lines)"
+          + ("" if ok else f"  got {got}"))
     with tempfile.TemporaryDirectory() as tmp:
         exits = {name: fly_exit_row(name, tmp) for name in _EXITS}
     moved = [name for name, (flown, documented) in exits.items() if flown != documented]

@@ -10,12 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from pins import _EXITS, _PINNED_BYTES, fly_exit_row
+from pins import _EXITS, _PINNED_BYTES, _VALIDATE_SHA256, fly_exit_row
 import rpodsim
 from rpodsim import CampaignConfig
-from rpodsim.cli import (
-    CSV_HEADER, RunManifest, _execute, emit_results, main, parse_args, validate_suite,
-)
+from rpodsim.cli import CSV_HEADER, RunManifest, _execute, emit_results, main, parse_args
+from rpodsim.validate import validate_suite
 
 
 def test_parse_sweep_grid():
@@ -236,6 +235,7 @@ def test_validate_passes(capsys):
     assert "FAIL" not in stdout
     assert stdout.count("PASS") == 7
     assert "residual=" in stdout
+    assert hashlib.sha256(stdout.encode()).hexdigest() == _VALIDATE_SHA256
 
 
 def test_validate_prints_on_an_ascii_stdout():
@@ -421,10 +421,10 @@ def test_validate_reports_a_raising_check_and_goes_on(monkeypatch, capsys):
 def test_validate_fails_a_nan_in_any_component(monkeypatch, capsys):
     # a NaN in the last component of the round trip is a failed check, not
     # a gap that max() skips over
-    import rpodsim.cli
+    import rpodsim.validate
 
-    read = rpodsim.cli.eci_to_hill
-    monkeypatch.setattr(rpodsim.cli, "eci_to_hill",
+    read = rpodsim.validate.eci_to_hill
+    monkeypatch.setattr(rpodsim.validate, "eci_to_hill",
                         lambda orbit, chaser: read(orbit, chaser)._replace(vz=float("nan")))
     assert main(["validate"]) == 3
     assert "FAIL  frame round trip             residual=nan" in capsys.readouterr().out

@@ -56,14 +56,15 @@ def test_every_exported_exception_is_raised_in_the_package():
 
 
 # Imports the CLI and flies every subcommand under both truths in one fresh
-# process, then prints the numpy, scipy, dataclasses and inspect modules that
-# process loaded, and every module it loaded from outside the standard library
-# apart from the program's own.
+# process, validate last, then prints whether the validate suite's module was
+# loaded before and after validate ran, the numpy, scipy, dataclasses and
+# inspect modules that process loaded, and every module it loaded from outside
+# the standard library apart from the program's own.
 _FLY_EVERY_SUBCOMMAND = """
 import contextlib, io, json, sys
 import rpodsim.cli as cli
 out = sys.argv[1]
-runs = [["validate"]]
+runs = []
 for truth in ("two-body", "cw"):
     runs += [
         ["circumnav", "--kind", "forced", "--size-km", "10", "--impulses", "4",
@@ -75,11 +76,14 @@ for truth in ("two-body", "cw"):
     ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
+    suite_before = "rpodsim.validate" in sys.modules
+    codes.append(cli.main(["validate"]))
 loaded = {name: sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
           for name in ("numpy", "scipy", "dataclasses", "inspect")}
 loaded["foreign"] = sorted(m for m in sys.modules if m.partition(".")[0]
                            not in sys.stdlib_module_names | {"rpodsim", "__main__"})
-print(json.dumps({"codes": codes, **loaded}))
+print(json.dumps({"codes": codes, "suite": [suite_before, "rpodsim.validate" in sys.modules],
+                  **loaded}))
 """
 
 
@@ -95,6 +99,8 @@ def test_the_flown_path_loads_no_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(proc.stdout)
     assert report["codes"] == [0] * 7
+    # no campaign run loads the validate suite; validate loads it on demand
+    assert report["suite"] == [False, True]
     assert report["numpy"] == []
     assert report["scipy"] == []
     assert report["dataclasses"] == []
