@@ -68,8 +68,9 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dynamics import TargetOrbit, cw_coast, two_body_coast
 from .errors import UnphysicalBurn
@@ -109,10 +110,8 @@ _MIN_IMPULSES = {"nmc_unforced": 3, "circle_forced": 3, "intercept_forced": 2}
 MAX_LEGS = 100_000
 
 
-class CampaignConfig(NamedTuple("_Config", [
-    ("maneuver_kind", str), ("chief_altitude", float), ("size", float), ("impulse_count", int),
-    ("duration", Optional[float]), ("truth_model", str), ("laps", int),
-])):
+class CampaignConfig(namedtuple(
+        "_Config", "maneuver_kind chief_altitude size impulse_count duration truth_model laps")):
     """Full description of one campaign run (deterministic; no seeds).
 
     Every constructor, ``_make``, ``_replace``, pickle and copy included,
@@ -124,7 +123,7 @@ class CampaignConfig(NamedTuple("_Config", [
     __slots__ = ()
 
     def __new__(cls, maneuver_kind: str, chief_altitude: float, size: float, impulse_count: int,
-                duration: Optional[float] = None, truth_model: str = "two_body",
+                duration: float | None = None, truth_model: str = "two_body",
                 laps: int = 1) -> "CampaignConfig":
         self = tuple.__new__(cls, (
             maneuver_kind, _real("chief_altitude", chief_altitude), _real("size", size),
@@ -175,12 +174,9 @@ class CampaignConfig(NamedTuple("_Config", [
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class CampaignResult(NamedTuple("_Result", [
-    ("config", CampaignConfig), ("flown_arrivals", Tuple[float, ...]),
-    ("flown_burns", Tuple[float, ...]), ("tau", float), ("total_dv", float),
-    ("insertion_dv", float), ("max_waypoint_miss", float), ("duration", float),
-    ("replayed_from", Optional[int]),
-])):
+class CampaignResult(namedtuple(
+        "_Result", "config flown_arrivals flown_burns tau total_dv insertion_dv "
+        "max_waypoint_miss duration replayed_from")):
     """Executed trajectory, impulse log, and Δv accounting for one run.
 
     The flight is kept as flat tuples of floats, so a result holds no
@@ -201,7 +197,7 @@ class CampaignResult(NamedTuple("_Result", [
     instance dict those caches live in.
     """
 
-    def _with_copies(self, flown: Tuple[float, ...], width: int) -> Tuple[float, ...]:
+    def _with_copies(self, flown: tuple[float, ...], width: int) -> tuple[float, ...]:
         """``flown``, ``width`` floats a leg, with the copied legs after it."""
         if self.replayed_from is None:
             return flown
@@ -211,21 +207,21 @@ class CampaignResult(NamedTuple("_Result", [
         return flown + last * laps + last[:width * rest]
 
     @cached_property
-    def arrivals(self) -> Tuple[float, ...]:
+    def arrivals(self) -> tuple[float, ...]:
         return self._with_copies(self.flown_arrivals, 6)
 
     @cached_property
-    def burns(self) -> Tuple[float, ...]:
+    def burns(self) -> tuple[float, ...]:
         return self._with_copies(self.flown_burns, 3)
 
     @cached_property
-    def samples(self) -> Tuple[Tuple[float, RelativeState], ...]:
+    def samples(self) -> tuple[tuple[float, RelativeState], ...]:
         a, tau = self.arrivals, self.tau
         return tuple((k * tau, tuple.__new__(RelativeState, a[6 * k:6 * k + 6]))
                      for k in range(len(a) // 6))
 
     @cached_property
-    def impulses(self) -> Tuple[ImpulseRecord, ...]:
+    def impulses(self) -> tuple[ImpulseRecord, ...]:
         # a closed plan burns at arrivals 1..L, the line at departures 0..m-1
         first, b, tau = self.config.maneuver_kind in CIRCUMNAV_KINDS, self.burns, self.tau
         return tuple(ImpulseRecord((first + j) * tau, b[3 * j:3 * j + 3])
@@ -234,7 +230,7 @@ class CampaignResult(NamedTuple("_Result", [
 
 # the truth model's coast over one leg: six Hill-frame floats in, a plain
 # tuple of six floats out, so no leg builds a RelativeState
-Coast = Callable[[Sequence[float]], Tuple[float, ...]]
+Coast = Callable[[Sequence[float]], tuple[float, ...]]
 
 
 def _truth_coast(orbit: TargetOrbit, model: str, tau: float) -> Coast:
@@ -266,7 +262,7 @@ def _shared_legs(config: CampaignConfig) -> tuple:
     return orbit, lap, tau, plan, law, coast
 
 
-def run_campaign(config: CampaignConfig, *, _shared: Optional[tuple] = None) -> CampaignResult:
+def run_campaign(config: CampaignConfig, *, _shared: tuple | None = None) -> CampaignResult:
     """Execute one campaign and account its Δv.
 
     See the module docstring for the burn-scheduling and accounting
@@ -357,7 +353,7 @@ def run_campaign(config: CampaignConfig, *, _shared: Optional[tuple] = None) -> 
     )
 
 
-def _run_all(configs: Sequence[CampaignConfig]) -> List[CampaignResult]:
+def _run_all(configs: Sequence[CampaignConfig]) -> list[CampaignResult]:
     """Fly validated campaigns in order, once their legs together fit MAX_LEGS."""
     legs = sum(config.laps * config.impulse_count for config in configs)
     if legs > MAX_LEGS:
@@ -373,7 +369,7 @@ def _run_all(configs: Sequence[CampaignConfig]) -> List[CampaignResult]:
 
 def sweep_circumnavigation(
     sizes: Sequence[float], impulse_counts: Sequence[int], chief_altitude: float, **settings
-) -> List[CampaignResult]:
+) -> list[CampaignResult]:
     """Run forced and unforced circumnavigations over a (size, count) grid.
 
     ``settings`` are further ``CampaignConfig`` fields shared by every cell
@@ -396,7 +392,7 @@ def sweep_circumnavigation(
 def intercept_experiment(
     offset: float, duration: float, impulse_counts: Sequence[int], chief_altitude: float,
     **settings,
-) -> List[CampaignResult]:
+) -> list[CampaignResult]:
     """Paired intercept comparison from (offset, 0) to the chief.
 
     The unforced arm fires a single CW targeting impulse at departure and

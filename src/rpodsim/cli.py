@@ -21,7 +21,8 @@ import argparse
 import math
 import os
 import sys
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .campaign import (
     CampaignConfig,
@@ -42,7 +43,7 @@ CSV_HEADER = (
 _DV_ROUND_REL = 1e-12
 
 
-class RunManifest(NamedTuple):
+class RunManifest(namedtuple("_Manifest", "subcommand params output_path")):
     """Validated description of one CLI invocation.
 
     ``params`` are exactly the keyword arguments of the subcommand's library
@@ -50,9 +51,7 @@ class RunManifest(NamedTuple):
     ``sweep_circumnavigation`` or ``rpodsim.validate.validate_suite``.
     """
 
-    subcommand: str
-    params: Dict
-    output_path: Optional[str]
+    __slots__ = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,7 +151,7 @@ def _check_output_path(path: str) -> None:
         raise ValueError(f"--out {path!r}: no directory {parent!r}")
 
 
-def _execute(manifest: RunManifest) -> List[CampaignResult]:
+def _execute(manifest: RunManifest) -> list[CampaignResult]:
     if manifest.subcommand == "circumnav":
         return [run_campaign(CampaignConfig(**manifest.params))]
     if manifest.subcommand == "intercept":
@@ -174,7 +173,7 @@ def _row(r: CampaignResult) -> str:
                      _g17(c.chief_altitude), *map(_g17, floats)])
 
 
-def _summaries(results: Sequence[CampaignResult]) -> List[str]:
+def _summaries(results: Sequence[CampaignResult]) -> list[str]:
     """One line per forced/unforced pair, read in the fan-outs' order (pinned
     by test_intercept_experiment_returns_unforced_then_each_count and
     test_sweep_row_count_and_order): an intercept's unforced arm, then each
@@ -202,7 +201,7 @@ def emit_results(results: Sequence[CampaignResult], manifest: RunManifest) -> No
         print(line)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         manifest = parse_args(sys.argv[1:] if argv is None else list(argv))
         if manifest.subcommand == "validate":

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .constants import MU_EARTH, R_EARTH
 from .errors import KeplerNonConvergence, SingularRadius, UnboundOrbit
@@ -38,8 +39,7 @@ _MAX_RADIUS = sys.float_info.max ** (1.0 / 3.0)
 _SQRT_MU = math.sqrt(MU_EARTH)
 
 
-class TargetOrbit(NamedTuple("_Orbit", [("radius", float), ("n", float),
-                                          ("circular_speed", float)])):
+class TargetOrbit(namedtuple("_Orbit", "radius n circular_speed")):
     """Circular chief orbit about the Earth, of radius above its surface, km:
     the tuple (radius, n, circular_speed), the radius read as a finite float.
 
@@ -66,6 +66,8 @@ class TargetOrbit(NamedTuple("_Orbit", [("radius", float), ("n", float),
     def _replace(self, **changes) -> "TargetOrbit":
         return TargetOrbit(**{"radius": self.radius, **changes})
 
+    __replace__ = _replace  # so copy.replace (Python 3.13) derives them too
+
     _make = classmethod(lambda cls, fields: cls(*fields))  # from (radius,) only
 
     @classmethod
@@ -83,7 +85,7 @@ _C0, _C1, _C2, _C3, _C4, _C5 = ((-1) ** k / math.factorial(2 * k + 2) for k in r
 _S0, _S1, _S2, _S3, _S4, _S5 = ((-1) ** k / math.factorial(2 * k + 3) for k in range(6))
 
 
-def _stumpff(z: float) -> Tuple[float, float]:
+def _stumpff(z: float) -> tuple[float, float]:
     """Stumpff functions C(z) = (1 - cos q) / q^2 and S(z) = (q - sin q) / q^3,
     q = sqrt(z), for z >= 0.
 
@@ -98,7 +100,7 @@ def _stumpff(z: float) -> Tuple[float, float]:
     return 2.0 * math.sin(0.5 * q) ** 2 / z, (q - math.sin(q)) / (q * z)
 
 
-def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
+def _coast(r0: Vec3, v0: Vec3, duration: float) -> tuple[Vec3, Vec3]:
     """End position and velocity of an unforced coast of duration >= 0 s
     about the Earth, checked against the surface over its whole arc; a start
     at or above the escape speed raises UnboundOrbit.
@@ -198,7 +200,7 @@ def _coast(r0: Vec3, v0: Vec3, duration: float) -> Tuple[Vec3, Vec3]:
     return position, velocity
 
 
-def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]], Tuple[float, ...]]:
+def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """Two-body motion over dt of a chaser's Hill state, the twin of :func:`cw_coast`.
 
     Two-body motion is invariant under rotation about the pole, so a leg flown
@@ -217,7 +219,7 @@ def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]],
         raise ValueError(f"dt must be non-negative, got {dt}")
     c, s = hill_basis(orbit, dt)
 
-    def coast(rel: Sequence[float]) -> Tuple[float, ...]:
+    def coast(rel: Sequence[float]) -> tuple[float, ...]:
         position, velocity = _to_eci(orbit, 1.0, 0.0, rel)
         _check_state(position, velocity)
         position, velocity = _coast(position, velocity, dt)
@@ -231,7 +233,7 @@ def two_body_coast(orbit: TargetOrbit, dt: float) -> Callable[[Sequence[float]],
 # Clohessy-Wiltshire model
 
 
-def cw_stm(n: float, dt: float) -> Tuple[Tuple[float, ...], ...]:
+def cw_stm(n: float, dt: float) -> tuple[tuple[float, ...], ...]:
     """Closed-form CW state-transition matrix, as six rows of floats.
 
     State order (x, y, z, vx, vy, vz).  The in-plane 4x4 couples (x, y)
@@ -257,7 +259,7 @@ def cw_stm(n: float, dt: float) -> Tuple[Tuple[float, ...], ...]:
     )
 
 
-def cw_coast(n: float, dt: float) -> Callable[[Sequence[float]], Tuple[float, ...]]:
+def cw_coast(n: float, dt: float) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """Uncontrolled CW motion over dt: any six floats in, a plain tuple of
     six floats out.
 
@@ -269,7 +271,7 @@ def cw_coast(n: float, dt: float) -> Callable[[Sequence[float]], Tuple[float, ..
     (xx, _, _, xu, xv, _), (yx, yy, _, yu, yv, _), (_, _, zz, _, _, zw) = m[:3]
     (ux, _, _, uu, uv, _), (vx, _, _, vu, vv, _), (_, _, wz, _, _, ww) = m[3:]
 
-    def coast(rel: Sequence[float]) -> Tuple[float, ...]:
+    def coast(rel: Sequence[float]) -> tuple[float, ...]:
         x, y, z, u, v, w = rel
         return (xx * x + xu * u + xv * v, yx * x + yy * y + yu * u + yv * v, zz * z + zw * w,
                 ux * x + uu * u + uv * v, vx * x + vu * u + vv * v, wz * z + ww * w)

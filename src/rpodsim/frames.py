@@ -18,15 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
-if TYPE_CHECKING:
-    from .dynamics import TargetOrbit
-
-Vec3 = Tuple[float, float, float]
+Vec3 = tuple[float, float, float]
 
 
-def _reals(name: str, value, size: int) -> Tuple[float, ...]:
+def _reals(name: str, value, size: int) -> tuple[float, ...]:
     """``value`` as ``size`` floats, each read by :func:`_real` as ``name[i]``; else ValueError."""
     if isinstance(value, (str, bytes)):  # characters, not numbers
         raise ValueError(f"{name} must be {size} numbers, got {value!r}")
@@ -60,8 +58,7 @@ def _real(name: str, value) -> float:
     raise ValueError(f"{name} must be finite, got {value}")
 
 
-class InertialState(NamedTuple("_Inertial", [("epoch", float), ("position", Vec3),
-                                              ("velocity", Vec3)])):
+class InertialState(namedtuple("_Inertial", "epoch position velocity")):
     """Position and velocity of a satellite in the ECI frame: the tuple
     (epoch, position, velocity).
 
@@ -100,7 +97,7 @@ def _check_state(position: Vec3, velocity: Vec3) -> None:
         raise ValueError("position magnitude must be positive")
 
 
-class RelativeState(NamedTuple):
+class RelativeState(namedtuple("_Relative", "x y z vx vy vz")):
     """Chaser state relative to the target, in Hill axes.
 
     Components are (x, y, z) position in km along (radial, along-track,
@@ -108,15 +105,10 @@ class RelativeState(NamedTuple):
     The target sits at the origin.
     """
 
-    x: float
-    y: float
-    z: float
-    vx: float
-    vy: float
-    vz: float
+    __slots__ = ()
 
 
-def hill_basis(orbit: TargetOrbit, t: float) -> Tuple[float, float]:
+def hill_basis(orbit: TargetOrbit, t: float) -> tuple[float, float]:
     """(cos theta, sin theta) of the chief's phase theta = n t.
 
     The chief's Hill axes at t are i_r = (c, s, 0), i_theta = (-s, c, 0)
@@ -126,7 +118,7 @@ def hill_basis(orbit: TargetOrbit, t: float) -> Tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def _to_eci(orbit: TargetOrbit, c: float, s: float, rel: Sequence[float]) -> Tuple[Vec3, Vec3]:
+def _to_eci(orbit: TargetOrbit, c: float, s: float, rel: Sequence[float]) -> tuple[Vec3, Vec3]:
     """The ECI position and velocity of six Hill floats, given the chief's (cos, sin) theta.
 
     In the chief's frame at theta = 0 the chaser sits at (R + x, y, z) and
@@ -140,7 +132,7 @@ def _to_eci(orbit: TargetOrbit, c: float, s: float, rel: Sequence[float]) -> Tup
     return (c * px - s * py, s * px + c * py, z), (c * qx - s * qy, s * qx + c * qy, vz)
 
 
-def _to_hill(orbit: TargetOrbit, c: float, s: float, r: Vec3, v: Vec3) -> Tuple[float, ...]:
+def _to_hill(orbit: TargetOrbit, c: float, s: float, r: Vec3, v: Vec3) -> tuple[float, ...]:
     """The chaser's six Hill floats from its ECI floats, given the chief's (cos, sin) theta.
 
     Exact inverse of :func:`_to_eci`: the chief's state is taken off, the

@@ -12,7 +12,8 @@ decides when each point is due.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .dynamics import cw_stm
 from .errors import SingularTransferTime
@@ -20,15 +21,13 @@ from .frames import RelativeState, _real, _reals, _whole
 
 _DET_RTOL = 1e-12
 # a 2x2 matrix as its entries in row-major order
-Matrix2 = Tuple[float, float, float, float]
+Matrix2 = tuple[float, float, float, float]
 
 
-class Vector3(NamedTuple):
+class Vector3(namedtuple("_Vector3", "x y z")):
     """Three floats in Hill axes; a real number scales them from either side."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
     def __mul__(self, k: float) -> "Vector3":
         return Vector3(self.x * k, self.y * k, self.z * k)
@@ -36,7 +35,7 @@ class Vector3(NamedTuple):
     __rmul__ = __mul__
 
 
-class ImpulseRecord(NamedTuple("_Impulse", [("t", float), ("dv", Vector3), ("magnitude", float)])):
+class ImpulseRecord(namedtuple("_Impulse", "t dv magnitude")):
     """A time-stamped instantaneous velocity change in Hill axes: the tuple
     (t, dv, magnitude), whose magnitude every constructor derives from dv."""
 
@@ -51,6 +50,8 @@ class ImpulseRecord(NamedTuple("_Impulse", [("t", float), ("dv", Vector3), ("mag
 
     def _replace(self, **changes) -> "ImpulseRecord":
         return ImpulseRecord(**{"t": self.t, "dv": self.dv, **changes})
+
+    __replace__ = _replace  # so copy.replace (Python 3.13) derives it too
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # from (t, dv) only
 
@@ -88,7 +89,7 @@ def drift_determinant(theta: float) -> float:
     return 8.0 * (1.0 - math.cos(theta)) - 3.0 * theta * math.sin(theta)
 
 
-def cw_targeting(n: float, ts: float) -> Tuple[Matrix2, Matrix2]:
+def cw_targeting(n: float, ts: float) -> tuple[Matrix2, Matrix2]:
     """The CW targeting law for transfers of length ts: A and B^-1.
 
     A and B are the in-plane position/position and position/velocity
@@ -125,8 +126,8 @@ def cw_targeting(n: float, ts: float) -> Tuple[Matrix2, Matrix2]:
 
 def cw_target_impulse(
     rel_now: Sequence[float], target: Sequence[float], t: float,
-    law: Tuple[Matrix2, Matrix2],
-) -> Tuple[ImpulseRecord, Tuple[float, float]]:
+    law: tuple[Matrix2, Matrix2],
+) -> tuple[ImpulseRecord, tuple[float, float]]:
     """Single-impulse transfer to an in-plane target under a targeting law.
 
     Solves the 2x2 linear system  B v0+ = p_f - A p0  for the departure
@@ -145,7 +146,7 @@ def cw_target_impulse(
     rx, ry = target[0] - (a00 * x + a01 * y), target[1] - (a10 * x + a11 * y)
     vx, vy = i00 * rx + i01 * ry, i10 * rx + i11 * ry
     dvx, dvy = vx - u, vy - v
-    # tuple.__new__ builds each NamedTuple without its Python-level __new__
+    # tuple.__new__ skips both named tuples' Python-level __new__: these floats are made here
     return tuple.__new__(ImpulseRecord, (t, tuple.__new__(Vector3, (dvx, dvy, 0.0)),
                                          math.hypot(dvx, dvy, 0.0))), (vx, vy)
 
@@ -157,10 +158,10 @@ def _check_count(count: int, minimum: int) -> int:
     return count
 
 
-Point = Tuple[float, float]
+Point = tuple[float, float]
 
 
-def waypoints_circle(radius: float, count: int) -> List[Point]:
+def waypoints_circle(radius: float, count: int) -> list[Point]:
     """``count`` points on a target-centered circle, uniformly spaced in
     angle and traversed clockwise.
 
@@ -175,7 +176,7 @@ def waypoints_circle(radius: float, count: int) -> List[Point]:
     return [(radius * math.cos(phi), radius * math.sin(phi)) for phi in phis]
 
 
-def waypoints_nmc(x0: float, count: int) -> List[Point]:
+def waypoints_nmc(x0: float, count: int) -> list[Point]:
     """``count`` points at uniform phase steps around the closed CW NMC
     ellipse, starting from (x0, 0).
 
@@ -189,7 +190,7 @@ def waypoints_nmc(x0: float, count: int) -> List[Point]:
     return [(x0 * math.cos(nt), -2.0 * x0 * math.sin(nt)) for nt in nts]
 
 
-def waypoints_line(start, end, count: int) -> List[Point]:
+def waypoints_line(start, end, count: int) -> list[Point]:
     """``count`` points uniformly spaced along a segment, endpoints inclusive."""
     count = _check_count(count, 2)
     (x0, y0), (x1, y1) = _reals("start", start, 2), _reals("end", end, 2)

@@ -4,7 +4,7 @@ module only in its ``validate`` branch, so no campaign run compiles it."""
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .campaign import CampaignConfig, _truth_coast, run_campaign
 from .constants import MU_EARTH

@@ -55,8 +55,9 @@ def test_target_orbit_rejects_subsurface_radius():
 
 def test_target_orbit_derives_its_rates_from_the_radius_alone():
     # n and circular_speed are fields, computed once by every constructor:
-    # _make, _replace, pickle and copy take the radius alone and derive them
-    # again, so none is stale and a bad radius is refused on each path
+    # _make, _replace (and __replace__, which copy.replace calls from Python
+    # 3.13), pickle and copy take the radius alone and derive them again, so
+    # none is stale and a bad radius is refused on each path
     r, r2 = ORBIT.radius, R_EARTH + 500.0
     n = math.sqrt(MU_EARTH / r**3)
     assert ORBIT == (r, n, n * r) and ORBIT.circular_speed == ORBIT.n * r
@@ -65,18 +66,20 @@ def test_target_orbit_derives_its_rates_from_the_radius_alone():
     from_numpy = TargetOrbit(np.float64(r))
     assert from_numpy == ORBIT and {type(v) for v in from_numpy} == {float}
     other = TargetOrbit(r2)
-    for moved in (ORBIT._replace(radius=r2), TargetOrbit._make((r2,))):
+    for moved in (ORBIT._replace(radius=r2), TargetOrbit.__replace__(ORBIT, radius=r2),
+                  TargetOrbit._make((r2,))):
         assert type(moved) is TargetOrbit and moved == other
         assert moved.n.hex() == other.n.hex()
         assert moved.circular_speed.hex() == other.circular_speed.hex()
     for twin in (copy.copy(ORBIT), copy.deepcopy(ORBIT), pickle.loads(pickle.dumps(ORBIT))):
         assert type(twin) is TargetOrbit and twin == ORBIT
-    with pytest.raises(ValueError):
-        ORBIT._replace(radius=1.0)
+    for replace in (TargetOrbit._replace, TargetOrbit.__replace__):
+        with pytest.raises(ValueError):
+            replace(ORBIT, radius=1.0)
+        with pytest.raises(TypeError):
+            replace(ORBIT, n=1.0)
     with pytest.raises(ValueError):
         TargetOrbit._make((1.0,))
-    with pytest.raises(TypeError):
-        ORBIT._replace(n=1.0)
     with pytest.raises(TypeError):
         TargetOrbit._make(ORBIT)
     with pytest.raises(TypeError):

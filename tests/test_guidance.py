@@ -104,12 +104,14 @@ def test_impulse_record_is_a_tuple_whose_magnitude_is_derived_from_dv():
     assert magnitude.hex() == math.hypot(*dv).hex()
     for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(copied) is ImpulseRecord and copied == record
-    moved = record._replace(dv=(3e-3, -4e-3, 0.0))
-    assert moved.t == 12.5 and moved.magnitude == math.hypot(3e-3, -4e-3, 0.0)
-    assert record._replace(t=1.0) == (1.0, dv, magnitude)
+    # copy.replace (Python 3.13) calls __replace__, which is _replace
+    for replace in (ImpulseRecord._replace, ImpulseRecord.__replace__):
+        moved = replace(record, dv=(3e-3, -4e-3, 0.0))
+        assert moved.t == 12.5 and moved.magnitude == math.hypot(3e-3, -4e-3, 0.0)
+        assert replace(record, t=1.0) == (1.0, dv, magnitude)
+        with pytest.raises(TypeError):
+            replace(record, magnitude=1.0)
     assert ImpulseRecord._make((12.5, dv)) == record
-    with pytest.raises(TypeError):
-        record._replace(magnitude=1.0)
     with pytest.raises(TypeError):
         ImpulseRecord(12.5, dv, 1.0)
     with pytest.raises(TypeError):

@@ -57,9 +57,9 @@ def test_every_exported_exception_is_raised_in_the_package():
 
 # Imports the CLI and flies every subcommand under both truths in one fresh
 # process, validate last, then prints whether the validate suite's module was
-# loaded before and after validate ran, the numpy, scipy, dataclasses and
-# inspect modules that process loaded, and every module it loaded from outside
-# the standard library apart from the program's own.
+# loaded before and after validate ran, the numpy, scipy, dataclasses, inspect
+# and typing modules that process loaded, and every module it loaded from
+# outside the standard library apart from the program's own.
 _FLY_EVERY_SUBCOMMAND = """
 import contextlib, io, json, sys
 import rpodsim.cli as cli
@@ -79,7 +79,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     suite_before = "rpodsim.validate" in sys.modules
     codes.append(cli.main(["validate"]))
 loaded = {name: sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
-          for name in ("numpy", "scipy", "dataclasses", "inspect")}
+          for name in ("numpy", "scipy", "dataclasses", "inspect", "typing")}
 loaded["foreign"] = sorted(m for m in sys.modules if m.partition(".")[0]
                            not in sys.stdlib_module_names | {"rpodsim", "__main__"})
 print(json.dumps({"codes": codes, "suite": [suite_before, "rpodsim.validate" in sys.modules],
@@ -92,8 +92,10 @@ def test_the_flown_path_loads_no_scipy(tmp_path):
     # running every subcommand must load neither, not even on first use.  Nor
     # may it load dataclasses or inspect, whose import (and the ast, dis and
     # tokenize it pulls in) would cost every start of the CLI more than the
-    # rest of its import.  -S keeps the interpreter's site hooks out, so any
-    # module from outside the standard library is one the program loaded
+    # rest of its import, nor typing, which the value types and annotations
+    # do without and whose import would cost every start a few ms.  -S keeps
+    # the interpreter's site hooks out, so any module from outside the
+    # standard library is one the program loaded
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-S", "-c", _FLY_EVERY_SUBCOMMAND, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
@@ -105,7 +107,27 @@ def test_the_flown_path_loads_no_scipy(tmp_path):
     assert report["scipy"] == []
     assert report["dataclasses"] == []
     assert report["inspect"] == []
+    assert report["typing"] == []
     assert report["foreign"] == []
+
+
+def test_every_value_type_is_a_named_tuple_without_an_instance_dict():
+    # each value type subclasses a collections.namedtuple and declares empty
+    # __slots__, so its instances are bare tuples; only a campaign result
+    # keeps a dict, for the views it caches
+    from rpodsim.cli import RunManifest
+    from rpodsim.guidance import Vector3
+    config = rpodsim.CampaignConfig("nmc_unforced", 2000.0, 10.0, 4)
+    values = [rpodsim.TargetOrbit(8000.0), rpodsim.InertialState(0.0, (8000.0, 0, 0), (0, 7, 0)),
+              rpodsim.RelativeState(1.0, 0, 0, 0, 0, 0), Vector3(1.0, 2.0, 3.0),
+              rpodsim.ImpulseRecord(0.0, (1, 2, 3)), config, RunManifest("validate", {}, None)]
+    result = rpodsim.run_campaign(config)
+    for value in [*values, result]:
+        (base,) = type(value).__bases__
+        assert base.__bases__ == (tuple,) and base._fields
+        assert "__annotations__" not in vars(base)  # not built by typing.NamedTuple
+    assert [type(v).__name__ for v in values if hasattr(v, "__dict__")] == []
+    assert hasattr(result, "__dict__")
 
 
 def test_every_traced_name_is_flown_or_inert():
