@@ -74,7 +74,7 @@ from functools import cached_property
 
 from .dynamics import TargetOrbit, cw_coast, two_body_coast
 from .errors import UnphysicalBurn
-from .frames import RelativeState, _real, _whole
+from .frames import RelativeState, _checked, _real, _whole
 # bound here only because perfbench/spans.py wraps them here, and its tracer
 # raises on a binding that does not resolve
 from .frames import eci_to_hill, hill_basis, hill_to_eci  # noqa: F401
@@ -110,12 +110,12 @@ _MIN_IMPULSES = {"nmc_unforced": 3, "circle_forced": 3, "intercept_forced": 2}
 MAX_LEGS = 100_000
 
 
-class CampaignConfig(namedtuple(
+class CampaignConfig(_checked(
         "_Config", "maneuver_kind chief_altitude size impulse_count duration truth_model laps")):
     """Full description of one campaign run (deterministic; no seeds).
 
-    Every constructor, ``_make``, ``_replace``, pickle and copy included,
-    checks the fields and reads the counts as ints, the rest as finite floats.
+    Every constructor (see ``frames._checked``) checks the fields and reads
+    the counts as ints, the rest as finite floats.
     The size, km, is positive (-0.0 is not) and at least what its truth resolves:
     1e7 ulps of the chief radius under two-body, float_info.min / n**2 under CW.
     """
@@ -170,8 +170,6 @@ class CampaignConfig(namedtuple(
                 f"which CW truth cannot resolve"
             )
         return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class CampaignResult(namedtuple(

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .constants import MU_EARTH, R_EARTH
 from .errors import KeplerNonConvergence, SingularRadius, UnboundOrbit
-from .frames import Vec3, _check_state, _real, _to_eci, _to_hill, hill_basis
+from .frames import Vec3, _check_state, _checked, _real, _to_eci, _to_hill, hill_basis
 from .frames import eci_to_hill  # noqa: F401  wrapped by perfbench/spans.py
 
 # a placeholder for perfbench/spans.py's tracer, which raises on a name that
@@ -39,13 +38,13 @@ _MAX_RADIUS = sys.float_info.max ** (1.0 / 3.0)
 _SQRT_MU = math.sqrt(MU_EARTH)
 
 
-class TargetOrbit(namedtuple("_Orbit", "radius n circular_speed")):
+class TargetOrbit(_checked("_Orbit", "radius n circular_speed", 1)):
     """Circular chief orbit about the Earth, of radius above its surface, km:
     the tuple (radius, n, circular_speed), the radius read as a finite float.
 
     The mean motion n = sqrt(MU_EARTH / radius^3), rad/s, and the circular
     speed n * radius, km/s, are derived from the radius by every
-    constructor, so they cannot drift out of consistency with it.
+    constructor (see ``frames._checked``), so they cannot drift from it.
     """
 
     __slots__ = ()
@@ -59,16 +58,6 @@ class TargetOrbit(namedtuple("_Orbit", "radius n circular_speed")):
                              f"double range above {_MAX_RADIUS:.3g} km")
         n = math.sqrt(MU_EARTH / radius**3)
         return tuple.__new__(cls, (radius, n, n * radius))
-
-    def __getnewargs__(self):  # so pickle and copy rebuild it from the radius
-        return self[:1]
-
-    def _replace(self, **changes) -> "TargetOrbit":
-        return TargetOrbit(**{"radius": self.radius, **changes})
-
-    __replace__ = _replace  # so copy.replace (Python 3.13) derives them too
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # from (radius,) only
 
     @classmethod
     def from_altitude(cls, altitude: float) -> "TargetOrbit":

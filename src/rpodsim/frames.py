@@ -58,7 +58,23 @@ def _real(name: str, value) -> float:
     raise ValueError(f"{name} must be finite, got {value}")
 
 
-class InertialState(namedtuple("_Inertial", "epoch position velocity")):
+def _checked(name: str, fields: str, inputs: int | None = None) -> type:
+    """``namedtuple(name, fields)`` whose ``_make``, ``_replace``, ``copy.replace``, pickle and
+    copy all pass the first ``inputs`` fields (all by default) to the subclass's ``__new__``:
+    every constructor runs its checks, and a field it does not take is a TypeError."""
+    base = namedtuple(name, fields)
+    names = base._fields[:inputs]
+
+    def _replace(self, /, **changes):
+        return type(self)(**{**dict(zip(names, self)), **changes})
+
+    base._make = classmethod(lambda cls, values: cls(*values))
+    base._replace = base.__replace__ = _replace
+    base.__getnewargs__ = lambda self: self[:len(names)]
+    return base
+
+
+class InertialState(_checked("_Inertial", "epoch position velocity")):
     """Position and velocity of a satellite in the ECI frame: the tuple
     (epoch, position, velocity).
 
@@ -71,9 +87,8 @@ class InertialState(namedtuple("_Inertial", "epoch position velocity")):
     velocity : (float, float, float)
         ECI velocity, km/s.
 
-    Every constructor, ``_make``, ``_replace``, pickle and copy included,
-    reads the epoch as a finite float and both vectors as float triples,
-    and checks them.
+    Every constructor (see :func:`_checked`) reads the epoch as a finite
+    float and both vectors as float triples, and checks them.
     """
 
     __slots__ = ()
@@ -82,8 +97,6 @@ class InertialState(namedtuple("_Inertial", "epoch position velocity")):
         position, velocity = _reals("position", position, 3), _reals("velocity", velocity, 3)
         _check_state(position, velocity)
         return tuple.__new__(cls, (_real("epoch", epoch), position, velocity))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _check_state(position: Vec3, velocity: Vec3) -> None:

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 from .dynamics import cw_stm
 from .errors import SingularTransferTime
-from .frames import RelativeState, _real, _reals, _whole
+from .frames import RelativeState, _checked, _real, _reals, _whole
 
 _DET_RTOL = 1e-12
 # a 2x2 matrix as its entries in row-major order
@@ -35,25 +35,16 @@ class Vector3(namedtuple("_Vector3", "x y z")):
     __rmul__ = __mul__
 
 
-class ImpulseRecord(namedtuple("_Impulse", "t dv magnitude")):
+class ImpulseRecord(_checked("_Impulse", "t dv magnitude", 2)):
     """A time-stamped instantaneous velocity change in Hill axes: the tuple
-    (t, dv, magnitude), whose magnitude every constructor derives from dv."""
+    (t, dv, magnitude), whose magnitude every constructor (see
+    ``frames._checked``) derives from dv."""
 
     __slots__ = ()
 
     def __new__(cls, t: float, dv: Sequence[float]) -> "ImpulseRecord":
         dv = Vector3(*_reals("dv", dv, 3))
         return tuple.__new__(cls, (_real("t", t), dv, math.hypot(*dv)))
-
-    def __getnewargs__(self):  # so pickle and copy rebuild it from (t, dv)
-        return self[:2]
-
-    def _replace(self, **changes) -> "ImpulseRecord":
-        return ImpulseRecord(**{"t": self.t, "dv": self.dv, **changes})
-
-    __replace__ = _replace  # so copy.replace (Python 3.13) derives it too
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # from (t, dv) only
 
 
 def nmc_initial_state(x0: float, n: float) -> RelativeState:

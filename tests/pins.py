@@ -1,8 +1,9 @@
 """The CLI's pinned output bytes and ``validate``'s, its documented exits,
 the numbers the library reads, the groups of numbers it reads, the Kepler
-kernel's pinned bits and the campaigns that replay their last legs, and a
-check of all of them, of the campaigns that share legs in a run, and of
-the names the benchmark's tracer wraps, that needs no pytest.
+kernel's pinned bits, the campaigns that replay their last legs and the
+checked value types, and a check of all of them, of the campaigns that
+share legs in a run, and of the names the benchmark's tracer wraps, that
+needs no pytest.
 
 ``test_cli.py::test_output_bytes_are_pinned`` reads the first table below,
 ``test_cli.py::test_validate_passes`` the sha256 after it,
@@ -11,7 +12,8 @@ the names the benchmark's tracer wraps, that needs no pytest.
 ``test_guidance.py::test_numpy_and_int_inputs_give_the_bits_of_the_float_input``
 the third, ``test_guidance.py::test_a_bad_group_is_refused`` the fourth,
 ``test_dynamics.py::test_kepler_core_is_pinned_bit_for_bit`` the fifth
-and ``test_campaign.py::test_replay_row`` the sixth;
+and ``test_campaign.py::test_replay_row`` the sixth; only this script
+flies the value types table, on each interpreter CI runs;
 ``test_campaign.py::test_a_swept_cell_flies_as_it_flies_alone`` calls
 :func:`fly_shared_legs`; ``reference.py`` re-exports :func:`fly_every_leg`,
 and ``test_package.py::test_every_traced_name_is_flown_or_inert`` reads
@@ -23,6 +25,7 @@ it flies every pinned argv, ``validate`` and every exits row through
 ``rpodsim.cli.main`` (from ``src/``), every inputs row with each value that
 is no number,
 every groups row with each value that is no group of its size,
+every value type's valid and broken instance through each rebuild,
 every Kepler row through ``rpodsim.dynamics._coast``,
 every replay row through ``rpodsim.run_campaign`` and :func:`fly_every_leg`
 and every campaign of the pinned argvs both in its run and alone, and looks
@@ -30,18 +33,20 @@ up every name that ``perfbench/spans.py``'s tracer wraps or counts.  It
 prints one PASS or FAIL line per pin, one for each table, one for the
 shared legs and one for the traced names, and exits 1 if any exit code,
 CSV, stdout, stderr, end-state bit, error message or flown bit differs, a
-campaign flies otherwise alone than in its run, or a traced name does not
-resolve, so the pins can be checked on an interpreter that has no pytest
-installed.
+campaign flies otherwise alone than in its run, a rebuilt value differs or
+skips its checks, or a traced name does not resolve, so the pins can be
+checked on an interpreter that has no pytest installed.
 """
 
 import ast
 import contextlib
+import copy
 import hashlib
 import importlib
 import io
 import itertools
 import math
+import pickle
 import platform
 import shlex
 import sys
@@ -243,6 +248,35 @@ _GROUPS = {
     "impulse-dv": ("dv", 3, lambda r, x: r.ImpulseRecord(0.0, x)),
     "line-start": ("start", 2, lambda r, x: r.waypoints_line(x, (0.0, 0.0), 3)),
     "line-end": ("end", 2, lambda r, x: r.waypoints_line((1.0, 0.0), x, 3)),
+}
+
+# Every checked value type, each of whose constructors runs its checks: type
+# -> (how many leading fields its constructor takes, a valid instance from
+# the package r, the fields of an instance that breaks the type's rule, made
+# by tuple.__new__ past the checks, and the start of the ValueError it must
+# raise).  Rebuilt by each of _REBUILDS, the valid instance must come back
+# equal and of its type, and the broken one must raise its ValueError
+_VALUE_TYPES = {
+    "TargetOrbit": (1, lambda r: r.TargetOrbit(8378.0), (1.0, 1.0, 1.0),
+                    "orbit radius 1 km is not above the Earth surface"),
+    "ImpulseRecord": (2, lambda r: r.ImpulseRecord(60.0, (1e-3, 0.0, 0.0)),
+                      (60.0, (math.inf, 0.0, 0.0), math.inf), "dv[0] must be finite, got inf"),
+    "CampaignConfig": (7, lambda r: r.CampaignConfig("nmc_unforced", 2000.0, 10.0, 4),
+                       ("nmc_unforced", 2000.0, -1.0, 4, None, "two_body", 1),
+                       "size must be positive, got -1"),
+    "InertialState": (3, lambda r: r.InertialState(60.0, *_REST),
+                      (60.0, (0.0, 0.0, 0.0), _REST[1]), "position magnitude must be positive"),
+}
+# every way to rebuild a value from one, given the value and how many fields
+# its constructor takes; copy.replace exists from Python 3.13
+_REBUILDS = {
+    "_make": lambda value, inputs: type(value)._make(value[:inputs]),
+    "_replace": lambda value, inputs: value._replace(),
+    **({"copy.replace": lambda value, inputs: copy.replace(value)}
+       if hasattr(copy, "replace") else {}),
+    "copy": lambda value, inputs: copy.copy(value),
+    "deepcopy": lambda value, inputs: copy.deepcopy(value),
+    "pickle": lambda value, inputs: pickle.loads(pickle.dumps(value)),
 }
 
 # dynamics._coast inputs (r0, v0 and duration, as float.hex) and the float.hex
@@ -493,6 +527,25 @@ def fly_group_row(name: str, label: str) -> tuple:
             ("ValueError", f"{parameter} must "))
 
 
+def fly_value_type_row(name: str, rebuild: str) -> tuple:
+    """A value type's valid and broken instances rebuilt by
+    ``_REBUILDS[rebuild]``: the type and value of the first's rebuild and
+    what the second's raised, as flown and as they must be."""
+    import rpodsim
+
+    inputs, build, broken, message = _VALUE_TYPES[name]
+    value = build(rpodsim)
+    again = _REBUILDS[rebuild]
+    try:
+        twin = again(value, inputs)
+    except Exception as exc:  # compared, never swallowed
+        twin = exc
+    unchecked = tuple.__new__(type(value), broken)
+    kind, raised = _raised(lambda: again(unchecked, inputs))
+    return ((type(twin), twin, kind, (raised or "")[:len(message)]),
+            (type(value), value, "ValueError", message))
+
+
 def fly_every_leg(config) -> tuple:
     """(arrivals, burns, total_dv, max_waypoint_miss) of ``config``, every
     leg coasted and targeted in turn.
@@ -611,10 +664,12 @@ def check() -> int:
     """Fly each pinned argv and ``validate``, each exits row, Kepler row and
     replay row and compare, fly each campaign of the pinned argvs alone and
     compare, fly each inputs row with each value that is no number and each
-    groups row with each value that is no group of its size, and look up
-    every traced name; 0 if every pin holds, every campaign flies alone as
-    in its run, every inputs and groups row raises its ValueError and every
-    name resolves, else 1."""
+    groups row with each value that is no group of its size, rebuild each
+    value type's valid and broken instance every way, and look up every
+    traced name; 0 if every pin holds, every campaign flies alone as in its
+    run, every inputs and groups row and every broken value raises its
+    ValueError, every valid value comes back and every name resolves,
+    else 1."""
     from rpodsim.cli import main
 
     failed = 0
@@ -669,6 +724,12 @@ def check() -> int:
         failed += bool(moved)
         print(f"{'FAIL' if moved else 'PASS'}  {table} ({len(rows)} calls)"
               + (f"  moved: {', '.join(moved)}" if moved else ""))
+    rebuilt = {f"{name}-{rebuild}": fly_value_type_row(name, rebuild)
+               for name in _VALUE_TYPES for rebuild in _REBUILDS}
+    moved = [name for name, (flown, pinned) in rebuilt.items() if flown != pinned]
+    failed += bool(moved)
+    print(f"{'FAIL' if moved else 'PASS'}  value types ({len(_VALUE_TYPES)} types)"
+          + (f"  moved: {', '.join(moved)}" if moved else ""))
     names = traced_names()
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(module), name)]

@@ -97,17 +97,23 @@ def test_config_counts_are_integers():
 
 
 def test_config_copies_and_changes_are_checked():
-    # _make, _replace, pickle and copy all build through the constructor, so
-    # none of them can make a config that skipped its checks
+    # _make, _replace (and __replace__, which copy.replace calls from Python
+    # 3.13), pickle and copy all build through the constructor, so none of
+    # them can make a config that skipped its checks
     config = unforced(10.0, 4)
-    for twin in (CampaignConfig._make(config), config._replace(), copy.copy(config),
+    for twin in (CampaignConfig._make(config), copy.copy(config),
                  copy.deepcopy(config), pickle.loads(pickle.dumps(config))):
         assert type(twin) is CampaignConfig and twin == config
-    assert config._replace(size=20.0, laps=np.int64(3)) == unforced(20.0, 4, laps=3)
-    for changes in (dict(size=-1.0), dict(laps=0), dict(impulse_count=4.0),
-                    dict(duration=60.0), dict(chief_altitude=math.inf)):
-        with pytest.raises(ValueError):
-            config._replace(**changes)
+    for replace in (CampaignConfig._replace, CampaignConfig.__replace__):
+        twin = replace(config)
+        assert type(twin) is CampaignConfig and twin == config
+        assert replace(config, size=20.0, laps=np.int64(3)) == unforced(20.0, 4, laps=3)
+        for changes in (dict(size=-1.0), dict(laps=0), dict(impulse_count=4.0),
+                        dict(duration=60.0), dict(chief_altitude=math.inf)):
+            with pytest.raises(ValueError):
+                replace(config, **changes)
+        with pytest.raises(TypeError, match="bogus"):
+            replace(config, bogus=1)
     with pytest.raises(ValueError):
         CampaignConfig._make(("nmc_unforced", 2000.0, -1.0, 4, None, "two_body", 1))
     unchecked = tuple.__new__(CampaignConfig, (*config[:2], -1.0, *config[3:]))
@@ -135,7 +141,8 @@ def test_config_reads_its_floats_once():
 def test_unforced_intercept_flies_one_burn(count):
     # the unforced arm is one targeting burn and a coast; any other count
     # would be reported but not flown
-    with pytest.raises(ValueError):
+    message = "needs impulse_count >= 1" if count == 0 else "flies one burn"
+    with pytest.raises(ValueError, match=message):
         CampaignConfig("intercept_unforced", 2000.0, 10.0, count, duration=3600.0)
 
 

@@ -251,20 +251,26 @@ def test_inertial_state_validation():
 
 
 def test_inertial_state_copies_and_changes_are_checked():
-    # _make, _replace, pickle and copy all build through the constructor:
-    # each reads its vectors as float triples and refuses a bad state
+    # _make, _replace (and __replace__, which copy.replace calls from Python
+    # 3.13), pickle and copy all build through the constructor: each reads
+    # its vectors as float triples and refuses a bad state
     state = InertialState(1.0, [R_CHIEF, 0, 0], [0, 7, 0])
     assert state == (1.0, (R_CHIEF, 0.0, 0.0), (0.0, 7.0, 0.0))
-    for twin in (InertialState._make(state), state._replace(), copy.copy(state),
+    for twin in (InertialState._make(state), copy.copy(state),
                  copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
         assert type(twin) is InertialState and twin == state
-    moved = state._replace(velocity=np.array([0, 6, 1]))
-    assert moved.velocity == (0.0, 6.0, 1.0) and type(moved.velocity[0]) is float
+    for replace in (InertialState._replace, InertialState.__replace__):
+        twin = replace(state)
+        assert type(twin) is InertialState and twin == state
+        moved = replace(state, velocity=np.array([0, 6, 1]))
+        assert moved.velocity == (0.0, 6.0, 1.0) and type(moved.velocity[0]) is float
+        with pytest.raises(ValueError):
+            replace(state, position=(0.0, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            replace(state, velocity=(np.nan, 0.0, 0.0))
+        with pytest.raises(TypeError, match="bogus"):
+            replace(state, bogus=1)
     assert InertialState._make((1.0, [R_CHIEF, 0, 0], [0, 7, 0])) == state
-    with pytest.raises(ValueError):
-        state._replace(position=(0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        state._replace(velocity=(np.nan, 0.0, 0.0))
     with pytest.raises(ValueError):
         InertialState._make((1.0, [1, 2], [0, 7, 0]))
     unchecked = tuple.__new__(InertialState, (1.0, (0.0, 0.0, 0.0), (0.0, 7.0, 0.0)))
